@@ -3,8 +3,9 @@
 
 On a non-quadratic lower level, the central-difference products differ
 from the exact second-order ones by a discretization bias. This script
-sweeps delta on a (deterministic) log-cosh instance and reports the
-error norm together with the fitted log-log slope (expected close to 2).
+sweeps delta on a (deterministic) log-cosh instance, at one random point
+per node, and reports the swarm's error norm together with the fitted
+log-log slope (expected close to 2).
 
 Usage:
     python3 scripts/fo_bias_scaling.py
@@ -25,15 +26,16 @@ from gossipbo import hvp_fo, hvp_so, make_logcosh  # noqa: E402
 def main() -> int:
     problem = make_logcosh(seed=3, n_nodes=4, d=3, p=5)
     rng = np.random.default_rng(11)
-    x = rng.normal(size=problem.dim_x)
-    y = rng.normal(size=problem.dim_y)
-    z = rng.normal(size=problem.dim_y)
-    exact = hvp_so(problem, 0, x, y, z, rng=rng)
+    # One point per node, stacked by row as the batched oracles take them.
+    n, d, p = problem.n_nodes, problem.dim_x, problem.dim_y
+    X, Y, Z = rng.normal(size=(n, d)), rng.normal(size=(n, p)), rng.normal(size=(n, p))
+    sample = None  # the log-cosh family is deterministic: its samples are None
+    exact = hvp_so(problem, X, Y, Z, sample)
     deltas = np.logspace(-1, -4, 7)
     errs = []
     print(f"{'delta':>10s}  {'|p_h error|':>12s}  {'|p_j error|':>12s}")
     for delta in deltas:
-        fo = hvp_fo(problem, 0, x, y, z, float(delta), rng=rng)
+        fo = hvp_fo(problem, X, Y, Z, float(delta), sample)
         eh = float(np.linalg.norm(fo.p_h - exact.p_h))
         ej = float(np.linalg.norm(fo.p_j - exact.p_j))
         errs.append(eh)

@@ -1,6 +1,6 @@
 """Decentralized single-loop stochastic bilevel optimization over gossip topologies."""
 
-from .directions import DirectionTriple, HvpPair, directions_deterministic, hvp_fo, hvp_so
+from .directions import HvpPair, hvp_fo, hvp_so
 from .engine import HyperParams, SwarmState, Variant, init, run, step
 from .metrics import (
     RunRecord,
@@ -27,7 +27,6 @@ from .problem import (
     z_star,
 )
 from .topology import (
-    AdjustedRing,
     ExponentialGraph,
     FullyConnected,
     MixingMatrix,
@@ -35,7 +34,6 @@ from .topology import (
     Torus2D,
     build_topology,
     load_mixing_matrix,
-    mix,
     spectral_gap,
 )
 

@@ -6,9 +6,10 @@ Subcommands:
     gossipbo validate <config.ini>
     gossipbo transient <run.csv> <ref.csv> --rel-tol R --window W
 
-Exit codes: 0 success, 1 config error, 2 runtime divergence (partial
-results written), 3 I/O error. GOSSIPBO_OUT sets the default output
-directory.
+Exit codes: 0 success, 1 config error, 2 runtime divergence or a failed
+cell (partial results written), 3 I/O error. ``validate`` and ``run`` both
+build the problem, topologies and step-size parameters before anything
+runs. GOSSIPBO_OUT sets the default output directory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import engine, metrics
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
+from .problem import ProblemError
 
 ENV_OUT_DIR = "GOSSIPBO_OUT"
 
@@ -74,7 +76,7 @@ def _run_cell(config_dict: dict, topo_name: str, variant: str, trial: int) -> di
         "seed": seed,
         "diverged_at": None,
         "error": None,
-        "csv": None,
+        "record": None,
     }
     try:
         record = engine.run(
@@ -87,11 +89,11 @@ def _run_cell(config_dict: dict, topo_name: str, variant: str, trial: int) -> di
             wall_limit_s=config.run.wall_limit_s,
             metadata={"topology": topo_name, "trial": trial},
         )
-        result["csv"] = record.to_csv()
+        result["record"] = record
     except engine.NumericalDivergence as exc:
         result["diverged_at"] = exc.iteration
         result["error"] = str(exc)
-    except engine.EngineError as exc:
+    except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
         result["error"] = str(exc)
     result["wall_time_s"] = time.monotonic() - start
     return result
@@ -119,12 +121,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     by_cell = {(r["topology"], r["variant"], r["trial"]): r for r in results}
     records: dict[tuple[str, str, int], metrics.RunRecord] = {}
     for (topo_name, variant, trial), r in sorted(by_cell.items()):
-        if r["csv"] is None:
+        if r["record"] is None:
             continue
         path = os.path.join(out_dir, _cell_filename(topo_name, variant, trial))
         with open(path, "w") as fh:
-            fh.write(r["csv"])
-        records[(topo_name, variant, trial)] = metrics.RunRecord.from_csv(r["csv"])
+            fh.write(r["record"].to_csv())
+        records[(topo_name, variant, trial)] = r["record"]
 
     # Per-(topology, variant) summaries across trials.
     groups: dict[tuple[str, str], list[metrics.RunRecord]] = {}
@@ -183,7 +185,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         "config": config_dict,
         "config_hash": hashlib.sha256(config_json.encode()).hexdigest(),
         "cells": [
-            {k: v for k, v in r.items() if k != "csv"} for r in sorted(
+            {k: v for k, v in r.items() if k != "record"} for r in sorted(
                 results, key=lambda r: (r["topology"], r["variant"], r["trial"])
             )
         ],
@@ -231,9 +233,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_IO
         try:
             config = parse_config(text)
+            config.check_buildable()
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
         if args.command == "validate":
             print("config OK")
             return EXIT_OK

@@ -91,7 +91,8 @@ class TopologyConfig:
                 topo.Ring(self.self_weight, self.neighbor_weight), n
             )
         if self.kind == "adjusted_ring":
-            return topo.build_topology(topo.AdjustedRing(), n)
+            # Self weight 0.2 and 0.4 to each of the two ring neighbors.
+            return topo.build_topology(topo.Ring(0.2, 0.4), n)
         if self.kind == "torus2d":
             return topo.build_topology(topo.Torus2D(self.rows, self.cols), n)
         if self.kind == "exponential":
@@ -145,6 +146,21 @@ class ExperimentConfig:
     problem: ProblemConfig
     topologies: list[TopologyConfig]
     run: RunConfig
+
+    def check_buildable(self) -> None:
+        """Build the problem, each topology at its node count and each variant's HyperParams.
+
+        ``parse_config`` checks keys and types only; this raises, as a
+        ValidationError, what a run would otherwise hit inside a cell.
+        """
+        try:
+            n = self.problem.build().n_nodes
+            for tc in self.topologies:
+                tc.build(n)
+            for variant in self.run.variants:
+                self.run.hyper(variant)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
 
 
 _PROBLEM_KEYS = {

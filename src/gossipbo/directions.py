@@ -1,12 +1,12 @@
-"""Direction estimates for the single-loop bilevel update.
+"""Hessian- and Jacobian-vector product estimates for the single-loop update.
 
-Three flavors are provided: deterministic directions built from exact
-per-node oracles, stochastic second-order products (sampled Hessian and
-Jacobian applied to z), and fully first-order central-difference
-approximations of those products. The first-order mode evaluates the two
-perturbed gradients on the same sample, so on quadratic lower levels it
-reproduces the second-order products bit for bit under common random
-numbers.
+Both estimators act on the whole swarm: X, Y, Z are stacked (n, .) arrays
+and ``sample`` is the nodes' stacked lower-level sample. ``hvp_so`` applies
+the sampled Hessian and Jacobian to z; ``hvp_fo`` approximates the same
+products by central differences of sampled first-order gradients. The
+first-order mode evaluates the two perturbed gradients on the same sample,
+so on quadratic lower levels it reproduces the second-order products up to
+rounding under common random numbers.
 """
 
 from __future__ import annotations
@@ -18,91 +18,24 @@ import numpy as np
 from .problem import BilevelProblem
 
 
-class DirectionError(ValueError):
+class DegenerateDelta(ValueError):
     pass
-
-
-class DimensionMismatch(DirectionError):
-    pass
-
-
-class DegenerateDelta(DirectionError):
-    pass
-
-
-@dataclass(frozen=True)
-class DirectionTriple:
-    d_x: np.ndarray
-    d_y: np.ndarray
-    d_z: np.ndarray
 
 
 @dataclass(frozen=True)
 class HvpPair:
-    p_h: np.ndarray  # approximates (d^2 g_i / dy dy) z, dim p
-    p_j: np.ndarray  # approximates (d^2 g_i / dx dy) z, dim d
-    mode: str  # "so" or "fo"
-    delta: float | None = None
+    p_h: np.ndarray  # (n, p): row i approximates (d^2 g_i / dy dy) z_i
+    p_j: np.ndarray  # (n, d): row i approximates (d^2 g_i / dx dy) z_i
 
 
-def _check_dims(problem: BilevelProblem, x, y, z) -> None:
-    if x.shape != (problem.dim_x,) or y.shape != (problem.dim_y,) or z.shape != (
-        problem.dim_y,
-    ):
-        raise DimensionMismatch(
-            f"expected shapes ({problem.dim_x},), ({problem.dim_y},), "
-            f"({problem.dim_y},); got {x.shape}, {y.shape}, {z.shape}"
-        )
+def hvp_so(problem: BilevelProblem, X, Y, Z, sample) -> HvpPair:
+    """Sampled second-order products."""
+    return HvpPair(
+        p_h=problem.shess_yy_g(X, Y, Z, sample), p_j=problem.scross_xy_g(X, Y, Z, sample)
+    )
 
 
-def directions_deterministic(
-    problem: BilevelProblem, i: int, x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> DirectionTriple:
-    """Exact per-node directions.
-
-    d_x drives the upper variable toward the hypergradient, d_y is the
-    lower-level gradient, and d_z is the gradient of the quadratic
-    surrogate whose minimizer is the Hessian-inverse-vector z*.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    _check_dims(problem, x, y, z)
-    d_x = problem.grad_x_f(i, x, y) - problem.cross_xy_g(i, x, y, z)
-    d_y = problem.grad_y_g(i, x, y)
-    d_z = problem.hess_yy_g(i, x, y, z) - problem.grad_y_f(i, x, y)
-    return DirectionTriple(d_x=d_x, d_y=d_y, d_z=d_z)
-
-
-def hvp_so(
-    problem: BilevelProblem,
-    i: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    rng: np.random.Generator | None = None,
-    sample=None,
-) -> HvpPair:
-    """Sampled second-order products; draws one sample unless given one."""
-    if sample is None:
-        if rng is None:
-            raise ValueError("provide either a sample or an rng")
-        sample = problem.draw_g_sample(i, rng)
-    p_h = problem.shess_yy_g(i, x, y, z, sample)
-    p_j = problem.scross_xy_g(i, x, y, z, sample)
-    return HvpPair(p_h=p_h, p_j=p_j, mode="so")
-
-
-def hvp_fo(
-    problem: BilevelProblem,
-    i: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    delta: float,
-    rng: np.random.Generator | None = None,
-    sample=None,
-) -> HvpPair:
+def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float, sample) -> HvpPair:
     """Central-difference products from first-order gradients only.
 
     Both perturbed evaluations reuse the same sample. The squared bias is
@@ -111,16 +44,12 @@ def hvp_fo(
     """
     if delta <= 0:
         raise DegenerateDelta(f"delta must be positive, got {delta}")
-    if sample is None:
-        if rng is None:
-            raise ValueError("provide either a sample or an rng")
-        sample = problem.draw_g_sample(i, rng)
-    y_plus = y + delta * z
-    y_minus = y - delta * z
+    Y_plus = Y + delta * Z
+    Y_minus = Y - delta * Z
     p_h = (
-        problem.sgrad_y_g(i, x, y_plus, sample) - problem.sgrad_y_g(i, x, y_minus, sample)
+        problem.sgrad_y_g(X, Y_plus, sample) - problem.sgrad_y_g(X, Y_minus, sample)
     ) / (2.0 * delta)
     p_j = (
-        problem.sgrad_x_g(i, x, y_plus, sample) - problem.sgrad_x_g(i, x, y_minus, sample)
+        problem.sgrad_x_g(X, Y_plus, sample) - problem.sgrad_x_g(X, Y_minus, sample)
     ) / (2.0 * delta)
-    return HvpPair(p_h=p_h, p_j=p_j, mode="fo", delta=delta)
+    return HvpPair(p_h=p_h, p_j=p_j)

@@ -3,11 +3,13 @@
 One step follows the single-loop recursion: every node draws one
 upper-level and one lower-level sample, forms its direction estimates
 from the iteration-t snapshot of all nodes, applies a local gradient
-step, and gossips the result with its neighbors. The moving-average
-hypergradient estimate h is updated locally and is not gossiped. The
-centralized variant runs the same recursion with exact uniform averaging
-in place of the gossip matrix, which keeps a single shared iterate and
-averages the per-node directions.
+step, and gossips the result with its neighbors. The swarm is held as
+stacked (n, .) arrays and every oracle is called once per step for all
+nodes; only the sample draws loop over the nodes' own streams. The
+moving-average hypergradient estimate h is updated locally and is not
+gossiped. The centralized variant runs the same recursion with exact
+uniform averaging in place of the gossip matrix, which keeps a single
+shared iterate and averages the per-node directions.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class HyperParams:
             raise ValueError("tau must be > 0")
         if min(self.c1, self.c2, self.c3) <= 0:
             raise ValueError("c1, c2, c3 must be > 0")
+        if self.delta <= 0:
+            raise ValueError("delta must be > 0")
 
     def alpha(self, t: int) -> float:
         return self.alpha0 * self.decay_factor ** (t // self.decay_period)
@@ -110,9 +114,6 @@ class SwarmState:
 
     def y_bar(self) -> np.ndarray:
         return self.Y.mean(axis=0)
-
-    def z_bar(self) -> np.ndarray:
-        return self.Z.mean(axis=0)
 
 
 def init(
@@ -152,23 +153,16 @@ def init(
 
 
 def _node_terms(problem, hyper, X, Y, Z, streams):
-    """Per-node sampled directions from the iteration-t snapshot."""
-    n = problem.n_nodes
-    Gy = np.empty_like(Y)
-    Dz = np.empty_like(Z)
-    Omega = np.empty_like(X)
-    for i in range(n):
-        rng = streams[i]
-        xi = problem.draw_f_sample(i, rng)
-        zeta = problem.draw_g_sample(i, rng)
-        x, y, z = X[i], Y[i], Z[i]
-        if hyper.variant is Variant.FIRST_ORDER:
-            pair = hvp_fo(problem, i, x, y, z, hyper.delta, sample=zeta)
-        else:
-            pair = hvp_so(problem, i, x, y, z, sample=zeta)
-        Gy[i] = problem.sgrad_y_g(i, x, y, zeta)
-        Dz[i] = pair.p_h - problem.sgrad_y_f(i, x, y, xi)
-        Omega[i] = problem.sgrad_x_f(i, x, y, xi) - pair.p_j
+    """Sampled directions of every node from the iteration-t snapshot."""
+    xi = problem.draw_f_sample(streams)
+    zeta = problem.draw_g_sample(streams)
+    if hyper.variant is Variant.FIRST_ORDER:
+        pair = hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
+    else:
+        pair = hvp_so(problem, X, Y, Z, zeta)
+    Gy = problem.sgrad_y_g(X, Y, zeta)
+    Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
+    Omega = problem.sgrad_x_f(X, Y, xi) - pair.p_j
     return Gy, Dz, Omega
 
 

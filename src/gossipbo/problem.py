@@ -5,15 +5,20 @@ together with their derivative oracles. Upper objective:
 
     Phi(x) = (1/N) sum_i f_i(x, y*(x)),   y*(x) = argmin_y (1/N) sum_i g_i(x, y)
 
+Oracles are node-batched: they take the swarm's points stacked by node,
+(n, dim) arrays, and return row i for node i. The iteration engine calls
+each oracle once per step for the whole swarm; the verification helpers
+(``lower_solve``, ``z_star``, ``hypergradient_exact``, ``phi_value``) call
+them with one point repeated on every row and average over the node axis.
+
 Derivative oracles are matrix-free: Hessian/Jacobian information is exposed
 only through vector products, matching the structure of the iteration engine.
-Dense matrices appear only inside the verification helpers (``lower_solve``,
-``z_star``, ``hypergradient_exact``), which assemble the p x p lower Hessian
-from basis products at desk scale.
+Dense matrices appear only inside the verification helpers, which assemble
+the p x p lower Hessian from basis products at desk scale.
 
-Stochastic oracles take an explicit sample object drawn from a caller-owned
-numpy Generator, so runs are reproducible and common-random-number
-comparisons across algorithm variants are exact.
+Stochastic oracles take an explicit sample drawn from caller-owned numpy
+Generators, one per node and drawn in node order, so runs are reproducible
+and common-random-number comparisons across algorithm variants are exact.
 """
 
 from __future__ import annotations
@@ -44,79 +49,75 @@ class SingularHessian(ProblemError):
 
 
 class BilevelProblem(abc.ABC):
-    """Per-node deterministic and stochastic oracle bundle."""
+    """Node-batched oracle bundle.
 
-    def __init__(
-        self,
-        n_nodes: int,
-        dim_x: int,
-        dim_y: int,
-        mu_g: float,
-        sigma: float = 0.0,
-        l_f: float | None = None,
-    ):
+    Every oracle takes the swarm's points stacked by node -- X (n, dim_x),
+    Y (n, dim_y), V (n, dim_y) -- and returns row i for node i; values come
+    back as an (n,) array. ``draw_f_sample(streams)`` and
+    ``draw_g_sample(streams)`` draw one sample per node from that node's
+    generator, in node order, and stack them into one sample object.
+    """
+
+    def __init__(self, n_nodes: int, dim_x: int, dim_y: int):
         self.n_nodes = n_nodes
         self.dim_x = dim_x
         self.dim_y = dim_y
-        self.mu_g = mu_g
-        self.sigma = sigma
-        self.l_f = l_f
 
     # -- values ---------------------------------------------------------
     @abc.abstractmethod
-    def f_value(self, i: int, x: np.ndarray, y: np.ndarray) -> float: ...
+    def f_value(self, X, Y) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def g_value(self, i: int, x: np.ndarray, y: np.ndarray) -> float: ...
+    def g_value(self, X, Y) -> np.ndarray: ...
 
     # -- deterministic first-order oracles ------------------------------
     @abc.abstractmethod
-    def grad_x_f(self, i: int, x, y) -> np.ndarray: ...
+    def grad_x_f(self, X, Y) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def grad_y_f(self, i: int, x, y) -> np.ndarray: ...
+    def grad_y_f(self, X, Y) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def grad_x_g(self, i: int, x, y) -> np.ndarray: ...
+    def grad_x_g(self, X, Y) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def grad_y_g(self, i: int, x, y) -> np.ndarray: ...
+    def grad_y_g(self, X, Y) -> np.ndarray: ...
 
     # -- deterministic second-order vector products ---------------------
     @abc.abstractmethod
-    def hess_yy_g(self, i: int, x, y, v) -> np.ndarray:
-        """(d^2 g_i / dy dy) v, a dim_y vector."""
+    def hess_yy_g(self, X, Y, V) -> np.ndarray:
+        """Row i is (d^2 g_i / dy dy) v_i, a dim_y vector."""
 
     @abc.abstractmethod
-    def cross_xy_g(self, i: int, x, y, v) -> np.ndarray:
-        """(d^2 g_i / dx dy) v, a dim_x vector."""
+    def cross_xy_g(self, X, Y, V) -> np.ndarray:
+        """Row i is (d^2 g_i / dx dy) v_i, a dim_x vector."""
 
     # -- stochastic oracles ---------------------------------------------
-    # Defaults make every deterministic problem a valid sigma = 0
-    # stochastic problem.
-    def draw_f_sample(self, i: int, rng: np.random.Generator):
+    # Defaults make a deterministic family a valid sigma = 0 stochastic
+    # one: every sample is None and every sampled oracle is the exact one.
+    def draw_f_sample(self, streams: list[np.random.Generator]):
         return None
 
-    def draw_g_sample(self, i: int, rng: np.random.Generator):
+    def draw_g_sample(self, streams: list[np.random.Generator]):
         return None
 
-    def sgrad_x_f(self, i, x, y, xi) -> np.ndarray:
-        return self.grad_x_f(i, x, y)
+    def sgrad_x_f(self, X, Y, xi) -> np.ndarray:
+        return self.grad_x_f(X, Y)
 
-    def sgrad_y_f(self, i, x, y, xi) -> np.ndarray:
-        return self.grad_y_f(i, x, y)
+    def sgrad_y_f(self, X, Y, xi) -> np.ndarray:
+        return self.grad_y_f(X, Y)
 
-    def sgrad_x_g(self, i, x, y, zeta) -> np.ndarray:
-        return self.grad_x_g(i, x, y)
+    def sgrad_x_g(self, X, Y, zeta) -> np.ndarray:
+        return self.grad_x_g(X, Y)
 
-    def sgrad_y_g(self, i, x, y, zeta) -> np.ndarray:
-        return self.grad_y_g(i, x, y)
+    def sgrad_y_g(self, X, Y, zeta) -> np.ndarray:
+        return self.grad_y_g(X, Y)
 
-    def shess_yy_g(self, i, x, y, v, zeta) -> np.ndarray:
-        return self.hess_yy_g(i, x, y, v)
+    def shess_yy_g(self, X, Y, V, zeta) -> np.ndarray:
+        return self.hess_yy_g(X, Y, V)
 
-    def scross_xy_g(self, i, x, y, v, zeta) -> np.ndarray:
-        return self.cross_xy_g(i, x, y, v)
+    def scross_xy_g(self, X, Y, V, zeta) -> np.ndarray:
+        return self.cross_xy_g(X, Y, V)
 
     # -- analytic ground truth (when available) -------------------------
     def y_star(self, x: np.ndarray) -> np.ndarray | None:
@@ -125,51 +126,59 @@ class BilevelProblem(abc.ABC):
     def phi_star(self) -> float | None:
         return None
 
-    # -- network means --------------------------------------------------
-    def mean_grad_x_f(self, x, y):
-        return _node_mean(self, "grad_x_f", x, y)
-
-    def mean_grad_y_f(self, x, y):
-        return _node_mean(self, "grad_y_f", x, y)
-
-    def mean_grad_y_g(self, x, y):
-        return _node_mean(self, "grad_y_g", x, y)
-
     def mean_f_value(self, x, y) -> float:
-        return float(np.mean([self.f_value(i, x, y) for i in range(self.n_nodes)]))
-
-    def mean_g_value(self, x, y) -> float:
-        return float(np.mean([self.g_value(i, x, y) for i in range(self.n_nodes)]))
-
-    def mean_hess_yy_g(self, x, y, v):
-        out = self.hess_yy_g(0, x, y, v)
-        for i in range(1, self.n_nodes):
-            out = out + self.hess_yy_g(i, x, y, v)
-        return out / self.n_nodes
-
-    def mean_cross_xy_g(self, x, y, v):
-        out = self.cross_xy_g(0, x, y, v)
-        for i in range(1, self.n_nodes):
-            out = out + self.cross_xy_g(i, x, y, v)
-        return out / self.n_nodes
+        """Network-mean upper loss at one point (x, y) shared by every node."""
+        return float(np.mean(self.f_value(_rows(self, x), _rows(self, y))))
 
 
-def _node_mean(problem, name, x, y):
-    fn = getattr(problem, name)
-    out = fn(0, x, y)
-    for i in range(1, problem.n_nodes):
-        out = out + fn(i, x, y)
-    return out / problem.n_nodes
+# Row-wise products over the node axis. They go through np.matmul so that
+# each row rounds exactly as the single-node product M[i] @ v[i] would.
+def _mv(M, V):
+    """Row i is M[i] @ V[i] (M may also be one matrix shared by all rows)."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
+def _mtv(M, V):
+    """Row i is M[i].T @ V[i]."""
+    return _mv(np.swapaxes(M, -1, -2), V)
+
+
+def _dot(U, V):
+    """Row i is U[i] @ V[i]."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+def _quad(U, M, V):
+    """Row i is U[i] @ M[i] @ V[i]."""
+    return np.matmul(np.matmul(U[:, None, :], M), V[:, :, None])[:, 0, 0]
+
+
+def _stack(draws):
+    """Per-node sample tuples, in node order, as one tuple of stacked arrays."""
+    return tuple(np.array(part) for part in zip(*draws))
+
+
+def _rows(problem: BilevelProblem, v) -> np.ndarray:
+    """One point repeated on every node's row."""
+    return np.tile(v, (problem.n_nodes, 1))
+
+
+def _mean_over_nodes(A: np.ndarray) -> np.ndarray:
+    """Mean over the node axis, summed node by node in node order.
+
+    A running sum rather than ``A.mean(axis=0)``, which sums a single
+    column pairwise: this way the rounding does not depend on the width.
+    """
+    return np.cumsum(A, axis=0)[-1] / len(A)
 
 
 def dense_lower_hessian(problem: BilevelProblem, x, y) -> np.ndarray:
     """Assemble the network-mean lower Hessian from basis vector products."""
-    p = problem.dim_y
-    H = np.empty((p, p))
-    eye = np.eye(p)
-    for k in range(p):
-        H[:, k] = problem.mean_hess_yy_g(x, y, eye[k])
-    return H
+    X, Y = _rows(problem, x), _rows(problem, y)
+    basis = np.eye(problem.dim_y)
+    return np.column_stack(
+        [_mean_over_nodes(problem.hess_yy_g(X, Y, _rows(problem, e))) for e in basis]
+    )
 
 
 def lower_solve(
@@ -184,11 +193,16 @@ def lower_solve(
     with the densely assembled mean Hessian (desk-scale p).
     """
     x = np.asarray(x, dtype=float)
+    X = _rows(problem, x)
+
+    def mean_grad(y):
+        return _mean_over_nodes(problem.grad_y_g(X, _rows(problem, y)))
+
     y = problem.y_star(x)
     if y is None:
         y = np.zeros(problem.dim_y)
         for _ in range(max_iter):
-            grad = problem.mean_grad_y_g(x, y)
+            grad = mean_grad(y)
             if np.linalg.norm(grad) <= tol * max(1.0, float(np.linalg.norm(y))):
                 return y
             H = dense_lower_hessian(problem, x, y)
@@ -203,11 +217,11 @@ def lower_solve(
             t = 1.0
             while t > 1e-8:
                 cand = y - t * step
-                if np.linalg.norm(problem.mean_grad_y_g(x, cand)) < gn:
+                if np.linalg.norm(mean_grad(cand)) < gn:
                     break
                 t *= 0.5
             y = y - t * step
-    residual = float(np.linalg.norm(problem.mean_grad_y_g(x, y)))
+    residual = float(np.linalg.norm(mean_grad(y)))
     if residual > tol * max(1.0, float(np.linalg.norm(y))):
         raise LowerSolveDiverged(
             f"lower-level residual {residual:.3e} above tolerance {tol:.1e}"
@@ -220,7 +234,7 @@ def z_star(problem: BilevelProblem, x: np.ndarray, tol: float = LOWER_SOLVE_TOL)
     x = np.asarray(x, dtype=float)
     y = lower_solve(problem, x, tol=tol)
     H = dense_lower_hessian(problem, x, y)
-    rhs = problem.mean_grad_y_f(x, y)
+    rhs = _mean_over_nodes(problem.grad_y_f(_rows(problem, x), _rows(problem, y)))
     try:
         z = np.linalg.solve(H, rhs)
     except np.linalg.LinAlgError as exc:
@@ -237,16 +251,15 @@ def hypergradient_exact(problem: BilevelProblem, x: np.ndarray) -> np.ndarray:
     grad Phi(x) = mean grad_x f(x, y*) - (mean d^2 g / dx dy) z*(x).
     """
     x = np.asarray(x, dtype=float)
-    y = lower_solve(problem, x)
-    z = z_star(problem, x)
-    return problem.mean_grad_x_f(x, y) - problem.mean_cross_xy_g(x, y, z)
+    X, Y = _rows(problem, x), _rows(problem, lower_solve(problem, x))
+    Z = _rows(problem, z_star(problem, x))
+    return _mean_over_nodes(problem.grad_x_f(X, Y)) - _mean_over_nodes(problem.cross_xy_g(X, Y, Z))
 
 
 def phi_value(problem: BilevelProblem, x: np.ndarray) -> float:
     """Upper objective at the lower-level minimizer: mean_i f_i(x, y*(x))."""
     x = np.asarray(x, dtype=float)
-    y = lower_solve(problem, x)
-    return problem.mean_f_value(x, y)
+    return problem.mean_f_value(x, lower_solve(problem, x))
 
 
 # ---------------------------------------------------------------------------
@@ -278,95 +291,92 @@ class QuadraticBilevel(BilevelProblem):
         self.A_bar = spec.A.mean(axis=0)
         self.B_bar = spec.B.mean(axis=0)
         self.c_bar = spec.c.mean(axis=0)
-        self.P_bar = spec.P.mean(axis=0)
-        self.Q_bar = spec.Q.mean(axis=0)
-        self.q_bar = spec.q.mean(axis=0)
-        self.R_bar = spec.R.mean(axis=0)
-        mu = float(min(np.linalg.eigvalsh(spec.A[i]).min() for i in range(n)))
-        if mu <= 0:
+        if min(np.linalg.eigvalsh(spec.A[i]).min() for i in range(n)) <= 0:
             raise ValueError("every A_i must be positive definite")
-        super().__init__(n, d, p, mu_g=mu, sigma=noise_scale)
+        super().__init__(n, d, p)
+        self.sigma = noise_scale
         # Truncated identity coupling the stochastic cross term; unit
         # spectral norm keeps the Hessian-product noise within sigma^2 |z|^2.
         self._J = np.eye(p, d)
         self._a1, self._a2, self._a3 = 0.5, 0.4, 0.4
 
     # deterministic ------------------------------------------------------
-    def f_value(self, i, x, y):
+    def f_value(self, X, Y):
         s = self.spec
-        return float(
-            0.5 * y @ s.P[i] @ y + y @ (s.Q[i] @ x + s.q[i]) + 0.5 * x @ s.R[i] @ x
-        )
+        return _quad(0.5 * Y, s.P, Y) + _dot(Y, _mv(s.Q, X) + s.q) + _quad(0.5 * X, s.R, X)
 
-    def g_value(self, i, x, y):
+    def g_value(self, X, Y):
         s = self.spec
-        return float(0.5 * y @ s.A[i] @ y + y @ (s.B[i] @ x + s.c[i]))
+        return _quad(0.5 * Y, s.A, Y) + _dot(Y, _mv(s.B, X) + s.c)
 
-    def grad_x_f(self, i, x, y):
+    def grad_x_f(self, X, Y):
         s = self.spec
-        return s.Q[i].T @ y + s.R[i] @ x
+        return _mtv(s.Q, Y) + _mv(s.R, X)
 
-    def grad_y_f(self, i, x, y):
+    def grad_y_f(self, X, Y):
         s = self.spec
-        return s.P[i] @ y + s.Q[i] @ x + s.q[i]
+        return _mv(s.P, Y) + _mv(s.Q, X) + s.q
 
-    def grad_x_g(self, i, x, y):
-        return self.spec.B[i].T @ y
+    def grad_x_g(self, X, Y):
+        return _mtv(self.spec.B, Y)
 
-    def grad_y_g(self, i, x, y):
+    def grad_y_g(self, X, Y):
         s = self.spec
-        return s.A[i] @ y + s.B[i] @ x + s.c[i]
+        return _mv(s.A, Y) + _mv(s.B, X) + s.c
 
-    def hess_yy_g(self, i, x, y, v):
-        return self.spec.A[i] @ v
+    def hess_yy_g(self, X, Y, V):
+        return _mv(self.spec.A, V)
 
-    def cross_xy_g(self, i, x, y, v):
-        return self.spec.B[i].T @ v
+    def cross_xy_g(self, X, Y, V):
+        return _mtv(self.spec.B, V)
 
     # stochastic ---------------------------------------------------------
     # One f-sample is a pair of unit-variance direction noises; one
     # g-sample additionally carries scalar Hessian/Jacobian noises, so
     # perturbed-point gradients of the same sample stay consistent.
-    def draw_f_sample(self, i, rng):
-        return (rng.standard_normal(self.dim_y), rng.standard_normal(self.dim_x))
+    def draw_f_sample(self, streams):
+        p, d = self.dim_y, self.dim_x
+        return _stack([(rng.standard_normal(p), rng.standard_normal(d)) for rng in streams])
 
-    def draw_g_sample(self, i, rng):
-        return (
-            rng.standard_normal(self.dim_y),
-            rng.standard_normal(self.dim_x),
-            rng.standard_normal(),
-            rng.standard_normal(),
+    def draw_g_sample(self, streams):
+        p, d = self.dim_y, self.dim_x
+        return _stack(
+            [
+                (rng.standard_normal(p), rng.standard_normal(d), rng.standard_normal(),
+                 rng.standard_normal())
+                for rng in streams
+            ]
         )
 
-    def sgrad_x_f(self, i, x, y, xi):
+    def sgrad_x_f(self, X, Y, xi):
         e_y, e_x = xi
-        return self.grad_x_f(i, x, y) + self.sigma * self._a1 * e_x / np.sqrt(self.dim_x)
+        return self.grad_x_f(X, Y) + self.sigma * self._a1 * e_x / np.sqrt(self.dim_x)
 
-    def sgrad_y_f(self, i, x, y, xi):
+    def sgrad_y_f(self, X, Y, xi):
         e_y, e_x = xi
-        return self.grad_y_f(i, x, y) + self.sigma * self._a1 * e_y / np.sqrt(self.dim_y)
+        return self.grad_y_f(X, Y) + self.sigma * self._a1 * e_y / np.sqrt(self.dim_y)
 
-    def sgrad_y_g(self, i, x, y, zeta):
+    def sgrad_y_g(self, X, Y, zeta):
         e_y, e_x, s, s2 = zeta
         noise = (
             self._a1 * e_y / np.sqrt(self.dim_y)
-            + self._a2 * s * y
-            + self._a3 * s2 * (self._J @ x)
+            + self._a2 * s[:, None] * Y
+            + self._a3 * s2[:, None] * _mv(self._J, X)
         )
-        return self.grad_y_g(i, x, y) + self.sigma * noise
+        return self.grad_y_g(X, Y) + self.sigma * noise
 
-    def sgrad_x_g(self, i, x, y, zeta):
+    def sgrad_x_g(self, X, Y, zeta):
         e_y, e_x, s, s2 = zeta
-        noise = self._a1 * e_x / np.sqrt(self.dim_x) + self._a3 * s2 * (self._J.T @ y)
-        return self.grad_x_g(i, x, y) + self.sigma * noise
+        noise = self._a1 * e_x / np.sqrt(self.dim_x) + self._a3 * s2[:, None] * _mtv(self._J, Y)
+        return self.grad_x_g(X, Y) + self.sigma * noise
 
-    def shess_yy_g(self, i, x, y, v, zeta):
-        _, _, s, _ = zeta
-        return self.hess_yy_g(i, x, y, v) + self.sigma * self._a2 * s * v
+    def shess_yy_g(self, X, Y, V, zeta):
+        s = zeta[2]
+        return self.hess_yy_g(X, Y, V) + self.sigma * self._a2 * s[:, None] * V
 
-    def scross_xy_g(self, i, x, y, v, zeta):
-        _, _, _, s2 = zeta
-        return self.cross_xy_g(i, x, y, v) + self.sigma * self._a3 * s2 * (self._J.T @ v)
+    def scross_xy_g(self, X, Y, V, zeta):
+        s2 = zeta[3]
+        return self.cross_xy_g(X, Y, V) + self.sigma * self._a3 * s2[:, None] * _mtv(self._J, V)
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -490,67 +500,59 @@ class RidgeTuning(BilevelProblem):
         self.omega_bar = omega.mean(axis=0)
         self.spread = float(np.mean(np.sum((omega - self.omega_bar) ** 2, axis=1)))
         self.feat_var = FEATURE_VAR
-        # g's lower curvature is 2 * feat_var + 2|x| >= 2 * feat_var.
-        super().__init__(n, 1, p, mu_g=2.0 * FEATURE_VAR)
+        super().__init__(n, 1, p)
 
     # deterministic (population expectations; noise-free metrics) --------
-    def f_value(self, i, x, y):
-        diff = y - self.omega[i]
-        return float(self.feat_var * diff @ diff + 1.0)
+    def f_value(self, X, Y):
+        diff = Y - self.omega
+        return _dot(self.feat_var * diff, diff) + 1.0
 
-    def g_value(self, i, x, y):
-        return self.f_value(i, x, y) + float(abs(x[0]) * (y @ y))
+    def g_value(self, X, Y):
+        return self.f_value(X, Y) + np.abs(X[:, 0]) * _dot(Y, Y)
 
-    def grad_x_f(self, i, x, y):
-        return np.zeros(1)
+    def grad_x_f(self, X, Y):
+        return np.zeros((self.n_nodes, 1))
 
-    def grad_y_f(self, i, x, y):
-        return 2.0 * self.feat_var * (y - self.omega[i])
+    def grad_y_f(self, X, Y):
+        return 2.0 * self.feat_var * (Y - self.omega)
 
-    def grad_x_g(self, i, x, y):
-        return np.array([np.sign(x[0]) * float(y @ y)])
+    def grad_x_g(self, X, Y):
+        return np.sign(X) * _dot(Y, Y)[:, None]
 
-    def grad_y_g(self, i, x, y):
-        return 2.0 * self.feat_var * (y - self.omega[i]) + 2.0 * abs(x[0]) * y
+    def grad_y_g(self, X, Y):
+        return 2.0 * self.feat_var * (Y - self.omega) + 2.0 * np.abs(X) * Y
 
-    def hess_yy_g(self, i, x, y, v):
-        return 2.0 * (self.feat_var + abs(x[0])) * v
+    def hess_yy_g(self, X, Y, V):
+        return 2.0 * (self.feat_var + np.abs(X)) * V
 
-    def cross_xy_g(self, i, x, y, v):
-        return np.array([2.0 * np.sign(x[0]) * float(y @ v)])
+    def cross_xy_g(self, X, Y, V):
+        return 2.0 * np.sign(X) * _dot(Y, V)[:, None]
 
-    # stochastic (fresh streaming sample per call) -----------------------
-    def _draw_pair(self, i, rng):
-        feats = rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, self.dim_y)
-        label = float(feats @ self.omega[i]) + float(rng.standard_normal())
-        return feats, label
+    # stochastic (fresh streaming sample per call; the x-derivatives do not
+    # involve the data, so their sampled oracles are the exact defaults) --
+    def draw_f_sample(self, streams):
+        feats, noise = _stack(
+            [
+                (rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, self.dim_y),
+                 rng.standard_normal())
+                for rng in streams
+            ]
+        )
+        return feats, _dot(feats, self.omega) + noise
 
-    def draw_f_sample(self, i, rng):
-        return self._draw_pair(i, rng)
+    # f and g are losses on the same stream of (features, label) pairs.
+    draw_g_sample = draw_f_sample
 
-    def draw_g_sample(self, i, rng):
-        return self._draw_pair(i, rng)
-
-    def sgrad_x_f(self, i, x, y, xi):
-        return np.zeros(1)
-
-    def sgrad_y_f(self, i, x, y, xi):
+    def sgrad_y_f(self, X, Y, xi):
         feats, label = xi
-        return 2.0 * (float(feats @ y) - label) * feats
+        return 2.0 * (_dot(feats, Y) - label)[:, None] * feats
 
-    def sgrad_x_g(self, i, x, y, zeta):
-        return np.array([np.sign(x[0]) * float(y @ y)])
+    def sgrad_y_g(self, X, Y, zeta):
+        return self.sgrad_y_f(X, Y, zeta) + 2.0 * np.abs(X) * Y
 
-    def sgrad_y_g(self, i, x, y, zeta):
-        feats, label = zeta
-        return 2.0 * (float(feats @ y) - label) * feats + 2.0 * abs(x[0]) * y
-
-    def shess_yy_g(self, i, x, y, v, zeta):
+    def shess_yy_g(self, X, Y, V, zeta):
         feats, _ = zeta
-        return 2.0 * float(feats @ v) * feats + 2.0 * abs(x[0]) * v
-
-    def scross_xy_g(self, i, x, y, v, zeta):
-        return np.array([2.0 * np.sign(x[0]) * float(y @ v)])
+        return 2.0 * _dot(feats, V)[:, None] * feats + 2.0 * np.abs(X) * V
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -591,40 +593,40 @@ class LogCoshBilevel(BilevelProblem):
         self.B = B
         self.r = r
         self.lam = lam
-        super().__init__(n, d, p, mu_g=1.0)
+        super().__init__(n, d, p)
 
     @property
     def hessian_lipschitz(self) -> float:
         return self.lam * 4.0 / (3.0 * np.sqrt(3.0))
 
-    def f_value(self, i, x, y):
-        diff = y - self.r[i]
-        return float(0.5 * diff @ diff + 0.5 * x @ x)
+    def f_value(self, X, Y):
+        diff = Y - self.r
+        return _dot(0.5 * diff, diff) + _dot(0.5 * X, X)
 
-    def g_value(self, i, x, y):
-        return float(
-            0.5 * y @ y
-            + self.lam * np.sum(np.logaddexp(y, -y) - np.log(2.0))
-            + y @ (self.B[i] @ x)
+    def g_value(self, X, Y):
+        return (
+            _dot(0.5 * Y, Y)
+            + self.lam * np.sum(np.logaddexp(Y, -Y) - np.log(2.0), axis=1)
+            + _dot(Y, _mv(self.B, X))
         )
 
-    def grad_x_f(self, i, x, y):
-        return x.astype(float).copy()
+    def grad_x_f(self, X, Y):
+        return X.astype(float)
 
-    def grad_y_f(self, i, x, y):
-        return y - self.r[i]
+    def grad_y_f(self, X, Y):
+        return Y - self.r
 
-    def grad_x_g(self, i, x, y):
-        return self.B[i].T @ y
+    def grad_x_g(self, X, Y):
+        return _mtv(self.B, Y)
 
-    def grad_y_g(self, i, x, y):
-        return y + self.lam * np.tanh(y) + self.B[i] @ x
+    def grad_y_g(self, X, Y):
+        return Y + self.lam * np.tanh(Y) + _mv(self.B, X)
 
-    def hess_yy_g(self, i, x, y, v):
-        return v + self.lam * (1.0 - np.tanh(y) ** 2) * v
+    def hess_yy_g(self, X, Y, V):
+        return V + self.lam * (1.0 - np.tanh(Y) ** 2) * V
 
-    def cross_xy_g(self, i, x, y, v):
-        return self.B[i].T @ v
+    def cross_xy_g(self, X, Y, V):
+        return _mtv(self.B, V)
 
 
 def make_logcosh(

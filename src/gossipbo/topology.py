@@ -36,10 +36,6 @@ class SpectralGapDegenerate(TopologyError):
     """rho >= 1: the graph is disconnected or the weights are invalid."""
 
 
-class DimensionMismatch(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class MixingMatrix:
     n: int
@@ -86,11 +82,6 @@ class Ring:
 
 
 @dataclass(frozen=True)
-class AdjustedRing:
-    """Ring with self weight 0.2 and 0.4 to each of the two ring neighbors."""
-
-
-@dataclass(frozen=True)
 class Torus2D:
     rows: int
     cols: int
@@ -101,7 +92,7 @@ class ExponentialGraph:
     """Node i is linked to i +/- 2^k (mod n) for every 2^k < n."""
 
 
-TopologyKind = Union[FullyConnected, Ring, AdjustedRing, Torus2D, ExponentialGraph]
+TopologyKind = Union[FullyConnected, Ring, Torus2D, ExponentialGraph]
 
 
 def _uniform_closed_neighborhood(n: int, neighbor_sets: list[set[int]]) -> np.ndarray:
@@ -136,14 +127,6 @@ def build_topology(kind: TopologyKind, n: int) -> MixingMatrix:
         W[idx, idx] = kind.self_weight
         W[idx, (idx + 1) % n] = kind.neighbor_weight
         W[idx, (idx - 1) % n] = kind.neighbor_weight
-    elif isinstance(kind, AdjustedRing):
-        if n < 3:
-            raise IncompatibleSize(f"adjusted ring requires n >= 3, got n={n}")
-        W = np.zeros((n, n))
-        idx = np.arange(n)
-        W[idx, idx] = 0.2
-        W[idx, (idx + 1) % n] = 0.4
-        W[idx, (idx - 1) % n] = 0.4
     elif isinstance(kind, Torus2D):
         if kind.rows * kind.cols != n:
             raise IncompatibleSize(
@@ -184,16 +167,6 @@ def spectral_gap(W: MixingMatrix) -> float:
     if W.rho >= 1.0 - 1e-12:
         raise SpectralGapDegenerate(f"rho = {W.rho:.12f} >= 1")
     return 1.0 - W.rho
-
-
-def mix(W: MixingMatrix, rows: np.ndarray) -> np.ndarray:
-    """One gossip round: W @ rows. Preserves column means exactly."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] != W.n:
-        raise DimensionMismatch(
-            f"expected {W.n} rows, got input of shape {rows.shape}"
-        )
-    return W.weights @ rows
 
 
 def load_mixing_matrix(text: str) -> MixingMatrix:

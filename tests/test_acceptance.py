@@ -26,13 +26,11 @@ from gossipbo.problem import (
     make_ridge_tuning,
 )
 from gossipbo.topology import (
-    AdjustedRing,
     ExponentialGraph,
     FullyConnected,
     Ring,
     Torus2D,
     build_topology,
-    mix,
 )
 
 # ---------------------------------------------------------------------------
@@ -48,15 +46,20 @@ def _phi_independent(prob, x):
     quadratic family; avoids the library's own solver helpers.
     """
     p = prob.dim_y
+    X = np.tile(x, (prob.n_nodes, 1))
+
+    def mean_grad_y_g(y):
+        return prob.grad_y_g(X, np.tile(y, (prob.n_nodes, 1))).mean(axis=0)
+
     y = np.zeros(p)
     H = np.empty((p, p))
     h = 1e-2  # the lower gradient is linear; a large step minimizes rounding
     for k in range(p):
         e = np.zeros(p)
         e[k] = h
-        H[:, k] = (prob.mean_grad_y_g(x, y + e) - prob.mean_grad_y_g(x, y - e)) / (2 * h)
+        H[:, k] = (mean_grad_y_g(y + e) - mean_grad_y_g(y - e)) / (2 * h)
     for _ in range(3):
-        y = y - np.linalg.solve(H, prob.mean_grad_y_g(x, y))
+        y = y - np.linalg.solve(H, mean_grad_y_g(y))
     return prob.mean_f_value(x, y)
 
 
@@ -97,7 +100,7 @@ def test_criterion_2_topology_contracts():
     for n in range(3, 37):
         built["fully_connected"].append(build_topology(FullyConnected(), n))
         built["ring"].append(build_topology(Ring(), n))
-        built["adjusted_ring"].append(build_topology(AdjustedRing(), n))
+        built["adjusted_ring"].append(build_topology(Ring(0.2, 0.4), n))
         built["exponential"].append(build_topology(ExponentialGraph(), n))
         for r in range(2, n):
             if n % r == 0 and n // r >= 2:
@@ -108,7 +111,7 @@ def test_criterion_2_topology_contracts():
             assert np.max(np.abs(W.weights.sum(axis=0) - 1.0)) <= tol
     for W in built["fully_connected"]:
         assert W.rho <= tol
-    ar9 = build_topology(AdjustedRing(), 9)
+    ar9 = build_topology(Ring(0.2, 0.4), 9)
     dev = ar9.weights - np.full((9, 9), 1.0 / 9.0)
     svd_rho = float(np.linalg.svd(dev, compute_uv=False)[0])
     assert abs(ar9.rho - svd_rho) < 1e-10
@@ -119,7 +122,7 @@ def test_criterion_2_topology_contracts():
             U = rng.standard_normal((W.n, 3))
             mean = U.mean(axis=0)
             assert (
-                np.linalg.norm(mix(W, U) - mean)
+                np.linalg.norm(W.weights @ U - mean)
                 <= W.rho * np.linalg.norm(U - mean) + 1e-12
             )
 
@@ -131,7 +134,7 @@ def test_criterion_2_topology_contracts():
 
 def test_criterion_3_fo_so_trajectory_agreement():
     prob = make_quadratic(55, n_nodes=4, d=2, p=3, conditioning=4.0, noise_scale=0.5)
-    W = build_topology(AdjustedRing(), 4)
+    W = build_topology(Ring(0.2, 0.4), 4)
     common = dict(alpha0=0.02, fixed_theta=0.2)
     so = run(prob, W, HyperParams(variant=Variant.SECOND_ORDER, **common),
              T=2000, seed=77, probe_every=100)
@@ -164,9 +167,10 @@ def test_criterion_4_finite_difference_bias_bound():
             x = rng.standard_normal(prob.dim_x)
             y = rng.standard_normal(prob.dim_y)
             z = rng.standard_normal(prob.dim_y)
-            exact = prob.hess_yy_g(i, x, y, z)
-            pair = g.hvp_fo(prob, i, x, y, z, delta, rng=rng)
-            err_sq = float(np.sum((pair.p_h - exact) ** 2))
+            X, Y, Z = (np.tile(v, (prob.n_nodes, 1)) for v in (x, y, z))
+            exact = prob.hess_yy_g(X, Y, Z)[i]
+            pair = g.hvp_fo(prob, X, Y, Z, delta, None)  # log-cosh samples are None
+            err_sq = float(np.sum((pair.p_h[i] - exact) ** 2))
             bound = (1.0 / 3.0) * lip**2 * delta**2 * float(z @ z) ** 2
             assert err_sq <= bound, f"delta={delta}: {err_sq:.3e} > {bound:.3e}"
             errs.append(np.sqrt(err_sq))
@@ -241,7 +245,7 @@ def ridge_sweep():
     value, compared against the per-trial centralized reference.
     """
     topos = {
-        "ring": build_topology(AdjustedRing(), 9),
+        "ring": build_topology(Ring(0.2, 0.4), 9),
         "torus": build_topology(Torus2D(3, 3), 9),
         "full": build_topology(FullyConnected(), 9),
     }
@@ -310,7 +314,7 @@ def quadratic_heterogeneity_sweep():
     centralized reference.
     """
     topos = {
-        "ring": build_topology(AdjustedRing(), 9),
+        "ring": build_topology(Ring(0.2, 0.4), 9),
         "torus": build_topology(Torus2D(3, 3), 9),
     }
     full = build_topology(FullyConnected(), 9)
@@ -366,7 +370,7 @@ def test_criterion_7c_heterogeneity_ordering(quadratic_heterogeneity_sweep):
 
 def test_criterion_8_consensus_error_scaling():
     prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=2.0), 9)
-    W = build_topology(AdjustedRing(), 9)
+    W = build_topology(Ring(0.2, 0.4), 9)
     wins = 0
     for trial in range(10):
         seed = 1000 + trial
@@ -403,7 +407,7 @@ def test_criterion_9_csv_determinism():
     cases = [
         (quad, build_topology(Ring(), 4),
          HyperParams(alpha0=0.05, fixed_theta=0.5, variant=Variant.SECOND_ORDER)),
-        (ridge, build_topology(AdjustedRing(), 9),
+        (ridge, build_topology(Ring(0.2, 0.4), 9),
          HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8,
                      decay_period=1000, variant=Variant.SECOND_ORDER)),
         (ridge, build_topology(FullyConnected(), 9),

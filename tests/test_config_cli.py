@@ -14,7 +14,8 @@ from gossipbo.config import (
     emit_config,
     parse_config,
 )
-from gossipbo.metrics import CSV_HEADER, RunRecord
+from gossipbo.metrics import CSV_HEADER, MetricsError, RunRecord
+from gossipbo.problem import ProblemError
 
 GOOD_CONFIG = """
 [problem]
@@ -129,9 +130,9 @@ def test_invalid_transient_metric_rejected():
 
 
 def test_custom_topology_via_file(tmp_path):
-    from gossipbo.topology import AdjustedRing, build_topology
+    from gossipbo.topology import Ring, build_topology
 
-    W = build_topology(AdjustedRing(), 9)
+    W = build_topology(Ring(0.2, 0.4), 9)
     path = tmp_path / "mix.txt"
     path.write_text(
         "9\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in W.weights)
@@ -245,3 +246,38 @@ def test_cli_transient_subcommand(tmp_path, capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert {"cutoff_iteration", "matched", "rel_tol", "window"} <= set(payload)
+
+
+def test_torus_size_mismatch_rejected_by_validate_and_run(tmp_path, capsys):
+    path = write_config(tmp_path, GOOD_CONFIG.replace("n_nodes = 9", "n_nodes = 8"))
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_delta_rejected_by_validate_and_run(tmp_path, capsys):
+    text = GOOD_CONFIG.replace("variants = so, centralized", "variants = so, fo, centralized")
+    path = write_config(tmp_path, text.replace("theta = 0.2", "theta = 0.2\ndelta = 0"))
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc_type", [ProblemError, MetricsError], ids=lambda e: e.__name__)
+def test_cell_error_recorded_per_cell(tmp_path, monkeypatch, exc_type):
+    def failing_run(*args, **kwargs):
+        raise exc_type("probe failed")
+
+    monkeypatch.setattr(cli.engine, "run", failing_run)
+    out = tmp_path / "out"
+    code = cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"])
+    assert code == cli.EXIT_DIVERGED
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["cells"]) == 3
+    assert all(c["error"] == "probe failed" for c in manifest["cells"])

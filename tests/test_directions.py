@@ -1,17 +1,11 @@
-"""Direction estimates: exact, sampled second-order, and central-difference."""
+"""Direction terms: exact oracles, sampled second-order, and central-difference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipbo.directions import (
-    DegenerateDelta,
-    DimensionMismatch,
-    directions_deterministic,
-    hvp_fo,
-    hvp_so,
-)
+from gossipbo.directions import DegenerateDelta, hvp_fo, hvp_so
 from gossipbo.problem import (
     RidgeTuningSpec,
     make_logcosh,
@@ -30,24 +24,38 @@ def logcosh():
     return make_logcosh(8, n_nodes=2, d=2, p=5, coupling=0.4, lam=1.5)
 
 
+def rows(prob, *points):
+    """Each point repeated on every node's row, as the batched oracles take it."""
+    return tuple(np.tile(v, (prob.n_nodes, 1)) for v in points)
+
+
 def random_point(prob, seed):
     rng = np.random.default_rng(seed)
-    return (
+    return rows(
+        prob,
         rng.standard_normal(prob.dim_x),
         rng.standard_normal(prob.dim_y),
         rng.standard_normal(prob.dim_y),
     )
 
 
+def directions(prob, X, Y, Z):
+    """Exact directions of every node: d_x, d_y and d_z by row."""
+    d_x = prob.grad_x_f(X, Y) - prob.cross_xy_g(X, Y, Z)
+    d_z = prob.hess_yy_g(X, Y, Z) - prob.grad_y_f(X, Y)
+    return d_x, prob.grad_y_g(X, Y), d_z
+
+
 def test_deterministic_directions_match_oracles(quad):
-    x, y, z = random_point(quad, 0)
+    X, Y, Z = random_point(quad, 0)
+    x, y, z = X[0], Y[0], Z[0]
+    d_x, d_y, d_z = directions(quad, X, Y, Z)
     for i in range(quad.n_nodes):
-        tr = directions_deterministic(quad, i, x, y, z)
         s = quad.spec
-        assert np.allclose(tr.d_x, s.Q[i].T @ y + s.R[i] @ x - s.B[i].T @ z, atol=1e-12)
-        assert np.allclose(tr.d_y, s.A[i] @ y + s.B[i] @ x + s.c[i], atol=1e-12)
+        assert np.allclose(d_x[i], s.Q[i].T @ y + s.R[i] @ x - s.B[i].T @ z, atol=1e-12)
+        assert np.allclose(d_y[i], s.A[i] @ y + s.B[i] @ x + s.c[i], atol=1e-12)
         assert np.allclose(
-            tr.d_z, s.A[i] @ z - (s.P[i] @ y + s.Q[i] @ x + s.q[i]), atol=1e-12
+            d_z[i], s.A[i] @ z - (s.P[i] @ y + s.Q[i] @ x + s.q[i]), atol=1e-12
         )
 
 
@@ -58,22 +66,19 @@ def test_deterministic_directions_vanish_at_stationarity(quad):
 
     prob = make_quadratic(4, n_nodes=3, d=2, p=3, conditioning=3.0, heterogeneity=0.0)
     x = np.array([0.2, -0.4])
-    y = lower_solve(prob, x)
-    z = z_star(prob, x)
-    tr = directions_deterministic(prob, 0, x, y, z)
-    assert np.linalg.norm(tr.d_y) < 1e-9
-    assert np.linalg.norm(tr.d_z) < 1e-9
+    _, d_y, d_z = directions(prob, *rows(prob, x, lower_solve(prob, x), z_star(prob, x)))
+    assert np.linalg.norm(d_y[0]) < 1e-9
+    assert np.linalg.norm(d_z[0]) < 1e-9
 
 
 def test_hvp_so_matches_dense_products(quad):
-    x, y, z = random_point(quad, 1)
+    X, Y, Z = random_point(quad, 1)
     rng = np.random.default_rng(0)
-    for i in range(quad.n_nodes):
-        zeta = quad.draw_g_sample(i, rng)
-        pair = hvp_so(quad, i, x, y, z, sample=zeta)
-        assert pair.mode == "so"
-        assert np.allclose(pair.p_h, quad.shess_yy_g(i, x, y, z, zeta), atol=1e-14)
-        assert np.allclose(pair.p_j, quad.scross_xy_g(i, x, y, z, zeta), atol=1e-14)
+    # One generator for every node: node i gets the i-th draw, as before.
+    zeta = quad.draw_g_sample([rng] * quad.n_nodes)
+    pair = hvp_so(quad, X, Y, Z, zeta)
+    assert np.allclose(pair.p_h, quad.shess_yy_g(X, Y, Z, zeta), atol=1e-14)
+    assert np.allclose(pair.p_j, quad.scross_xy_g(X, Y, Z, zeta), atol=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=1e-6, max_value=1e-2))
@@ -81,26 +86,29 @@ def test_hvp_so_matches_dense_products(quad):
 def test_fo_equals_so_on_quadratics_with_common_sample(seed, delta):
     prob = make_quadratic(21, n_nodes=2, d=2, p=3, conditioning=4.0, noise_scale=0.7)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(prob.dim_x)
-    y = rng.standard_normal(prob.dim_y)
-    z = rng.standard_normal(prob.dim_y)
-    zeta = prob.draw_g_sample(0, rng)
-    so = hvp_so(prob, 0, x, y, z, sample=zeta)
-    fo = hvp_fo(prob, 0, x, y, z, delta, sample=zeta)
+    X, Y, Z = rows(
+        prob,
+        rng.standard_normal(prob.dim_x),
+        rng.standard_normal(prob.dim_y),
+        rng.standard_normal(prob.dim_y),
+    )
+    zeta = prob.draw_g_sample([rng] * prob.n_nodes)
+    so = hvp_so(prob, X, Y, Z, zeta)
+    fo = hvp_fo(prob, X, Y, Z, delta, zeta)
     # Exact on quadratics up to rounding of the divided difference.
-    tol = 1e-13 * max(1.0, np.linalg.norm(so.p_h)) / delta + 1e-10
-    assert np.linalg.norm(fo.p_h - so.p_h) < tol
-    assert np.linalg.norm(fo.p_j - so.p_j) < tol
+    tol = 1e-13 * max(1.0, np.linalg.norm(so.p_h[0])) / delta + 1e-10
+    assert np.linalg.norm(fo.p_h[0] - so.p_h[0]) < tol
+    assert np.linalg.norm(fo.p_j[0] - so.p_j[0]) < tol
 
 
 def test_fo_bias_quadratic_in_delta(logcosh):
-    x, y, z = random_point(logcosh, 3)
-    exact = logcosh.hess_yy_g(0, x, y, z)
+    X, Y, Z = random_point(logcosh, 3)
+    exact = logcosh.hess_yy_g(X, Y, Z)[0]
     errs = []
     deltas = [1e-1, 1e-2]
     for d in deltas:
-        pair = hvp_fo(logcosh, 0, x, y, z, d, sample=None, rng=np.random.default_rng(0))
-        errs.append(np.linalg.norm(pair.p_h - exact))
+        pair = hvp_fo(logcosh, X, Y, Z, d, None)  # log-cosh samples are None
+        errs.append(np.linalg.norm(pair.p_h[0] - exact))
     # Central differences: error ratio should track delta^2 = 100x.
     assert 50.0 < errs[0] / errs[1] < 200.0
 
@@ -111,11 +119,9 @@ def test_fo_uses_same_sample_for_both_sides():
     # noise amplification.
     prob = make_quadratic(5, n_nodes=1, d=2, p=3, noise_scale=1.0)
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(2)
-    y = rng.standard_normal(3)
-    z = rng.standard_normal(3)
-    zeta = prob.draw_g_sample(0, rng)
-    pair = hvp_fo(prob, 0, x, y, z, 1e-7, sample=zeta)
+    X, Y, Z = rows(prob, rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3))
+    zeta = prob.draw_g_sample([rng])
+    pair = hvp_fo(prob, X, Y, Z, 1e-7, zeta)
     assert np.all(np.isfinite(pair.p_h))
     assert np.linalg.norm(pair.p_h) < 1e3  # no 1/delta blow-up
 
@@ -123,35 +129,17 @@ def test_fo_uses_same_sample_for_both_sides():
 def test_ridge_fo_products(quad):
     prob = make_ridge_tuning(2, RidgeTuningSpec(dim_p=5, sigma_omega=0.5), 3)
     rng = np.random.default_rng(1)
-    x = np.array([0.6])
-    y = rng.standard_normal(5)
-    z = rng.standard_normal(5)
-    zeta = prob.draw_g_sample(0, rng)
-    so = hvp_so(prob, 0, x, y, z, sample=zeta)
-    fo = hvp_fo(prob, 0, x, y, z, 1e-6, sample=zeta)
-    assert np.allclose(fo.p_h, so.p_h, atol=1e-6)
-    assert np.allclose(fo.p_j, so.p_j, atol=1e-6)
+    X, Y, Z = rows(prob, np.array([0.6]), rng.standard_normal(5), rng.standard_normal(5))
+    zeta = prob.draw_g_sample([rng] * prob.n_nodes)
+    so = hvp_so(prob, X, Y, Z, zeta)
+    fo = hvp_fo(prob, X, Y, Z, 1e-6, zeta)
+    assert np.allclose(fo.p_h[0], so.p_h[0], atol=1e-6)
+    assert np.allclose(fo.p_j[0], so.p_j[0], atol=1e-6)
 
 
 def test_degenerate_delta_rejected(quad):
-    x, y, z = random_point(quad, 5)
+    X, Y, Z = random_point(quad, 5)
     with pytest.raises(DegenerateDelta):
-        hvp_fo(quad, 0, x, y, z, 0.0, rng=np.random.default_rng(0))
+        hvp_fo(quad, X, Y, Z, 0.0, None)
     with pytest.raises(DegenerateDelta):
-        hvp_fo(quad, 0, x, y, z, -1e-3, rng=np.random.default_rng(0))
-
-
-def test_dimension_mismatch_rejected(quad):
-    x, y, z = random_point(quad, 6)
-    with pytest.raises(DimensionMismatch):
-        directions_deterministic(quad, 0, x[:1], y, z)
-    with pytest.raises(DimensionMismatch):
-        directions_deterministic(quad, 0, x, y[:2], z)
-
-
-def test_sample_or_rng_required(quad):
-    x, y, z = random_point(quad, 7)
-    with pytest.raises(ValueError):
-        hvp_so(quad, 0, x, y, z)
-    with pytest.raises(ValueError):
-        hvp_fo(quad, 0, x, y, z, 1e-3)
+        hvp_fo(quad, X, Y, Z, -1e-3, None)

@@ -16,11 +16,12 @@ from gossipbo.engine import (
 from gossipbo.metrics import consensus_error
 from gossipbo.problem import (
     RidgeTuningSpec,
+    make_logcosh,
     make_quadratic,
     make_ridge_tuning,
     trivial_quadratic,
 )
-from gossipbo.topology import AdjustedRing, FullyConnected, Ring, build_topology
+from gossipbo.topology import FullyConnected, Ring, build_topology
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,13 @@ def test_hyperparams_validation():
         HyperParams(alpha0=0.1, tau=0.0)
     with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, c2=-1.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3])
+def test_hyperparams_reject_nonpositive_delta(delta):
+    for variant in Variant:
+        with pytest.raises(ValueError):
+            HyperParams(alpha0=0.1, delta=delta, variant=variant)
 
 
 def test_init_shapes_and_overrides(quad):
@@ -102,7 +110,7 @@ def test_zero_steps_reduce_to_gossip(quad):
 def test_mean_iterate_preserved_by_mixing(quad):
     # The gossip part of the update never moves the network mean; with a
     # zero upper step the X mean is exactly preserved.
-    W = build_topology(AdjustedRing(), 4)
+    W = build_topology(Ring(0.2, 0.4), 4)
     rng = np.random.default_rng(6)
     X0 = rng.standard_normal((4, 2))
     hp = hyper(alpha0=0.0, fixed_theta=0.0)
@@ -195,9 +203,28 @@ def test_wall_limit_enforced(quad):
 
 def test_ridge_end_to_end_smoke():
     prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=0.5), 9)
-    W = build_topology(AdjustedRing(), 9)
+    W = build_topology(Ring(0.2, 0.4), 9)
     hp = HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
     rec = run(prob, W, hp, T=500, seed=100, probe_every=100)
     loss = rec.column("upper_loss")
     assert loss[-1] < loss[0]  # the lower level makes progress
     assert np.all(np.isfinite(loss))
+
+
+def test_logcosh_runs_every_variant():
+    # The log-cosh family is deterministic: its samples are None, and the
+    # engine passes them through to the oracles like any other sample.
+    prob = make_logcosh(1, 4, 2, 3)
+    W = build_topology(Ring(), 4)
+    recs = {v: run(prob, W, hyper(variant=v), T=5, seed=0) for v in Variant}
+    for rec in recs.values():
+        assert list(rec.ts) == [0, 5]
+        for name in ("grad_sq_norm", "consensus_error", "upper_loss"):
+            assert np.all(np.isfinite(rec.column(name)))
+    # Central differences carry a bias of order delta^2 per product (at most
+    # sqrt(1/3) L delta^2 |z|^2, L < 1 here), so the fo curves stay that close.
+    delta = hyper().delta
+    so, fo = recs[Variant.SECOND_ORDER], recs[Variant.FIRST_ORDER]
+    for name in ("grad_sq_norm", "consensus_error", "upper_loss"):
+        a, b = so.column(name), fo.column(name)
+        assert np.max(np.abs(a - b)) <= delta**2 * max(1.0, np.max(np.abs(a)))

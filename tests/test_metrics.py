@@ -27,7 +27,7 @@ from gossipbo.problem import (
     make_ridge_tuning,
     trivial_quadratic,
 )
-from gossipbo.topology import AdjustedRing, build_topology
+from gossipbo.topology import Ring, build_topology
 
 
 class FakeState:
@@ -63,7 +63,7 @@ def test_consensus_error_translation_invariant(seed):
 def test_consensus_error_gossip_contraction():
     # Pure gossip (zero steps): error after k rounds <= rho^{2k} * initial.
     prob = make_ridge_tuning(1, RidgeTuningSpec(dim_p=3, sigma_omega=0.5), 6)
-    W = build_topology(AdjustedRing(), 6)
+    W = build_topology(Ring(0.2, 0.4), 6)
     hp = HyperParams(alpha0=0.0, fixed_theta=0.0, variant=Variant.SECOND_ORDER)
     rng = np.random.default_rng(2)
     st0 = init(
@@ -81,7 +81,7 @@ def test_consensus_error_gossip_contraction():
 
 def test_hypergrad_sq_norm_trivial_instance():
     prob = trivial_quadratic(dim=2, n_nodes=3)
-    W = build_topology(AdjustedRing(), 3)
+    W = build_topology(Ring(0.2, 0.4), 3)
     hp = HyperParams(alpha0=0.1)
     state = init(prob, W, hp, seed=0)
     assert hypergrad_sq_norm(prob, state) == pytest.approx(0.0)

@@ -33,6 +33,20 @@ def fd_grad(fn, v, h=1e-6):
     return out
 
 
+def rows(prob, v):
+    """One point repeated on every node's row, as the batched oracles take it."""
+    return np.tile(v, (prob.n_nodes, 1))
+
+
+def mean_grad_y_g(prob, x, y):
+    return prob.grad_y_g(rows(prob, x), rows(prob, y)).mean(axis=0)
+
+
+def spare_streams(prob, rng):
+    """Node 0 draws from ``rng``; the other rows draw from a generator of their own."""
+    return [rng] + [np.random.default_rng(0)] * (prob.n_nodes - 1)
+
+
 @pytest.fixture(scope="module")
 def quad():
     return make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
@@ -56,15 +70,19 @@ def test_gradients_match_finite_differences(family, request):
     if family == "ridge":
         x = np.abs(x) + 0.1  # keep away from the |x| kink
     y = rng.standard_normal(prob.dim_y)
+    X, Y = rows(prob, x), rows(prob, y)
     for i in range(prob.n_nodes):
         assert np.allclose(
-            prob.grad_y_f(i, x, y), fd_grad(lambda v: prob.f_value(i, x, v), y), atol=1e-5
+            prob.grad_y_f(X, Y)[i], fd_grad(lambda v: prob.f_value(X, rows(prob, v))[i], y),
+            atol=1e-5,
         )
         assert np.allclose(
-            prob.grad_y_g(i, x, y), fd_grad(lambda v: prob.g_value(i, x, v), y), atol=1e-5
+            prob.grad_y_g(X, Y)[i], fd_grad(lambda v: prob.g_value(X, rows(prob, v))[i], y),
+            atol=1e-5,
         )
         assert np.allclose(
-            prob.grad_x_g(i, x, y), fd_grad(lambda v: prob.g_value(i, v, y), x), atol=1e-5
+            prob.grad_x_g(X, Y)[i], fd_grad(lambda v: prob.g_value(rows(prob, v), Y)[i], x),
+            atol=1e-5,
         )
 
 
@@ -78,11 +96,53 @@ def test_second_order_products_match_gradient_differences(family, request):
     y = rng.standard_normal(prob.dim_y)
     v = rng.standard_normal(prob.dim_y)
     h = 1e-6
+    X, Y, V = rows(prob, x), rows(prob, y), rows(prob, v)
     for i in range(prob.n_nodes):
-        hv = (prob.grad_y_g(i, x, y + h * v) - prob.grad_y_g(i, x, y - h * v)) / (2 * h)
-        assert np.allclose(prob.hess_yy_g(i, x, y, v), hv, atol=1e-5)
-        cv = (prob.grad_x_g(i, x, y + h * v) - prob.grad_x_g(i, x, y - h * v)) / (2 * h)
-        assert np.allclose(prob.cross_xy_g(i, x, y, v), cv, atol=1e-5)
+        hv = (prob.grad_y_g(X, Y + h * V)[i] - prob.grad_y_g(X, Y - h * V)[i]) / (2 * h)
+        assert np.allclose(prob.hess_yy_g(X, Y, V)[i], hv, atol=1e-5)
+        cv = (prob.grad_x_g(X, Y + h * V)[i] - prob.grad_x_g(X, Y - h * V)[i]) / (2 * h)
+        assert np.allclose(prob.cross_xy_g(X, Y, V)[i], cv, atol=1e-5)
+
+
+ORACLE_ARGS = {
+    "f_value": "XY", "g_value": "XY", "grad_x_f": "XY", "grad_y_f": "XY",
+    "grad_x_g": "XY", "grad_y_g": "XY", "hess_yy_g": "XYV", "cross_xy_g": "XYV",
+    "sgrad_x_f": "XYf", "sgrad_y_f": "XYf", "sgrad_x_g": "XYg", "sgrad_y_g": "XYg",
+    "shess_yy_g": "XYVg", "scross_xy_g": "XYVg",
+}
+
+
+@pytest.mark.parametrize("family", ["quad", "ridge", "logcosh"])
+def test_batched_row_is_its_own_node(family, request):
+    # Row i of every oracle depends on row i of its inputs and sample only:
+    # a swarm whose every row holds node i's point and sample gives the same
+    # row i, bit for bit.
+    prob = request.getfixturevalue(family)
+    rng = np.random.default_rng(4)
+    n = prob.n_nodes
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(n)]
+    args = {
+        "X": rng.standard_normal((n, prob.dim_x)),
+        "Y": rng.standard_normal((n, prob.dim_y)),
+        "V": rng.standard_normal((n, prob.dim_y)),
+        "f": prob.draw_f_sample(streams),
+        "g": prob.draw_g_sample(streams),
+    }
+
+    def node_everywhere(a, i):
+        if a is None:
+            return None
+        if isinstance(a, tuple):
+            return tuple(node_everywhere(part, i) for part in a)
+        return np.repeat(a[i : i + 1], n, axis=0)
+
+    for name, keys in ORACLE_ARGS.items():
+        oracle = getattr(prob, name)
+        full = oracle(*(args[k] for k in keys))
+        assert full.shape[0] == n
+        for i in range(n):
+            own = oracle(*(node_everywhere(args[k], i) for k in keys))
+            assert np.array_equal(own[i], full[i]), (name, i)
 
 
 def test_trivial_instance_ground_truth():
@@ -98,7 +158,7 @@ def test_quadratic_y_star_solves_lower_level(quad):
     for _ in range(5):
         x = rng.standard_normal(quad.dim_x)
         y = quad.y_star(x)
-        assert np.linalg.norm(quad.mean_grad_y_g(x, y)) < 1e-10 * max(
+        assert np.linalg.norm(mean_grad_y_g(quad, x, y)) < 1e-10 * max(
             1.0, np.linalg.norm(y)
         )
 
@@ -128,13 +188,13 @@ def test_z_star_solves_linear_system(quad):
     y = lower_solve(quad, x)
     z = z_star(quad, x)
     H = dense_lower_hessian(quad, x, y)
-    assert np.allclose(H @ z, quad.mean_grad_y_f(x, y), atol=1e-9)
+    assert np.allclose(H @ z, quad.grad_y_f(rows(quad, x), rows(quad, y)).mean(axis=0), atol=1e-9)
 
 
 def test_lower_solve_newton_on_nonquadratic(logcosh):
     x = np.array([0.4, -0.2])
     y = lower_solve(logcosh, x)
-    res = np.linalg.norm(logcosh.mean_grad_y_g(x, y))
+    res = np.linalg.norm(mean_grad_y_g(logcosh, x, y))
     assert res <= 1e-10 * max(1.0, np.linalg.norm(y))
 
 
@@ -172,15 +232,16 @@ def test_ridge_population_oracles_match_monte_carlo(ridge):
     labels = feats @ ridge.omega[i] + rng.standard_normal(n_samples)
     resid = feats @ y - labels
     mc_f = np.mean(resid**2)
-    assert abs(mc_f - ridge.f_value(i, x, y)) < 0.05 * ridge.f_value(i, x, y)
+    f_i = ridge.f_value(rows(ridge, x), rows(ridge, y))[i]
+    assert abs(mc_f - f_i) < 0.05 * f_i
     mc_grad = (2.0 * resid[:, None] * feats).mean(axis=0)
-    assert np.allclose(mc_grad, ridge.grad_y_f(i, x, y), atol=0.3)
+    assert np.allclose(mc_grad, ridge.grad_y_f(rows(ridge, x), rows(ridge, y))[i], atol=0.3)
 
 
 def test_ridge_y_star_and_phi_star(ridge):
     x = np.array([1.3])
     y = ridge.y_star(x)
-    assert np.linalg.norm(ridge.mean_grad_y_g(x, y)) < 1e-10 * max(
+    assert np.linalg.norm(mean_grad_y_g(ridge, x, y)) < 1e-10 * max(
         1.0, np.linalg.norm(y)
     )
     # At x = 0 the lower solution is the mean weight vector and the upper
@@ -190,9 +251,9 @@ def test_ridge_y_star_and_phi_star(ridge):
 
 
 def test_ridge_sign_zero_freezes_regularizer_gradient(ridge):
-    y = np.ones(ridge.dim_y)
-    assert ridge.grad_x_g(0, np.zeros(1), y) == pytest.approx(0.0)
-    assert ridge.cross_xy_g(0, np.zeros(1), y, y) == pytest.approx(0.0)
+    X, Y = rows(ridge, np.zeros(1)), rows(ridge, np.ones(ridge.dim_y))
+    assert ridge.grad_x_g(X, Y)[0] == pytest.approx(0.0)
+    assert ridge.cross_xy_g(X, Y, Y)[0] == pytest.approx(0.0)
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -200,17 +261,18 @@ def test_ridge_sign_zero_freezes_regularizer_gradient(ridge):
 def test_ridge_stochastic_gradient_unbiased_in_sample_mean(seed):
     prob = make_ridge_tuning(9, RidgeTuningSpec(dim_p=4, sigma_omega=1.0), 3)
     rng = np.random.default_rng(seed)
-    x = np.array([0.2])
-    y = rng.standard_normal(prob.dim_y)
+    X = rows(prob, np.array([0.2]))
+    Y = rows(prob, rng.standard_normal(prob.dim_y))
+    streams = spare_streams(prob, rng)
     grads = np.zeros(prob.dim_y)
     k = 4000
     for _ in range(k):
-        zeta = prob.draw_g_sample(0, rng)
-        grads += prob.sgrad_y_g(0, x, y, zeta)
+        zeta = prob.draw_g_sample(streams)
+        grads += prob.sgrad_y_g(X, Y, zeta)[0]
     grads /= k
     # Loose CLT-scale agreement with the population gradient (whose norm
     # is an order of magnitude larger than this bound).
-    assert np.linalg.norm(grads - prob.grad_y_g(0, x, y)) < 4.0
+    assert np.linalg.norm(grads - prob.grad_y_g(X, Y)[0]) < 4.0
 
 
 def test_quadratic_stochastic_noise_is_zero_mean(quad):
@@ -218,14 +280,15 @@ def test_quadratic_stochastic_noise_is_zero_mean(quad):
         11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4, noise_scale=0.3
     )
     rng = np.random.default_rng(12)
-    x = rng.standard_normal(noisy.dim_x)
-    y = rng.standard_normal(noisy.dim_y)
+    X = rows(noisy, rng.standard_normal(noisy.dim_x))
+    Y = rows(noisy, rng.standard_normal(noisy.dim_y))
+    streams = spare_streams(noisy, rng)
     acc = np.zeros(noisy.dim_y)
     k = 20000
     for _ in range(k):
-        zeta = noisy.draw_g_sample(0, rng)
-        acc += noisy.sgrad_y_g(0, x, y, zeta)
-    assert np.linalg.norm(acc / k - noisy.grad_y_g(0, x, y)) < 0.05
+        zeta = noisy.draw_g_sample(streams)
+        acc += noisy.sgrad_y_g(X, Y, zeta)[0]
+    assert np.linalg.norm(acc / k - noisy.grad_y_g(X, Y)[0]) < 0.05
 
 
 def test_logcosh_hessian_lipschitz_constant_vs_sampling(logcosh):

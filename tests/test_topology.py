@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipbo.topology import (
-    AdjustedRing,
-    DimensionMismatch,
     ExponentialGraph,
     FullyConnected,
     IncompatibleSize,
@@ -18,7 +16,6 @@ from gossipbo.topology import (
     Torus2D,
     build_topology,
     load_mixing_matrix,
-    mix,
     spectral_gap,
 )
 
@@ -35,7 +32,7 @@ def families_for(n):
     if n >= 2:
         kinds.append(ExponentialGraph())
     if n >= 3:
-        kinds += [Ring(), AdjustedRing()]
+        kinds += [Ring(), Ring(0.2, 0.4)]
     kinds += [Torus2D(r, c) for (r, c) in torus_shapes(n)]
     return kinds
 
@@ -57,14 +54,14 @@ def test_fully_connected_rho_zero():
 def test_adjusted_ring_rho_matches_circulant_eigenvalue():
     # Circulant with symbol 0.2 + 0.8 cos(2 pi k / n); the largest
     # nontrivial singular value is at k = 1.
-    W = build_topology(AdjustedRing(), 9)
+    W = build_topology(Ring(0.2, 0.4), 9)
     expected = 0.2 + 0.8 * np.cos(2.0 * np.pi / 9.0)
     assert abs(W.rho - expected) < 1e-10
 
 
 def test_rho_matches_dense_svd_oracle():
     for n in (5, 9, 12):
-        for kind in (Ring(), AdjustedRing(), ExponentialGraph()):
+        for kind in (Ring(), Ring(0.2, 0.4), ExponentialGraph()):
             W = build_topology(kind, n)
             dev = W.weights - np.full((n, n), 1.0 / n)
             assert abs(W.rho - np.linalg.svd(dev, compute_uv=False)[0]) < 1e-12
@@ -78,7 +75,7 @@ def test_torus_3x3_rho():
 
 
 def test_spectral_gap_values():
-    W = build_topology(AdjustedRing(), 9)
+    W = build_topology(Ring(0.2, 0.4), 9)
     assert abs(spectral_gap(W) - (1.0 - W.rho)) < 1e-15
 
 
@@ -93,10 +90,10 @@ def test_spectral_gap_degenerate_identity():
 def test_gossip_contraction(n, seed):
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n, 4))
-    for kind in (Ring(), AdjustedRing(), ExponentialGraph(), FullyConnected()):
+    for kind in (Ring(), Ring(0.2, 0.4), ExponentialGraph(), FullyConnected()):
         W = build_topology(kind, n)
         mean = U.mean(axis=0)
-        mixed = mix(W, U)
+        mixed = W.weights @ U
         lhs = np.linalg.norm(mixed - mean)
         rhs = W.rho * np.linalg.norm(U - mean)
         assert lhs <= rhs + 1e-12
@@ -108,7 +105,7 @@ def test_mix_preserves_column_means(n, seed):
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n, 3))
     W = build_topology(Ring(), n)
-    assert np.allclose(mix(W, U).mean(axis=0), U.mean(axis=0), atol=1e-12)
+    assert np.allclose((W.weights @ U).mean(axis=0), U.mean(axis=0), atol=1e-12)
 
 
 def test_ring_rejects_bad_weights():
@@ -122,7 +119,7 @@ def test_size_contracts():
     with pytest.raises(IncompatibleSize):
         build_topology(Ring(), 2)
     with pytest.raises(IncompatibleSize):
-        build_topology(AdjustedRing(), 2)
+        build_topology(Ring(0.2, 0.4), 2)
     with pytest.raises(IncompatibleSize):
         build_topology(Torus2D(3, 3), 8)
 
@@ -142,14 +139,8 @@ def test_weights_are_read_only():
         W.weights[0, 0] = 0.9
 
 
-def test_mix_dimension_mismatch():
-    W = build_topology(Ring(), 4)
-    with pytest.raises(DimensionMismatch):
-        mix(W, np.zeros((5, 2)))
-
-
 def test_load_mixing_matrix_roundtrip():
-    W = build_topology(AdjustedRing(), 5)
+    W = build_topology(Ring(0.2, 0.4), 5)
     text = "5\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in W.weights)
     W2 = load_mixing_matrix(text)
     assert np.allclose(W2.weights, W.weights, atol=1e-15)
