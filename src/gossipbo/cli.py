@@ -7,9 +7,11 @@ Subcommands:
     gossipbo transient <run.csv> <ref.csv> --rel-tol R --window W
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence or a failed
-cell (partial results written), 3 I/O error. ``validate`` and ``run`` both
-build the problem, topologies and step-size parameters before anything
-runs. GOSSIPBO_OUT sets the default output directory.
+cell (partial results written; a diverged cell's probes up to the blow-up
+go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
+``validate`` and ``run`` both build the problem, topologies and step-size
+parameters before anything runs. GOSSIPBO_OUT sets the default output
+directory.
 """
 
 from __future__ import annotations
@@ -18,13 +20,17 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import engine, metrics
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
 from .problem import ProblemError
+from .topology import MixingMatrix
 
 ENV_OUT_DIR = "GOSSIPBO_OUT"
 
@@ -57,10 +63,6 @@ def _run_cell(config_dict: dict, topo_name: str, variant: str, trial: int) -> di
     config = config_from_dict(config_dict)
     problem = config.problem.build()
     if topo_name == "centralized":
-        import numpy as np
-
-        from .topology import MixingMatrix
-
         n = problem.n_nodes
         W = MixingMatrix.from_weights(np.full((n, n), 1.0 / n))
     else:
@@ -76,6 +78,7 @@ def _run_cell(config_dict: dict, topo_name: str, variant: str, trial: int) -> di
         "seed": seed,
         "diverged_at": None,
         "error": None,
+        "partial_csv": None,
         "record": None,
     }
     try:
@@ -93,6 +96,9 @@ def _run_cell(config_dict: dict, topo_name: str, variant: str, trial: int) -> di
     except engine.NumericalDivergence as exc:
         result["diverged_at"] = exc.iteration
         result["error"] = str(exc)
+        result["record"] = exc.record
+        stem = _cell_filename(topo_name, variant, trial).removesuffix(".csv")
+        result["partial_csv"] = f"{stem}_partial.csv"
     except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
         result["error"] = str(exc)
     result["wall_time_s"] = time.monotonic() - start
@@ -117,16 +123,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     else:
         results = [_run_cell(config_dict, *cell) for cell in cells]
 
-    # Aggregation is a deterministic reduce keyed by cell identity.
+    # Aggregation is a deterministic reduce keyed by cell identity. A
+    # diverged cell's partial record is written but kept out of the
+    # summaries and transient estimates, whose probe grids must match.
     by_cell = {(r["topology"], r["variant"], r["trial"]): r for r in results}
     records: dict[tuple[str, str, int], metrics.RunRecord] = {}
     for (topo_name, variant, trial), r in sorted(by_cell.items()):
         if r["record"] is None:
             continue
-        path = os.path.join(out_dir, _cell_filename(topo_name, variant, trial))
-        with open(path, "w") as fh:
+        name = r["partial_csv"] or _cell_filename(topo_name, variant, trial)
+        with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(r["record"].to_csv())
-        records[(topo_name, variant, trial)] = r["record"]
+        if r["partial_csv"] is None:
+            records[(topo_name, variant, trial)] = r["record"]
 
     # Per-(topology, variant) summaries across trials.
     groups: dict[tuple[str, str], list[metrics.RunRecord]] = {}
@@ -180,6 +189,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
             }
         )
 
+    topologies = {}
+    for tc in config.topologies:
+        rho = tc.build(config.problem.n_nodes).rho
+        topologies[tc.name] = {"rho": rho, "spectral_gap": 1.0 - rho}
     config_json = json.dumps(config_dict, sort_keys=True)
     manifest = {
         "config": config_dict,
@@ -193,6 +206,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         "transient_metric": config.run.transient_metric,
         "rel_tol": config.run.rel_tol,
         "window": config.run.window,
+        "topologies": topologies,
+        # The CSVs depend on NumPy's Generator streams.
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

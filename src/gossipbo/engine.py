@@ -5,7 +5,9 @@ upper-level and one lower-level sample, forms its direction estimates
 from the iteration-t snapshot of all nodes, applies a local gradient
 step, and gossips the result with its neighbors. The swarm is held as
 stacked (n, .) arrays and every oracle is called once per step for all
-nodes; only the sample draws loop over the nodes' own streams. The
+nodes. A run owns one random generator; each step draws the f-sample and
+then the g-sample of every node from it, each variate as one (n, .)
+block, and the draws do not depend on the variant or the topology. The
 moving-average hypergradient estimate h is updated locally and is not
 gossiped. The centralized variant runs the same recursion with exact
 uniform averaging in place of the gossip matrix, which keeps a single
@@ -37,9 +39,12 @@ class ConfigMismatch(EngineError):
 
 
 class NumericalDivergence(EngineError):
+    """Iterates left the finite range; ``run`` attaches its probes so far as ``record``."""
+
     def __init__(self, message: str, iteration: int):
         super().__init__(message)
         self.iteration = iteration
+        self.record: "metrics_mod.RunRecord | None" = None
 
 
 class Variant(str, Enum):
@@ -107,7 +112,7 @@ class SwarmState:
     Y: np.ndarray  # (n, p)
     Z: np.ndarray  # (n, p)
     H: np.ndarray  # (n, d)
-    streams: list[np.random.Generator] = field(repr=False)
+    rng: np.random.Generator = field(repr=False)
 
     def x_bar(self) -> np.ndarray:
         return self.X.mean(axis=0)
@@ -126,7 +131,7 @@ def init(
     Z0: np.ndarray | None = None,
     H0: np.ndarray | None = None,
 ) -> SwarmState:
-    """All-zero state (overridable) with per-node split random streams."""
+    """All-zero state (overridable) with the run's generator, seeded by ``seed``."""
     if problem.n_nodes != W.n:
         raise ConfigMismatch(
             f"problem has {problem.n_nodes} nodes but mixing matrix has {W.n}"
@@ -141,21 +146,20 @@ def init(
             raise ConfigMismatch(f"initial state has shape {arr.shape}, expected {shape}")
         return arr
 
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
     return SwarmState(
         t=0,
         X=pick(X0, (n, d)),
         Y=pick(Y0, (n, p)),
         Z=pick(Z0, (n, p)),
         H=pick(H0, (n, d)),
-        streams=streams,
+        rng=np.random.default_rng(seed),
     )
 
 
-def _node_terms(problem, hyper, X, Y, Z, streams):
+def _node_terms(problem, hyper, X, Y, Z, rng):
     """Sampled directions of every node from the iteration-t snapshot."""
-    xi = problem.draw_f_sample(streams)
-    zeta = problem.draw_g_sample(streams)
+    xi = problem.draw_f_sample(rng)
+    zeta = problem.draw_g_sample(rng)
     if hyper.variant is Variant.FIRST_ORDER:
         pair = hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
     else:
@@ -169,7 +173,11 @@ def _node_terms(problem, hyper, X, Y, Z, streams):
 def step(
     problem: BilevelProblem, W: MixingMatrix, hyper: HyperParams, state: SwarmState
 ) -> SwarmState:
-    """One synchronous iteration; returns a new state sharing the streams."""
+    """One synchronous iteration; returns a new state sharing the generator.
+
+    The f-block and then the g-block of samples are drawn from
+    ``state.rng``, which advances in place.
+    """
     t = state.t
     alpha, beta = hyper.alpha(t), hyper.beta(t)
     gamma, theta = hyper.gamma(t), hyper.theta(t)
@@ -182,7 +190,7 @@ def step(
         Wm = np.full((W.n, W.n), 1.0 / W.n)
     else:
         Wm = W.weights
-    Gy, Dz, Omega = _node_terms(problem, hyper, state.X, state.Y, state.Z, state.streams)
+    Gy, Dz, Omega = _node_terms(problem, hyper, state.X, state.Y, state.Z, state.rng)
     Xn = Wm @ (state.X - hyper.tau * alpha * state.H)
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
@@ -213,7 +221,9 @@ def run(
     """Iterate T steps, probing metrics at the averaged iterate.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T.
-    Identical (problem, seed, hyper) inputs give a bit-identical record.
+    Identical (problem, seed, hyper) inputs give a bit-identical record. A
+    ``NumericalDivergence`` leaves with the record of the probes taken
+    before the blow-up.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -236,7 +246,11 @@ def run(
     record.add_probe(metrics_mod.probe(problem, state, alpha=hyper.alpha(0)))
     start = time.monotonic()
     for t in range(T):
-        state = step(problem, W, hyper, state)
+        try:
+            state = step(problem, W, hyper, state)
+        except NumericalDivergence as exc:
+            exc.record = record
+            raise
         if (t + 1) % probe_every == 0 or t + 1 == T:
             record.add_probe(metrics_mod.probe(problem, state, alpha=hyper.alpha(t + 1)))
             if wall_limit_s > 0 and time.monotonic() - start > wall_limit_s:

@@ -16,9 +16,11 @@ only through vector products, matching the structure of the iteration engine.
 Dense matrices appear only inside the verification helpers, which assemble
 the p x p lower Hessian from basis products at desk scale.
 
-Stochastic oracles take an explicit sample drawn from caller-owned numpy
-Generators, one per node and drawn in node order, so runs are reproducible
-and common-random-number comparisons across algorithm variants are exact.
+Stochastic oracles take an explicit sample drawn from one caller-owned
+numpy Generator: each variate of a sample is one (n, .) block whose row i
+is node i's draw, in a fixed order per family. The draws depend on neither
+the variant nor the topology, so runs are reproducible and
+common-random-number comparisons across algorithm variants are exact.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ class BilevelProblem(abc.ABC):
 
     Every oracle takes the swarm's points stacked by node -- X (n, dim_x),
     Y (n, dim_y), V (n, dim_y) -- and returns row i for node i; values come
-    back as an (n,) array. ``draw_f_sample(streams)`` and
-    ``draw_g_sample(streams)`` draw one sample per node from that node's
-    generator, in node order, and stack them into one sample object.
+    back as an (n,) array. ``draw_f_sample(rng)`` and ``draw_g_sample(rng)``
+    draw one sample for every node from the run's generator, each variate
+    as one (n, .) block whose row i belongs to node i.
     """
 
     def __init__(self, n_nodes: int, dim_x: int, dim_y: int):
@@ -95,10 +97,10 @@ class BilevelProblem(abc.ABC):
     # -- stochastic oracles ---------------------------------------------
     # Defaults make a deterministic family a valid sigma = 0 stochastic
     # one: every sample is None and every sampled oracle is the exact one.
-    def draw_f_sample(self, streams: list[np.random.Generator]):
+    def draw_f_sample(self, rng: np.random.Generator):
         return None
 
-    def draw_g_sample(self, streams: list[np.random.Generator]):
+    def draw_g_sample(self, rng: np.random.Generator):
         return None
 
     def sgrad_x_f(self, X, Y, xi) -> np.ndarray:
@@ -151,11 +153,6 @@ def _dot(U, V):
 def _quad(U, M, V):
     """Row i is U[i] @ M[i] @ V[i]."""
     return np.matmul(np.matmul(U[:, None, :], M), V[:, :, None])[:, 0, 0]
-
-
-def _stack(draws):
-    """Per-node sample tuples, in node order, as one tuple of stacked arrays."""
-    return tuple(np.array(part) for part in zip(*draws))
 
 
 def _rows(problem: BilevelProblem, v) -> np.ndarray:
@@ -299,6 +296,7 @@ class QuadraticBilevel(BilevelProblem):
         # spectral norm keeps the Hessian-product noise within sigma^2 |z|^2.
         self._J = np.eye(p, d)
         self._a1, self._a2, self._a3 = 0.5, 0.4, 0.4
+        self._phi_star = None
 
     # deterministic ------------------------------------------------------
     def f_value(self, X, Y):
@@ -331,21 +329,21 @@ class QuadraticBilevel(BilevelProblem):
         return _mtv(self.spec.B, V)
 
     # stochastic ---------------------------------------------------------
-    # One f-sample is a pair of unit-variance direction noises; one
-    # g-sample additionally carries scalar Hessian/Jacobian noises, so
-    # perturbed-point gradients of the same sample stay consistent.
-    def draw_f_sample(self, streams):
-        p, d = self.dim_y, self.dim_x
-        return _stack([(rng.standard_normal(p), rng.standard_normal(d)) for rng in streams])
+    # One f-sample is a pair of unit-variance direction noises, e_y (n, p)
+    # then e_x (n, d); one g-sample additionally carries scalar
+    # Hessian/Jacobian noises s, s2 (n,), so perturbed-point gradients of
+    # the same sample stay consistent.
+    def draw_f_sample(self, rng):
+        n, p, d = self.n_nodes, self.dim_y, self.dim_x
+        return rng.standard_normal((n, p)), rng.standard_normal((n, d))
 
-    def draw_g_sample(self, streams):
-        p, d = self.dim_y, self.dim_x
-        return _stack(
-            [
-                (rng.standard_normal(p), rng.standard_normal(d), rng.standard_normal(),
-                 rng.standard_normal())
-                for rng in streams
-            ]
+    def draw_g_sample(self, rng):
+        n, p, d = self.n_nodes, self.dim_y, self.dim_x
+        return (
+            rng.standard_normal((n, p)),
+            rng.standard_normal((n, d)),
+            rng.standard_normal(n),
+            rng.standard_normal(n),
         )
 
     def sgrad_x_f(self, X, Y, xi):
@@ -397,7 +395,11 @@ class QuadraticBilevel(BilevelProblem):
         return np.linalg.solve(M, -g0)
 
     def phi_star(self):
-        return phi_value(self, self.x_opt())
+        # A constant of the instance, derived on the first call only: the
+        # probes ask for it every time, and construction need not pay for it.
+        if self._phi_star is None:
+            self._phi_star = phi_value(self, self.x_opt())
+        return self._phi_star
 
 
 def make_quadratic(
@@ -530,14 +532,11 @@ class RidgeTuning(BilevelProblem):
 
     # stochastic (fresh streaming sample per call; the x-derivatives do not
     # involve the data, so their sampled oracles are the exact defaults) --
-    def draw_f_sample(self, streams):
-        feats, noise = _stack(
-            [
-                (rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, self.dim_y),
-                 rng.standard_normal())
-                for rng in streams
-            ]
-        )
+    # One sample is feats (n, p), then the label noise (n,).
+    def draw_f_sample(self, rng):
+        n = self.n_nodes
+        feats = rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, (n, self.dim_y))
+        noise = rng.standard_normal(n)
         return feats, _dot(feats, self.omega) + noise
 
     # f and g are losses on the same stream of (features, label) pairs.

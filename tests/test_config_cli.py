@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipbo import cli
 from gossipbo.config import (
@@ -63,6 +65,99 @@ def test_config_round_trips_through_dict():
     config = parse_config(GOOD_CONFIG)
     back = config_from_dict(emit_config(config))
     assert emit_config(back) == emit_config(config)
+
+
+_INTS = st.integers(-(10**6), 10**6)
+_POSITIVE = st.integers(1, 10**6)
+_FLOATS = st.floats(allow_nan=False)
+_PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
+_PROBLEM_VALUES = {
+    "quadratic": {
+        "seed": _INTS, "n_nodes": _INTS, "dim_x": _INTS, "dim_y": _INTS,
+        "conditioning": _FLOATS, "heterogeneity": _FLOATS, "noise_scale": _FLOATS,
+    },
+    "ridge_tuning": {"seed": _INTS, "n_nodes": _INTS, "dim_y": _INTS, "sigma_omega": _FLOATS},
+}
+_TOPOLOGY_VALUES = {
+    "fully_connected": {},
+    "ring": {"self_weight": _FLOATS, "neighbor_weight": _FLOATS},
+    "adjusted_ring": {},
+    "torus2d": {"rows": _INTS, "cols": _INTS},
+    "exponential": {},
+    "custom": {"path": _PATHS},
+}
+_RUN_VALUES = {
+    "alpha0": _FLOATS, "c1": _FLOATS, "c2": _FLOATS, "c3": _FLOATS, "tau": _FLOATS,
+    "decay_factor": _FLOATS, "decay_period": _INTS, "theta": _FLOATS, "delta": _FLOATS,
+    "t": _POSITIVE, "probe_every": _POSITIVE, "n_trials": _POSITIVE, "base_seed": _INTS,
+    "rel_tol": _FLOATS, "window": _INTS, "out_dir": _PATHS, "workers": _POSITIVE,
+    "wall_limit_s": _FLOATS,
+    "transient_metric": st.sampled_from(
+        ["grad_sq_norm", "phi_gap", "upper_loss", "consensus_error"]
+    ),
+    "variants": st.lists(
+        st.sampled_from(["so", "fo", "centralized"]), min_size=1, max_size=3, unique=True
+    ),
+}
+
+
+def _some(draw, values: dict) -> dict:
+    """A random subset of the keys, each with a drawn value."""
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True)) if values else []
+    return {k: draw(values[k]) for k in keys}
+
+
+@st.composite
+def config_sections(draw):
+    """Sections of a valid INI config as (section, {key: value}) pairs."""
+    family = draw(st.sampled_from(sorted(_PROBLEM_VALUES)))
+    sections = [("problem", {"family": family, **_some(draw, _PROBLEM_VALUES[family])})]
+    names = draw(
+        st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
+                 min_size=1, max_size=3, unique=True)
+    )
+    for name in names:
+        kind = draw(st.sampled_from(sorted(_TOPOLOGY_VALUES)))
+        sections.append(
+            (f"topology.{name}", {"kind": kind, **_some(draw, _TOPOLOGY_VALUES[kind])})
+        )
+    sections.append(("run", _some(draw, _RUN_VALUES)))
+    return sections
+
+
+def _ini(sections) -> str:
+    def text(v):
+        if isinstance(v, list):
+            return ", ".join(v)
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in items.items())
+        for name, items in sections
+    )
+
+
+@given(config_sections())
+@settings(max_examples=60, deadline=None)
+def test_config_survives_a_json_round_trip(sections):
+    config = parse_config(_ini(sections))
+    assert config_from_dict(json.loads(json.dumps(emit_config(config)))) == config
+
+
+@given(config_sections())
+@settings(max_examples=60, deadline=None)
+def test_parse_emit_is_stable(sections):
+    # Every written value comes back from emit_config, and writing the
+    # emitted values into the same keys and parsing again emits the same.
+    emitted = emit_config(parse_config(_ini(sections)))
+    by_section = {"problem": emitted["problem"], "run": emitted["run"]}
+    by_section.update({f"topology.{t['name']}": t for t in emitted["topologies"]})
+    again = [
+        (name, {k: by_section[name]["T" if k == "t" else k] for k in items})
+        for name, items in sections
+    ]
+    assert again == sections
+    assert emit_config(parse_config(_ini(again))) == emitted
 
 
 def test_hyper_maps_theta_sentinel():
@@ -227,6 +322,89 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_DIVERGED
     manifest = json.loads((out / "manifest.json").read_text())
     assert any(c["diverged_at"] is not None for c in manifest["cells"])
+
+
+SMALL_QUADRATIC = """
+[problem]
+family = quadratic
+seed = 1
+n_nodes = 4
+dim_x = 2
+dim_y = 3
+conditioning = 4.0
+noise_scale = 0.2
+
+[topology.ring]
+kind = ring
+
+[topology.full]
+kind = fully_connected
+
+[run]
+variants = so, fo, centralized
+alpha0 = 0.05
+t = 50
+probe_every = 10
+n_trials = 2
+base_seed = 7
+"""
+
+
+def test_diverged_cell_keeps_its_trajectory(tmp_path):
+    text = SMALL_QUADRATIC.replace("alpha0 = 0.05", "alpha0 = 1e3").replace(
+        "probe_every = 10", "probe_every = 1"
+    )
+    out = tmp_path / "div"
+    code = cli.main(["run", write_config(tmp_path, text), "--out", str(out), "--trials", "1"])
+    assert code == cli.EXIT_DIVERGED
+    manifest = json.loads((out / "manifest.json").read_text())
+    for cell in manifest["cells"]:
+        assert cell["diverged_at"] is not None and cell["diverged_at"] > 1
+        rec = RunRecord.from_csv((out / cell["partial_csv"]).read_text())
+        assert list(rec.ts) == list(range(cell["diverged_at"]))
+    # Partial records enter neither the summaries nor the transient estimates.
+    assert not [name for name in os.listdir(out) if name.startswith("summary_")]
+    assert manifest["transient_estimates"] == []
+
+
+def test_pool_matches_serial_byte_for_byte(tmp_path):
+    config = parse_config(SMALL_QUADRATIC)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert cli.run_experiment(config, str(serial), workers=1) == cli.EXIT_OK
+    assert cli.run_experiment(config, str(pooled), workers=2) == cli.EXIT_OK
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(pooled))
+    assert len([n for n in names if n.startswith("summary_")]) == 5
+    for name in names:
+        if name.endswith(".csv"):
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+    def without_wall_time(path):
+        manifest = json.loads(path.read_text())
+        for cell in manifest["cells"]:
+            del cell["wall_time_s"]
+        return manifest
+
+    assert without_wall_time(serial / "manifest.json") == without_wall_time(
+        pooled / "manifest.json"
+    )
+
+
+def test_manifest_records_spectral_gaps_and_versions(tmp_path):
+    import platform
+
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = parse_config(GOOD_CONFIG)
+    assert set(manifest["topologies"]) == {"ring", "torus"}
+    for tc in config.topologies:
+        entry = manifest["topologies"][tc.name]
+        assert entry["rho"] == tc.build(9).rho
+        assert entry["spectral_gap"] == 1.0 - entry["rho"]
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
+    assert all(cell["partial_csv"] is None for cell in manifest["cells"])
 
 
 def test_cli_transient_subcommand(tmp_path, capsys):

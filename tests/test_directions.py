@@ -74,8 +74,7 @@ def test_deterministic_directions_vanish_at_stationarity(quad):
 def test_hvp_so_matches_dense_products(quad):
     X, Y, Z = random_point(quad, 1)
     rng = np.random.default_rng(0)
-    # One generator for every node: node i gets the i-th draw, as before.
-    zeta = quad.draw_g_sample([rng] * quad.n_nodes)
+    zeta = quad.draw_g_sample(rng)
     pair = hvp_so(quad, X, Y, Z, zeta)
     assert np.allclose(pair.p_h, quad.shess_yy_g(X, Y, Z, zeta), atol=1e-14)
     assert np.allclose(pair.p_j, quad.scross_xy_g(X, Y, Z, zeta), atol=1e-14)
@@ -92,7 +91,7 @@ def test_fo_equals_so_on_quadratics_with_common_sample(seed, delta):
         rng.standard_normal(prob.dim_y),
         rng.standard_normal(prob.dim_y),
     )
-    zeta = prob.draw_g_sample([rng] * prob.n_nodes)
+    zeta = prob.draw_g_sample(rng)
     so = hvp_so(prob, X, Y, Z, zeta)
     fo = hvp_fo(prob, X, Y, Z, delta, zeta)
     # Exact on quadratics up to rounding of the divided difference.
@@ -120,7 +119,7 @@ def test_fo_uses_same_sample_for_both_sides():
     prob = make_quadratic(5, n_nodes=1, d=2, p=3, noise_scale=1.0)
     rng = np.random.default_rng(4)
     X, Y, Z = rows(prob, rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3))
-    zeta = prob.draw_g_sample([rng])
+    zeta = prob.draw_g_sample(rng)
     pair = hvp_fo(prob, X, Y, Z, 1e-7, zeta)
     assert np.all(np.isfinite(pair.p_h))
     assert np.linalg.norm(pair.p_h) < 1e3  # no 1/delta blow-up
@@ -130,7 +129,7 @@ def test_ridge_fo_products(quad):
     prob = make_ridge_tuning(2, RidgeTuningSpec(dim_p=5, sigma_omega=0.5), 3)
     rng = np.random.default_rng(1)
     X, Y, Z = rows(prob, np.array([0.6]), rng.standard_normal(5), rng.standard_normal(5))
-    zeta = prob.draw_g_sample([rng] * prob.n_nodes)
+    zeta = prob.draw_g_sample(rng)
     so = hvp_so(prob, X, Y, Z, zeta)
     fo = hvp_fo(prob, X, Y, Z, 1e-6, zeta)
     assert np.allclose(fo.p_h[0], so.p_h[0], atol=1e-6)

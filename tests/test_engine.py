@@ -72,7 +72,7 @@ def test_init_shapes_and_overrides(quad):
     st0 = init(quad, W, hyper(), seed=0)
     assert st0.X.shape == (4, 2) and st0.Y.shape == (4, 3)
     assert st0.Z.shape == (4, 3) and st0.H.shape == (4, 2)
-    assert st0.t == 0 and len(st0.streams) == 4
+    assert st0.t == 0 and isinstance(st0.rng, np.random.Generator)
     X0 = np.ones((4, 2))
     st1 = init(quad, W, hyper(), seed=0, X0=X0)
     assert np.array_equal(st1.X, X0)
@@ -88,7 +88,7 @@ def test_step_advances_counter_and_keeps_shapes(quad):
     st1 = step(quad, W, hyper(), st0)
     assert st1.t == 1
     assert st1.X.shape == st0.X.shape
-    assert st1.streams is st0.streams  # streams advance in place
+    assert st1.rng is st0.rng  # the generator advances in place
 
 
 def test_zero_steps_reduce_to_gossip(quad):
@@ -142,7 +142,7 @@ def test_variants_run_and_differ(quad):
     so = run(quad, W, hyper(variant=Variant.SECOND_ORDER), T=100, seed=9)
     fo = run(quad, W, hyper(variant=Variant.FIRST_ORDER, delta=1e-6), T=100, seed=9)
     cen = run(quad, W, hyper(variant=Variant.CENTRALIZED), T=100, seed=9)
-    # FO approximates SO closely on quadratics under shared streams.
+    # FO approximates SO closely on quadratics under common samples.
     assert np.allclose(so.column("upper_loss"), fo.column("upper_loss"), rtol=1e-6)
     # The centralized trajectory genuinely differs from the gossip one.
     assert not np.allclose(so.column("consensus_error"), cen.column("consensus_error"))
@@ -160,7 +160,7 @@ def test_centralized_has_zero_consensus_error(quad):
 
 def test_fully_connected_identical_data_matches_centralized():
     # One gossip round on the complete graph averages exactly, so with
-    # node-identical data and shared streams the decentralized iterates
+    # node-identical data and common samples the decentralized iterates
     # coincide with the centralized recursion.
     prob = make_quadratic(12, n_nodes=4, d=2, p=3, heterogeneity=0.0, noise_scale=0.3)
     W = build_topology(FullyConnected(), 4)
@@ -185,6 +185,17 @@ def test_numerical_divergence_raised():
         for _ in range(100):
             st = step(prob, W, hp, st)
     assert exc_info.value.iteration >= 1
+
+
+def test_divergence_carries_probes_before_blow_up():
+    prob = trivial_quadratic(dim=2, n_nodes=3)
+    W = build_topology(Ring(), 3)
+    hp = hyper(alpha0=1e3, fixed_theta=1.0)
+    with pytest.raises(NumericalDivergence) as exc_info:
+        run(prob, W, hp, T=100, seed=12, probe_every=1, Y0=np.full((3, 2), 1.0))
+    exc = exc_info.value
+    assert exc.iteration > 1
+    assert list(exc.record.ts) == list(range(exc.iteration))
 
 
 def test_run_rejects_bad_horizon(quad):

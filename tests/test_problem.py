@@ -42,11 +42,6 @@ def mean_grad_y_g(prob, x, y):
     return prob.grad_y_g(rows(prob, x), rows(prob, y)).mean(axis=0)
 
 
-def spare_streams(prob, rng):
-    """Node 0 draws from ``rng``; the other rows draw from a generator of their own."""
-    return [rng] + [np.random.default_rng(0)] * (prob.n_nodes - 1)
-
-
 @pytest.fixture(scope="module")
 def quad():
     return make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
@@ -120,13 +115,13 @@ def test_batched_row_is_its_own_node(family, request):
     prob = request.getfixturevalue(family)
     rng = np.random.default_rng(4)
     n = prob.n_nodes
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(n)]
+    sample_rng = np.random.default_rng(9)
     args = {
         "X": rng.standard_normal((n, prob.dim_x)),
         "Y": rng.standard_normal((n, prob.dim_y)),
         "V": rng.standard_normal((n, prob.dim_y)),
-        "f": prob.draw_f_sample(streams),
-        "g": prob.draw_g_sample(streams),
+        "f": prob.draw_f_sample(sample_rng),
+        "g": prob.draw_g_sample(sample_rng),
     }
 
     def node_everywhere(a, i):
@@ -166,6 +161,23 @@ def test_quadratic_y_star_solves_lower_level(quad):
 def test_quadratic_x_opt_is_stationary(quad):
     g = hypergradient_exact(quad, quad.x_opt())
     assert np.linalg.norm(g) < 1e-8
+
+
+def test_quadratic_phi_star_derived_once_on_first_call(monkeypatch):
+    prob = make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
+    fresh = make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
+    calls = []
+    x_opt = prob.x_opt
+
+    def counted_x_opt():
+        calls.append(1)
+        return x_opt()
+
+    monkeypatch.setattr(prob, "x_opt", counted_x_opt)
+    assert calls == []  # construction does not derive it
+    first = prob.phi_star()
+    assert prob.phi_star() == first and calls == [1]
+    assert first == phi_value(fresh, fresh.x_opt())  # the same float, bit for bit
 
 
 def test_quadratic_phi_star_is_minimal(quad):
@@ -250,6 +262,35 @@ def test_ridge_y_star_and_phi_star(ridge):
     assert phi_value(ridge, np.array([0.5])) > ridge.phi_star()
 
 
+@pytest.mark.parametrize("family", ["quad", "ridge"])
+def test_samples_are_node_blocks_in_a_fixed_order(family, request):
+    # One generator per run: the f-sample and then the g-sample, each
+    # variate one (n, .) block whose row i is node i's draw.
+    prob = request.getfixturevalue(family)
+    n, p, d = prob.n_nodes, prob.dim_y, prob.dim_x
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    xi, zeta = prob.draw_f_sample(rng), prob.draw_g_sample(rng)
+    if family == "quad":
+        expected_f = (ref.standard_normal((n, p)), ref.standard_normal((n, d)))
+        expected_g = (
+            ref.standard_normal((n, p)),
+            ref.standard_normal((n, d)),
+            ref.standard_normal(n),
+            ref.standard_normal(n),
+        )
+    else:
+        def pair():
+            feats = ref.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, (n, p))
+            noise = ref.standard_normal(n)
+            return feats, np.sum(feats * prob.omega, axis=1) + noise
+
+        expected_f, expected_g = pair(), pair()
+    assert len(xi + zeta) == len(expected_f + expected_g)
+    for got, want in zip(xi + zeta, expected_f + expected_g):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_ridge_sign_zero_freezes_regularizer_gradient(ridge):
     X, Y = rows(ridge, np.zeros(1)), rows(ridge, np.ones(ridge.dim_y))
     assert ridge.grad_x_g(X, Y)[0] == pytest.approx(0.0)
@@ -263,11 +304,10 @@ def test_ridge_stochastic_gradient_unbiased_in_sample_mean(seed):
     rng = np.random.default_rng(seed)
     X = rows(prob, np.array([0.2]))
     Y = rows(prob, rng.standard_normal(prob.dim_y))
-    streams = spare_streams(prob, rng)
     grads = np.zeros(prob.dim_y)
     k = 4000
     for _ in range(k):
-        zeta = prob.draw_g_sample(streams)
+        zeta = prob.draw_g_sample(rng)
         grads += prob.sgrad_y_g(X, Y, zeta)[0]
     grads /= k
     # Loose CLT-scale agreement with the population gradient (whose norm
@@ -282,11 +322,10 @@ def test_quadratic_stochastic_noise_is_zero_mean(quad):
     rng = np.random.default_rng(12)
     X = rows(noisy, rng.standard_normal(noisy.dim_x))
     Y = rows(noisy, rng.standard_normal(noisy.dim_y))
-    streams = spare_streams(noisy, rng)
     acc = np.zeros(noisy.dim_y)
     k = 20000
     for _ in range(k):
-        zeta = noisy.draw_g_sample(streams)
+        zeta = noisy.draw_g_sample(rng)
         acc += noisy.sgrad_y_g(X, Y, zeta)[0]
     assert np.linalg.norm(acc / k - noisy.grad_y_g(X, Y)[0]) < 0.05
 
