@@ -12,6 +12,12 @@ go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
 ``validate`` and ``run`` both build the problem, topologies and step-size
 parameters before anything runs. GOSSIPBO_OUT sets the default output
 directory.
+
+The sweep runs one engine call per (trial, Hessian-vector estimator) group:
+the so cells of every topology with the centralized cell, and the fo cells,
+each group on one shared draw per step. A cell's CSV is the one its own run
+would give; its manifest entry names its ``group`` and holds its share of
+the group's wall time.
 """
 
 from __future__ import annotations
@@ -40,69 +46,90 @@ EXIT_DIVERGED = 2
 EXIT_IO = 3
 
 
-def _cells(config: ExperimentConfig) -> list[tuple[str, str, int]]:
-    """(topology name, variant, trial) sweep grid.
+def _groups(config: ExperimentConfig) -> list[tuple[int, list[tuple[str, str]]]]:
+    """The sweep grid as engine calls: (trial, [(topology name, variant), ...]).
 
-    The centralized variant is topology-independent, so it runs once per
-    trial under the pseudo-topology name "centralized".
+    The cells of one trial that share a Hessian-vector estimator run as one
+    group: the so cells of every topology together with the centralized
+    cell, and the fo cells. The centralized variant is topology-independent,
+    so it runs once per trial under the pseudo-topology name "centralized".
     """
-    cells = []
+    groups = []
     for trial in range(config.run.n_trials):
+        so, fo = [], []
         for tc in config.topologies:
             for variant in config.run.variants:
-                if variant == "centralized":
-                    continue
-                cells.append((tc.name, variant, trial))
+                if variant != "centralized":
+                    (fo if variant == "fo" else so).append((tc.name, variant))
         if "centralized" in config.run.variants:
-            cells.append(("centralized", "centralized", trial))
-    return cells
+            so.append(("centralized", "centralized"))
+        groups += [(trial, cells) for cells in (so, fo) if cells]
+    return groups
 
 
-def _run_cell(config_dict: dict, topo_name: str, variant: str, trial: int) -> dict:
-    """Execute one sweep cell; importable at top level for process pools."""
+def _run_cell(config_dict: dict, trial: int, cells: list[tuple[str, str]]) -> list[dict]:
+    """Execute one group of sweep cells as one engine call; importable for process pools.
+
+    Returns one result per cell, in the order of ``cells``. A diverged cell
+    keeps its probes and leaves the batch while the others go on; an error
+    that ends the engine call is recorded on every cell of the group. Each
+    cell's ``wall_time_s`` is its share of the group's wall time, so the
+    cell times still add up to busy time, and ``group`` names the group.
+    """
     config = config_from_dict(config_dict)
     problem = config.problem.build()
-    if topo_name == "centralized":
-        n = problem.n_nodes
-        W = MixingMatrix.from_weights(np.full((n, n), 1.0 / n))
-    else:
-        tc = next(t for t in config.topologies if t.name == topo_name)
-        W = tc.build(problem.n_nodes)
-    hyper = config.run.hyper(variant)
+    n = problem.n_nodes
+    Ws = []
+    for topo_name, _ in cells:
+        if topo_name == "centralized":
+            Ws.append(MixingMatrix.from_weights(np.full((n, n), 1.0 / n)))
+        else:
+            Ws.append(next(t for t in config.topologies if t.name == topo_name).build(n))
     seed = config.run.base_seed + trial
+    group = f"trial{trial}/{'fo' if cells[0][1] == 'fo' else 'so'}"
     start = time.monotonic()
-    result = {
-        "topology": topo_name,
-        "variant": variant,
-        "trial": trial,
-        "seed": seed,
-        "diverged_at": None,
-        "error": None,
-        "partial_csv": None,
-        "record": None,
-    }
+    results = [
+        {
+            "topology": topo_name,
+            "variant": variant,
+            "trial": trial,
+            "seed": seed,
+            "group": group,
+            "diverged_at": None,
+            "error": None,
+            "partial_csv": None,
+            "record": None,
+        }
+        for topo_name, variant in cells
+    ]
     try:
-        record = engine.run(
+        outcomes = engine.run(
             problem,
-            W,
-            hyper,
+            Ws,
+            [config.run.hyper(variant) for _, variant in cells],
             T=config.run.T,
             seed=seed,
             probe_every=config.run.probe_every,
             wall_limit_s=config.run.wall_limit_s,
-            metadata={"topology": topo_name, "trial": trial},
+            metadata=[{"topology": topo_name, "trial": trial} for topo_name, _ in cells],
         )
-        result["record"] = record
-    except engine.NumericalDivergence as exc:
-        result["diverged_at"] = exc.iteration
-        result["error"] = str(exc)
-        result["record"] = exc.record
-        stem = _cell_filename(topo_name, variant, trial).removesuffix(".csv")
-        result["partial_csv"] = f"{stem}_partial.csv"
     except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
-        result["error"] = str(exc)
-    result["wall_time_s"] = time.monotonic() - start
-    return result
+        for result in results:
+            result["error"] = str(exc)
+    else:
+        for result, outcome in zip(results, outcomes):
+            if isinstance(outcome, engine.NumericalDivergence):
+                result["diverged_at"] = outcome.iteration
+                result["error"] = str(outcome)
+                result["record"] = outcome.record
+                name = _cell_filename(result["topology"], result["variant"], trial)
+                result["partial_csv"] = f"{name.removesuffix('.csv')}_partial.csv"
+            else:
+                result["record"] = outcome
+    share = (time.monotonic() - start) / len(cells)
+    for result in results:
+        result["wall_time_s"] = share
+    return results
 
 
 def _cell_filename(topo_name: str, variant: str, trial: int) -> str:
@@ -115,13 +142,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     """Run the full sweep; returns the process exit code."""
     os.makedirs(out_dir, exist_ok=True)
     config_dict = emit_config(config)
-    cells = _cells(config)
+    groups = _groups(config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, config_dict, *cell) for cell in cells]
-            results = [f.result() for f in futures]
+            futures = [pool.submit(_run_cell, config_dict, *group) for group in groups]
+            results = [r for f in futures for r in f.result()]
     else:
-        results = [_run_cell(config_dict, *cell) for cell in cells]
+        results = [r for group in groups for r in _run_cell(config_dict, *group)]
 
     # Aggregation is a deterministic reduce keyed by cell identity. A
     # diverged cell's partial record is written but kept out of the

@@ -1,7 +1,8 @@
 """Hessian- and Jacobian-vector product estimates for the single-loop update.
 
-Both estimators act on the whole swarm: X, Y, Z are stacked (n, .) arrays
-and ``sample`` is the nodes' stacked lower-level sample. ``hvp_so`` applies
+Both estimators act on the whole swarm: X, Y, Z are stacked (..., n, .)
+arrays, one (n, .) block per cell, and ``sample`` is the nodes' stacked
+lower-level sample, shared by every cell. ``hvp_so`` applies
 the sampled Hessian and Jacobian to z; ``hvp_fo`` approximates the same
 products by central differences of sampled first-order gradients. The
 first-order mode evaluates the two perturbed gradients on the same sample,
@@ -24,8 +25,8 @@ class DegenerateDelta(ValueError):
 
 @dataclass(frozen=True)
 class HvpPair:
-    p_h: np.ndarray  # (n, p): row i approximates (d^2 g_i / dy dy) z_i
-    p_j: np.ndarray  # (n, d): row i approximates (d^2 g_i / dx dy) z_i
+    p_h: np.ndarray  # (..., n, p): row i approximates (d^2 g_i / dy dy) z_i
+    p_j: np.ndarray  # (..., n, d): row i approximates (d^2 g_i / dx dy) z_i
 
 
 def hvp_so(problem: BilevelProblem, X, Y, Z, sample) -> HvpPair:

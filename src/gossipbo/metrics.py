@@ -118,15 +118,22 @@ def hypergrad_sq_norm(problem, state) -> float:
 
 
 def probe(problem, state, alpha: float) -> ProbeRow:
+    """Metrics of one cell's (n, .) state at its row-mean iterate.
+
+    The lower problem is solved once at x_bar; y*(x_bar) then serves z*,
+    grad Phi and Phi alike.
+    """
     x_bar, y_bar = state.x_bar(), state.y_bar()
+    y_star = problem_mod.lower_solve(problem, x_bar)
+    g = problem_mod.hypergradient_exact(problem, x_bar, y=y_star)
     phi_star = problem.phi_star()
     if phi_star is None:
         gap = math.nan
     else:
-        gap = problem_mod.phi_value(problem, x_bar) - phi_star
+        gap = problem.mean_f_value(x_bar, y_star) - phi_star
     row = ProbeRow(
         t=state.t,
-        grad_sq_norm=hypergrad_sq_norm(problem, state),
+        grad_sq_norm=float(g @ g),
         phi_gap=gap,
         consensus_error=consensus_error(state),
         upper_loss=problem.mean_f_value(x_bar, y_bar),

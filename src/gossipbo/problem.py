@@ -6,10 +6,15 @@ together with their derivative oracles. Upper objective:
     Phi(x) = (1/N) sum_i f_i(x, y*(x)),   y*(x) = argmin_y (1/N) sum_i g_i(x, y)
 
 Oracles are node-batched: they take the swarm's points stacked by node,
-(n, dim) arrays, and return row i for node i. The iteration engine calls
-each oracle once per step for the whole swarm; the verification helpers
-(``lower_solve``, ``z_star``, ``hypergradient_exact``, ``phi_value``) call
-them with one point repeated on every row and average over the node axis.
+(..., n, dim) arrays, and return row i for node i of every leading index;
+leading axes are batch axes, each acted on alone. The iteration engine
+calls each oracle once per step for every node of every cell it advances,
+(C, n, dim) points against one (n, .) sample broadcast over the cells; the
+verification helpers (``lower_solve``, ``z_star``, ``hypergradient_exact``,
+``phi_value``) call them with one point repeated on every row and average
+over the node axis. ``z_star`` and ``hypergradient_exact`` accept y*(x) from
+a caller that has already solved for it, so that a probe solves the lower
+problem once.
 
 Derivative oracles are matrix-free: Hessian/Jacobian information is exposed
 only through vector products, matching the structure of the iteration engine.
@@ -53,11 +58,12 @@ class SingularHessian(ProblemError):
 class BilevelProblem(abc.ABC):
     """Node-batched oracle bundle.
 
-    Every oracle takes the swarm's points stacked by node -- X (n, dim_x),
-    Y (n, dim_y), V (n, dim_y) -- and returns row i for node i; values come
-    back as an (n,) array. ``draw_f_sample(rng)`` and ``draw_g_sample(rng)``
-    draw one sample for every node from the run's generator, each variate
-    as one (n, .) block whose row i belongs to node i.
+    Every oracle takes the swarm's points stacked by node -- X (..., n, dim_x),
+    Y (..., n, dim_y), V (..., n, dim_y) -- and returns row i for node i of
+    every leading index; values come back as an (..., n) array. A sample is
+    (n, .) and broadcasts over the leading axes. ``draw_f_sample(rng)`` and
+    ``draw_g_sample(rng)`` draw one sample for every node from the run's
+    generator, each variate as one (n, .) block whose row i belongs to node i.
     """
 
     def __init__(self, n_nodes: int, dim_x: int, dim_y: int):
@@ -133,11 +139,12 @@ class BilevelProblem(abc.ABC):
         return float(np.mean(self.f_value(_rows(self, x), _rows(self, y))))
 
 
-# Row-wise products over the node axis. They go through np.matmul so that
-# each row rounds exactly as the single-node product M[i] @ v[i] would.
+# Row-wise products over the last axis but one. They go through np.matmul
+# so that each row rounds exactly as the single-node product M[i] @ v[i]
+# would, whatever leading axes the operands carry.
 def _mv(M, V):
     """Row i is M[i] @ V[i] (M may also be one matrix shared by all rows)."""
-    return np.matmul(M, V[:, :, None])[:, :, 0]
+    return np.matmul(M, V[..., None])[..., 0]
 
 
 def _mtv(M, V):
@@ -147,12 +154,12 @@ def _mtv(M, V):
 
 def _dot(U, V):
     """Row i is U[i] @ V[i]."""
-    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+    return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
 
 def _quad(U, M, V):
     """Row i is U[i] @ M[i] @ V[i]."""
-    return np.matmul(np.matmul(U[:, None, :], M), V[:, :, None])[:, 0, 0]
+    return np.matmul(np.matmul(U[..., None, :], M), V[..., :, None])[..., 0, 0]
 
 
 def _rows(problem: BilevelProblem, v) -> np.ndarray:
@@ -226,10 +233,16 @@ def lower_solve(
     return y
 
 
-def z_star(problem: BilevelProblem, x: np.ndarray, tol: float = LOWER_SOLVE_TOL) -> np.ndarray:
-    """Solve (mean lower Hessian at y*(x)) z = mean grad_y f(x, y*(x))."""
+def z_star(
+    problem: BilevelProblem, x: np.ndarray, tol: float = LOWER_SOLVE_TOL, *, y=None
+) -> np.ndarray:
+    """Solve (mean lower Hessian at y*(x)) z = mean grad_y f(x, y*(x)).
+
+    ``y`` is y*(x) when the caller has already solved for it.
+    """
     x = np.asarray(x, dtype=float)
-    y = lower_solve(problem, x, tol=tol)
+    if y is None:
+        y = lower_solve(problem, x, tol=tol)
     H = dense_lower_hessian(problem, x, y)
     rhs = _mean_over_nodes(problem.grad_y_f(_rows(problem, x), _rows(problem, y)))
     try:
@@ -242,14 +255,18 @@ def z_star(problem: BilevelProblem, x: np.ndarray, tol: float = LOWER_SOLVE_TOL)
     return z
 
 
-def hypergradient_exact(problem: BilevelProblem, x: np.ndarray) -> np.ndarray:
+def hypergradient_exact(problem: BilevelProblem, x: np.ndarray, *, y=None) -> np.ndarray:
     """Implicit-differentiation gradient of Phi at x.
 
-    grad Phi(x) = mean grad_x f(x, y*) - (mean d^2 g / dx dy) z*(x).
+    grad Phi(x) = mean grad_x f(x, y*) - (mean d^2 g / dx dy) z*(x). The
+    lower problem is solved once, for y* and z* alike; ``y`` is y*(x) when
+    the caller has already solved for it.
     """
     x = np.asarray(x, dtype=float)
-    X, Y = _rows(problem, x), _rows(problem, lower_solve(problem, x))
-    Z = _rows(problem, z_star(problem, x))
+    if y is None:
+        y = lower_solve(problem, x)
+    X, Y = _rows(problem, x), _rows(problem, y)
+    Z = _rows(problem, z_star(problem, x, y=y))
     return _mean_over_nodes(problem.grad_x_f(X, Y)) - _mean_over_nodes(problem.cross_xy_g(X, Y, Z))
 
 
@@ -358,23 +375,23 @@ class QuadraticBilevel(BilevelProblem):
         e_y, e_x, s, s2 = zeta
         noise = (
             self._a1 * e_y / np.sqrt(self.dim_y)
-            + self._a2 * s[:, None] * Y
-            + self._a3 * s2[:, None] * _mv(self._J, X)
+            + self._a2 * s[..., None] * Y
+            + self._a3 * s2[..., None] * _mv(self._J, X)
         )
         return self.grad_y_g(X, Y) + self.sigma * noise
 
     def sgrad_x_g(self, X, Y, zeta):
         e_y, e_x, s, s2 = zeta
-        noise = self._a1 * e_x / np.sqrt(self.dim_x) + self._a3 * s2[:, None] * _mtv(self._J, Y)
+        noise = self._a1 * e_x / np.sqrt(self.dim_x) + self._a3 * s2[..., None] * _mtv(self._J, Y)
         return self.grad_x_g(X, Y) + self.sigma * noise
 
     def shess_yy_g(self, X, Y, V, zeta):
         s = zeta[2]
-        return self.hess_yy_g(X, Y, V) + self.sigma * self._a2 * s[:, None] * V
+        return self.hess_yy_g(X, Y, V) + self.sigma * self._a2 * s[..., None] * V
 
     def scross_xy_g(self, X, Y, V, zeta):
         s2 = zeta[3]
-        return self.cross_xy_g(X, Y, V) + self.sigma * self._a3 * s2[:, None] * _mtv(self._J, V)
+        return self.cross_xy_g(X, Y, V) + self.sigma * self._a3 * s2[..., None] * _mtv(self._J, V)
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -510,16 +527,16 @@ class RidgeTuning(BilevelProblem):
         return _dot(self.feat_var * diff, diff) + 1.0
 
     def g_value(self, X, Y):
-        return self.f_value(X, Y) + np.abs(X[:, 0]) * _dot(Y, Y)
+        return self.f_value(X, Y) + np.abs(X[..., 0]) * _dot(Y, Y)
 
     def grad_x_f(self, X, Y):
-        return np.zeros((self.n_nodes, 1))
+        return np.zeros(np.shape(X))
 
     def grad_y_f(self, X, Y):
         return 2.0 * self.feat_var * (Y - self.omega)
 
     def grad_x_g(self, X, Y):
-        return np.sign(X) * _dot(Y, Y)[:, None]
+        return np.sign(X) * _dot(Y, Y)[..., None]
 
     def grad_y_g(self, X, Y):
         return 2.0 * self.feat_var * (Y - self.omega) + 2.0 * np.abs(X) * Y
@@ -528,7 +545,7 @@ class RidgeTuning(BilevelProblem):
         return 2.0 * (self.feat_var + np.abs(X)) * V
 
     def cross_xy_g(self, X, Y, V):
-        return 2.0 * np.sign(X) * _dot(Y, V)[:, None]
+        return 2.0 * np.sign(X) * _dot(Y, V)[..., None]
 
     # stochastic (fresh streaming sample per call; the x-derivatives do not
     # involve the data, so their sampled oracles are the exact defaults) --
@@ -544,14 +561,14 @@ class RidgeTuning(BilevelProblem):
 
     def sgrad_y_f(self, X, Y, xi):
         feats, label = xi
-        return 2.0 * (_dot(feats, Y) - label)[:, None] * feats
+        return 2.0 * (_dot(feats, Y) - label)[..., None] * feats
 
     def sgrad_y_g(self, X, Y, zeta):
         return self.sgrad_y_f(X, Y, zeta) + 2.0 * np.abs(X) * Y
 
     def shess_yy_g(self, X, Y, V, zeta):
         feats, _ = zeta
-        return 2.0 * _dot(feats, V)[:, None] * feats + 2.0 * np.abs(X) * V
+        return 2.0 * _dot(feats, V)[..., None] * feats + 2.0 * np.abs(X) * V
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -605,7 +622,7 @@ class LogCoshBilevel(BilevelProblem):
     def g_value(self, X, Y):
         return (
             _dot(0.5 * Y, Y)
-            + self.lam * np.sum(np.logaddexp(Y, -Y) - np.log(2.0), axis=1)
+            + self.lam * np.sum(np.logaddexp(Y, -Y) - np.log(2.0), axis=-1)
             + _dot(Y, _mv(self.B, X))
         )
 

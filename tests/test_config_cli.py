@@ -459,3 +459,110 @@ def test_cell_error_recorded_per_cell(tmp_path, monkeypatch, exc_type):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["cells"]) == 3
     assert all(c["error"] == "probe failed" for c in manifest["cells"])
+
+
+HETEROGENEOUS_QUADRATIC = """
+[problem]
+family = quadratic
+seed = 1
+n_nodes = 4
+dim_x = 2
+dim_y = 3
+conditioning = 4.0
+heterogeneity = 2.0
+noise_scale = 0.2
+
+[topology.lazy]
+kind = ring
+self_weight = 0.9
+neighbor_weight = 0.05
+
+[topology.ring]
+kind = ring
+
+[topology.full]
+kind = fully_connected
+
+[run]
+variants = so, fo, centralized
+alpha0 = ALPHA
+t = 150
+probe_every = 1
+n_trials = 1
+base_seed = 7
+"""
+
+
+@pytest.mark.parametrize("alpha0", ["0.3", "0.5"])
+def test_cells_of_a_group_fail_on_their_own(tmp_path, alpha0):
+    # The lazy ring diverges alone at alpha0 = 0.3; at 0.5 every cell
+    # diverges, at different iterations. Each diverged cell's partial CSV
+    # holds exactly the probes before its own blow-up, each surviving cell's
+    # CSV is its one-matrix run, and partial records stay out of the
+    # summaries and transient estimates.
+    from gossipbo import engine
+    from gossipbo.topology import MixingMatrix
+
+    text = HETEROGENEOUS_QUADRATIC.replace("ALPHA", alpha0)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, text), "--out", str(out)]) == cli.EXIT_DIVERGED
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = parse_config(text)
+    problem = config.problem.build()
+    diverged, survived = [], []
+    for cell in manifest["cells"]:
+        assert cell["group"] == f"trial0/{'fo' if cell['variant'] == 'fo' else 'so'}"
+        if cell["diverged_at"] is not None:
+            diverged.append(cell)
+            rec = RunRecord.from_csv((out / cell["partial_csv"]).read_text())
+            assert list(rec.ts) == list(range(cell["diverged_at"]))
+            assert not (out / cli._cell_filename(cell["topology"], cell["variant"], 0)).exists()
+            continue
+        survived.append(cell)
+        assert cell["error"] is None and cell["partial_csv"] is None
+        if cell["topology"] == "centralized":
+            W = MixingMatrix.from_weights(np.full((4, 4), 0.25))
+        else:
+            W = next(t for t in config.topologies if t.name == cell["topology"]).build(4)
+        solo = engine.run(problem, W, config.run.hyper(cell["variant"]), T=150, seed=7,
+                          probe_every=1)
+        name = cli._cell_filename(cell["topology"], cell["variant"], 0)
+        assert (out / name).read_text() == solo.to_csv()
+    summaries = {name for name in os.listdir(out) if name.startswith("summary_")}
+    estimates = {(e["topology"], e["variant"]) for e in manifest["transient_estimates"]}
+    for cell in diverged:
+        assert f"summary_{cell['topology']}_{cell['variant']}.csv" not in summaries
+        assert (cell["topology"], cell["variant"]) not in estimates
+    for cell in survived:
+        assert f"summary_{cell['topology']}_{cell['variant']}.csv" in summaries
+    if alpha0 == "0.3":
+        assert {(c["topology"], c["variant"]) for c in diverged} == {
+            ("lazy", "so"), ("lazy", "fo"),
+        }
+        assert estimates == {("ring", "so"), ("ring", "fo"), ("full", "so"), ("full", "fo")}
+    else:
+        assert not survived and len({c["diverged_at"] for c in diverged}) > 1
+
+
+def test_manifest_cell_times_share_their_group(tmp_path):
+    import time
+
+    config = parse_config(SMALL_QUADRATIC.replace("t = 50", "t = 400"))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.run_experiment(config, str(out)) == cli.EXIT_OK
+    elapsed = time.perf_counter() - start
+    manifest = json.loads((out / "manifest.json").read_text())
+    groups: dict[str, list[dict]] = {}
+    for cell in manifest["cells"]:
+        groups.setdefault(cell["group"], []).append(cell)
+    # so cells of both topologies run with the centralized cell; fo apart.
+    assert {g: len(cells) for g, cells in groups.items()} == {
+        "trial0/so": 3, "trial0/fo": 2, "trial1/so": 3, "trial1/fo": 2,
+    }
+    for cells in groups.values():
+        assert len({c["wall_time_s"] for c in cells}) == 1
+        assert all(c["seed"] == cells[0]["seed"] for c in cells)
+    # Each cell holds its share of its group's time, so the cell times add
+    # up to the busy time of one serial sweep, not to a multiple of it.
+    assert sum(c["wall_time_s"] for c in manifest["cells"]) <= elapsed

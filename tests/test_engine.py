@@ -239,3 +239,99 @@ def test_logcosh_runs_every_variant():
     for name in ("grad_sq_norm", "consensus_error", "upper_loss"):
         a, b = so.column(name), fo.column(name)
         assert np.max(np.abs(a - b)) <= delta**2 * max(1.0, np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_group_matches_solo_runs(family):
+    # so, fo and centralized cells advanced as groups -- so with centralized,
+    # fo apart -- give each cell the record of its one-matrix run, byte for byte.
+    if family == "quadratic":
+        prob = make_quadratic(1, n_nodes=8, d=2, p=4, conditioning=5.0, heterogeneity=0.3,
+                              noise_scale=0.2)
+    elif family == "ridge":
+        prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=2.0), 9)
+    else:
+        prob = make_logcosh(3, n_nodes=6, d=2, p=5)
+    n = prob.n_nodes
+    topologies = [Ring(0.2, 0.4), Ring(), FullyConnected()]
+    Ws = [build_topology(t, n) for t in topologies]
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    kw = dict(T=60, seed=17, probe_every=7, X0=X0)
+    groups = [
+        (Ws + Ws[-1:], [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]),
+        (Ws, [Variant.FIRST_ORDER] * 3),
+    ]
+    for group_Ws, variants in groups:
+        hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for v in variants]
+        metas = [{"cell": k} for k in range(len(hps))]
+        outcomes = run(prob, group_Ws, hps, metadata=metas, **kw)
+        assert len(outcomes) == len(hps)
+        for k, (W, hp, rec) in enumerate(zip(group_Ws, hps, outcomes)):
+            solo = run(prob, W, hp, **kw)
+            assert rec.to_csv() == solo.to_csv(), (family, hp.variant, k)
+            assert rec.metadata == {**solo.metadata, "cell": k}
+
+
+def test_group_needs_one_estimator_and_schedule(quad):
+    Ws = [build_topology(Ring(), 4)] * 2
+    with pytest.raises(ConfigMismatch):
+        run(quad, Ws, [hyper(variant=Variant.SECOND_ORDER), hyper(variant=Variant.FIRST_ORDER)],
+            T=5, seed=0)
+    with pytest.raises(ConfigMismatch):
+        run(quad, Ws, [hyper(alpha0=0.05), hyper(alpha0=0.04)], T=5, seed=0)
+
+
+def test_group_cells_diverge_on_their_own():
+    # A lazy ring mixes too slowly to tame the strongly heterogeneous nodes:
+    # at alpha0 = 0.3 it alone diverges, at 0.5 every cell does, at
+    # different iterations. Each cell of the group diverges when and as its
+    # solo run does and keeps the probes before it; the others go on as if
+    # alone.
+    prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
+                          noise_scale=0.2)
+    Ws = [build_topology(t, 4) for t in (Ring(0.9, 0.05), Ring(), FullyConnected())]
+    Ws.append(Ws[-1])
+    variants = [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]
+    seen = {}
+    for alpha0 in (0.3, 0.5):
+        hps = [hyper(alpha0=alpha0, variant=v) for v in variants]
+        kw = dict(T=200, seed=7, probe_every=3)
+        outcomes = run(prob, Ws, hps, **kw)
+        for W, hp, out in zip(Ws, hps, outcomes):
+            try:
+                solo = run(prob, W, hp, **kw)
+            except NumericalDivergence as exc:
+                solo = exc
+            assert type(out) is type(solo)
+            if isinstance(out, NumericalDivergence):
+                assert (out.iteration, str(out)) == (solo.iteration, str(solo))
+                assert out.record.to_csv() == solo.record.to_csv()
+                assert list(out.record.ts) == list(range(0, out.iteration, 3))
+            else:
+                assert out.to_csv() == solo.to_csv()
+        seen[alpha0] = [
+            o.iteration if isinstance(o, NumericalDivergence) else None for o in outcomes
+        ]
+    assert seen[0.3][0] is not None and seen[0.3][1:] == [None] * 3
+    assert None not in seen[0.5] and len(set(seen[0.5])) > 1
+
+
+def test_step_gives_one_verdict_per_cell(quad):
+    # Three cells in one (3, n, .) state: a NaN in cell 1's y and a huge h in
+    # cell 2 (which the upper step carries into x) fail those cells only,
+    # each under the first iterate that left the finite range.
+    W = build_topology(Ring(), 4)
+    st = init(quad, [W] * 3, hyper(), seed=0)
+    assert st.X.shape == (3, 4, 2) and st.Y.shape == (3, 4, 3)
+    st.Y[1, 2, 0] = np.nan
+    st.H[2, 0, 1] = 1e14
+    with pytest.raises(NumericalDivergence) as exc_info:
+        step(quad, np.stack([W.weights] * 3), hyper(), st)
+    exc = exc_info.value
+    assert exc.cells == {
+        1: "y-iterates diverged at iteration 1",
+        2: "x-iterates diverged at iteration 1",
+    }
+    assert str(exc) == exc.cells[1] and exc.iteration == 1
+    assert exc.state.t == 1
+    assert all(np.all(np.isfinite(a[0])) for a in (exc.state.X, exc.state.Y, exc.state.H))

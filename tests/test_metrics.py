@@ -24,6 +24,8 @@ from gossipbo.metrics import (
 from gossipbo.problem import (
     ProblemError,
     RidgeTuningSpec,
+    make_logcosh,
+    make_quadratic,
     make_ridge_tuning,
     trivial_quadratic,
 )
@@ -101,6 +103,43 @@ def test_probe_reports_gap_and_rejects_nonfinite():
     state.X[:] = np.inf
     with pytest.raises((MetricsError, ProblemError)):
         probe(prob, state, alpha=0.1)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_probe_solves_the_lower_problem_once(family, monkeypatch):
+    # y*(x_bar) is solved once and serves z*, grad Phi and Phi alike; the
+    # probe reads what the public helpers give, bit for bit.
+    from gossipbo import problem as problem_mod
+
+    if family == "quadratic":
+        prob = make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
+    elif family == "ridge":
+        prob = make_ridge_tuning(5, RidgeTuningSpec(dim_p=6, sigma_omega=0.5), 3)
+    else:
+        prob = make_logcosh(3, n_nodes=3, d=2, p=5)
+    rng = np.random.default_rng(0)
+    X0 = 0.1 + np.abs(rng.standard_normal((3, prob.dim_x)))
+    state = init(prob, build_topology(Ring(), 3), HyperParams(alpha0=0.1), seed=0,
+                 X0=X0, Y0=rng.standard_normal((3, prob.dim_y)))
+    phi_star = prob.phi_star()  # a constant of the instance, derived on its first call
+    calls = []
+    solve = problem_mod.lower_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(problem_mod, "lower_solve", counted)
+    row = probe(prob, state, alpha=0.1)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    x_bar = state.x_bar()
+    g = problem_mod.hypergradient_exact(prob, x_bar)
+    assert row.grad_sq_norm == float(g @ g)
+    if phi_star is None:
+        assert math.isnan(row.phi_gap)
+    else:
+        assert row.phi_gap == problem_mod.phi_value(prob, x_bar) - phi_star
 
 
 def make_record(ts, values, metric="grad_sq_norm"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipbo.directions import hvp_fo, hvp_so
 from gossipbo.problem import (
     FEATURE_HALF_WIDTH,
     FEATURE_VAR,
@@ -138,6 +139,33 @@ def test_batched_row_is_its_own_node(family, request):
         for i in range(n):
             own = oracle(*(node_everywhere(args[k], i) for k in keys))
             assert np.array_equal(own[i], full[i]), (name, i)
+
+    # A leading cell axis: points stacked as (C, n, .), the sample shared by
+    # every cell as the engine broadcasts it. Row (c, i) is row i of the
+    # (n, .) call on cell c alone, bit for bit.
+    cells = 3
+    stacked = dict(args)
+    for k in "XYV":
+        others = [rng.standard_normal(args[k].shape) for _ in range(cells - 1)]
+        stacked[k] = np.stack([args[k]] + others)
+
+    def cell(k, c):
+        return stacked[k][c] if k in "XYV" else stacked[k]
+
+    calls = {name: (getattr(prob, name), keys) for name, keys in ORACLE_ARGS.items()}
+    calls["hvp_so"] = (lambda X, Y, V, g: hvp_so(prob, X, Y, V, g), "XYVg")
+    calls["hvp_fo"] = (lambda X, Y, V, g: hvp_fo(prob, X, Y, V, 1e-3, g), "XYVg")
+    for name, (oracle, keys) in calls.items():
+        full = oracle(*(stacked[k] for k in keys))
+        for c in range(cells):
+            own = oracle(*(cell(k, c) for k in keys))
+            if name.startswith("hvp"):
+                assert full.p_h.shape[:2] == full.p_j.shape[:2] == (cells, n), name
+                assert np.array_equal(full.p_h[c], own.p_h), (name, c)
+                assert np.array_equal(full.p_j[c], own.p_j), (name, c)
+            else:
+                assert full.shape[:2] == (cells, n), name
+                assert np.array_equal(full[c], own), (name, c)
 
 
 def test_trivial_instance_ground_truth():
