@@ -6,7 +6,6 @@ from .metrics import (
     RunRecord,
     TransientEstimate,
     consensus_error,
-    hypergrad_sq_norm,
     summarize,
     transient_cutoff,
 )

@@ -13,11 +13,12 @@ go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
 parameters before anything runs. GOSSIPBO_OUT sets the default output
 directory.
 
-The sweep runs one engine call per (trial, Hessian-vector estimator) group:
-the so cells of every topology with the centralized cell, and the fo cells,
-each group on one shared draw per step. A cell's CSV is the one its own run
-would give; its manifest entry names its ``group`` and holds its share of
-the group's wall time.
+The sweep runs in this process as one engine call per Hessian-vector
+estimator: every trial's so cells of every topology with its centralized
+cell, then every trial's fo cells. A cell's CSV is the one its own run
+would give; its manifest entry names its ``group`` (``so`` or ``fo``) and
+holds its share of the group's wall time. ``workers`` and ``--workers`` are
+accepted and validated but change nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,29 +46,27 @@ EXIT_DIVERGED = 2
 EXIT_IO = 3
 
 
-def _groups(config: ExperimentConfig) -> list[tuple[int, list[tuple[str, str]]]]:
-    """The sweep grid as engine calls: (trial, [(topology name, variant), ...]).
+def _groups(config: ExperimentConfig) -> list[list[tuple[int, str, str]]]:
+    """The sweep grid as engine calls, each a list of (trial, topology name, variant).
 
-    The cells of one trial that share a Hessian-vector estimator run as one
-    group: the so cells of every topology together with the centralized
+    The cells that share a Hessian-vector estimator run as one group across
+    all trials: the so cells of every topology together with the centralized
     cell, and the fo cells. The centralized variant is topology-independent,
     so it runs once per trial under the pseudo-topology name "centralized".
     """
-    groups = []
+    so, fo = [], []
     for trial in range(config.run.n_trials):
-        so, fo = [], []
         for tc in config.topologies:
             for variant in config.run.variants:
                 if variant != "centralized":
-                    (fo if variant == "fo" else so).append((tc.name, variant))
+                    (fo if variant == "fo" else so).append((trial, tc.name, variant))
         if "centralized" in config.run.variants:
-            so.append(("centralized", "centralized"))
-        groups += [(trial, cells) for cells in (so, fo) if cells]
-    return groups
+            so.append((trial, "centralized", "centralized"))
+    return [cells for cells in (so, fo) if cells]
 
 
-def _run_cell(config_dict: dict, trial: int, cells: list[tuple[str, str]]) -> list[dict]:
-    """Execute one group of sweep cells as one engine call; importable for process pools.
+def _run_cell(config_dict: dict, cells: list[tuple[int, str, str]]) -> list[dict]:
+    """Execute one group of sweep cells as one engine call.
 
     Returns one result per cell, in the order of ``cells``. A diverged cell
     keeps its probes and leaves the batch while the others go on; an error
@@ -79,39 +77,25 @@ def _run_cell(config_dict: dict, trial: int, cells: list[tuple[str, str]]) -> li
     config = config_from_dict(config_dict)
     problem = config.problem.build()
     n = problem.n_nodes
-    Ws = []
-    for topo_name, _ in cells:
-        if topo_name == "centralized":
-            Ws.append(MixingMatrix.from_weights(np.full((n, n), 1.0 / n)))
-        else:
-            Ws.append(next(t for t in config.topologies if t.name == topo_name).build(n))
-    seed = config.run.base_seed + trial
-    group = f"trial{trial}/{'fo' if cells[0][1] == 'fo' else 'so'}"
+    mixing = {tc.name: tc.build(n) for tc in config.topologies}
+    mixing["centralized"] = MixingMatrix.from_weights(np.full((n, n), 1.0 / n))
+    group = "fo" if cells[0][2] == "fo" else "so"
     start = time.monotonic()
     results = [
-        {
-            "topology": topo_name,
-            "variant": variant,
-            "trial": trial,
-            "seed": seed,
-            "group": group,
-            "diverged_at": None,
-            "error": None,
-            "partial_csv": None,
-            "record": None,
-        }
-        for topo_name, variant in cells
+        dict(topology=topo_name, variant=variant, trial=trial, seed=config.run.base_seed + trial,
+             group=group, diverged_at=None, error=None, partial_csv=None, record=None)
+        for trial, topo_name, variant in cells
     ]
     try:
         outcomes = engine.run(
             problem,
-            Ws,
-            [config.run.hyper(variant) for _, variant in cells],
+            [mixing[topo_name] for _, topo_name, _ in cells],
+            [config.run.hyper(variant) for _, _, variant in cells],
             T=config.run.T,
-            seed=seed,
+            seed=[r["seed"] for r in results],
             probe_every=config.run.probe_every,
             wall_limit_s=config.run.wall_limit_s,
-            metadata=[{"topology": topo_name, "trial": trial} for topo_name, _ in cells],
+            metadata=[{"topology": topo_name, "trial": trial} for trial, topo_name, _ in cells],
         )
     except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
         for result in results:
@@ -122,7 +106,7 @@ def _run_cell(config_dict: dict, trial: int, cells: list[tuple[str, str]]) -> li
                 result["diverged_at"] = outcome.iteration
                 result["error"] = str(outcome)
                 result["record"] = outcome.record
-                name = _cell_filename(result["topology"], result["variant"], trial)
+                name = _cell_filename(result["topology"], result["variant"], result["trial"])
                 result["partial_csv"] = f"{name.removesuffix('.csv')}_partial.csv"
             else:
                 result["record"] = outcome
@@ -139,16 +123,10 @@ def _cell_filename(topo_name: str, variant: str, trial: int) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
-    """Run the full sweep; returns the process exit code."""
+    """Run the full sweep; returns the process exit code. ``workers`` is ignored."""
     os.makedirs(out_dir, exist_ok=True)
     config_dict = emit_config(config)
-    groups = _groups(config)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, config_dict, *group) for group in groups]
-            results = [r for f in futures for r in f.result()]
-    else:
-        results = [r for group in groups for r in _run_cell(config_dict, *group)]
+    results = [r for cells in _groups(config) for r in _run_cell(config_dict, cells)]
 
     # Aggregation is a deterministic reduce keyed by cell identity. A
     # diverged cell's partial record is written but kept out of the
@@ -199,22 +177,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         if ref is None:
             continue
         est = metrics.transient_cutoff(
-            rec,
-            ref,
-            rel_tol=config.run.rel_tol,
-            window=config.run.window,
-            metric=config.run.transient_metric,
-            baseline=baseline,
+            rec, ref, rel_tol=config.run.rel_tol, window=config.run.window,
+            metric=config.run.transient_metric, baseline=baseline,
         )
-        transients.append(
-            {
-                "topology": topo_name,
-                "variant": variant,
-                "trial": trial,
-                "cutoff_iteration": est.cutoff_iteration,
-                "matched": est.matched,
-            }
-        )
+        transients.append(dict(topology=topo_name, variant=variant, trial=trial,
+                               cutoff_iteration=est.cutoff_iteration, matched=est.matched))
 
     topologies = {}
     for tc in config.topologies:
@@ -254,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run an experiment sweep")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=None)  # accepted; changes nothing
     p_run.add_argument("--trials", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="validate a config file")
@@ -290,9 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.trials is not None:
             config.run.n_trials = args.trials
         out_dir = args.out or config.run.out_dir or os.environ.get(ENV_OUT_DIR) or "."
-        workers = args.workers if args.workers is not None else config.run.workers
         try:
-            code = run_experiment(config, out_dir, workers=workers)
+            code = run_experiment(config, out_dir)
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_IO

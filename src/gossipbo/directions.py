@@ -2,12 +2,12 @@
 
 Both estimators act on the whole swarm: X, Y, Z are stacked (..., n, .)
 arrays, one (n, .) block per cell, and ``sample`` is the nodes' stacked
-lower-level sample, shared by every cell. ``hvp_so`` applies
-the sampled Hessian and Jacobian to z; ``hvp_fo`` approximates the same
-products by central differences of sampled first-order gradients. The
-first-order mode evaluates the two perturbed gradients on the same sample,
-so on quadratic lower levels it reproduces the second-order products up to
-rounding under common random numbers.
+lower-level sample, one (n, .) block for every cell or one per cell.
+``hvp_so`` applies the sampled Hessian and Jacobian to z; ``hvp_fo``
+approximates the same products by central differences of sampled
+first-order gradients. The first-order mode evaluates the two perturbed
+gradients on the same sample, so on quadratic lower levels it reproduces
+the second-order products up to rounding under common random numbers.
 """
 
 from __future__ import annotations

@@ -5,18 +5,18 @@ upper-level and one lower-level sample, forms its direction estimates
 from the iteration-t snapshot of all nodes, applies a local gradient
 step, and gossips the result with its neighbors. The swarm is held as
 stacked (n, .) arrays and every oracle is called once per step for all
-nodes. A run owns one random generator; each step draws the f-sample and
-then the g-sample of every node from it, each variate as one (n, .)
+nodes. Each seed owns one random generator; each step draws the f-sample
+and then the g-sample of every node from it, each variate as one (n, .)
 block, and the draws do not depend on the variant or the topology. The
 moving-average hypergradient estimate h is updated locally and is not
 gossiped. The centralized variant runs the same recursion with exact
 uniform averaging in place of the gossip matrix, which keeps a single
 shared iterate and averages the per-node directions.
 
-Because the draws are common to every cell of a trial, one engine call
-can advance several cells at once: the state then carries a leading cell
-axis, (C, n, .), the cells' gossip matrices are stacked as (C, n, n), and
-each step's sample blocks are drawn once and broadcast over the cells.
+A cell is one (mixing matrix, variant, seed). One engine call advances C
+cells that share step sizes and estimator, for instance every trial of a
+sweep, as (C, n, .) arrays with the gossip matrices stacked as (C, n, n):
+each step, every cell takes the sample rows of its own seed's generator.
 Every operation acts on each cell alone, so a cell's trajectory is the
 one its own run gives, bit for bit; a single cell is the case C = 1.
 """
@@ -121,14 +121,18 @@ class HyperParams:
 
 @dataclass
 class SwarmState:
-    """Iterates of one cell as (n, .) arrays, or of C cells as (C, n, .) arrays."""
+    """Iterates of one cell as (n, .) arrays, or of C cells as (C, n, .) arrays.
+
+    ``rngs`` holds one generator per distinct seed; cell c draws from ``rngs[stream[c]]``.
+    """
 
     t: int
     X: np.ndarray  # (..., n, d)
     Y: np.ndarray  # (..., n, p)
     Z: np.ndarray  # (..., n, p)
     H: np.ndarray  # (..., n, d)
-    rng: np.random.Generator = field(repr=False)
+    rngs: tuple[np.random.Generator, ...] = field(repr=False)
+    stream: np.ndarray = field(repr=False)
 
     def x_bar(self) -> np.ndarray:
         return self.X.mean(axis=-2)
@@ -136,28 +140,29 @@ class SwarmState:
     def y_bar(self) -> np.ndarray:
         return self.Y.mean(axis=-2)
 
-    def cells(self, keep) -> "SwarmState":
-        """The cells at positions ``keep`` of the cell axis (one position: an (n, .) view)."""
-        return replace(self, X=self.X[keep], Y=self.Y[keep], Z=self.Z[keep], H=self.H[keep])
-
 
 def init(
     problem: BilevelProblem,
     W: "MixingMatrix | list[MixingMatrix]",
     hyper: HyperParams,
-    seed: int,
+    seed: "int | list[int]",
     X0: np.ndarray | None = None,
     Y0: np.ndarray | None = None,
     Z0: np.ndarray | None = None,
     H0: np.ndarray | None = None,
 ) -> SwarmState:
-    """All-zero state (overridable) with the run's generator, seeded by ``seed``.
+    """All-zero state (overridable) with one generator per distinct seed.
 
-    One mixing matrix gives an (n, .) state; a list of C gives a (C, n, .)
-    state whose cells all start from the same (n, .) overrides.
+    One mixing matrix and one seed give an (n, .) state; a list of C
+    matrices gives a (C, n, .) state whose cells all start from the same
+    (n, .) overrides, with one seed for every cell or a list of C.
     """
     single = isinstance(W, MixingMatrix)
     Ws = [W] if single else list(W)
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
+    if len(seeds) != len(Ws):
+        raise ConfigMismatch(f"{len(Ws)} cells but {len(seeds)} seeds")
+    distinct = list(dict.fromkeys(seeds))
     for w in Ws:
         if problem.n_nodes != w.n:
             raise ConfigMismatch(
@@ -180,18 +185,24 @@ def init(
         Y=pick(Y0, (n, p)),
         Z=pick(Z0, (n, p)),
         H=pick(H0, (n, d)),
-        rng=np.random.default_rng(seed),
+        rngs=tuple(map(np.random.default_rng, distinct)),
+        stream=np.array([distinct.index(s) for s in seeds]).reshape(lead),
     )
 
 
-def _node_terms(problem, hyper, X, Y, Z, rng):
-    """Sampled directions of every node of every cell from the iteration-t snapshot.
+def _draw(draw, state: SwarmState):
+    """One (n, .) block per generator; each cell gets its own generator's block."""
+    blocks = [draw(rng) for rng in state.rngs]
+    if len(blocks) == 1 or blocks[0] is None:
+        return blocks[0]
+    return tuple(np.stack(parts)[state.stream] for parts in zip(*blocks))
 
-    One f-block and one g-block of samples are drawn, (n, .) each, and
-    broadcast over the leading cell axis of X, Y, Z.
-    """
-    xi = problem.draw_f_sample(rng)
-    zeta = problem.draw_g_sample(rng)
+
+def _node_terms(problem, hyper, state):
+    """Sampled directions of every node of every cell from the iteration-t snapshot."""
+    X, Y, Z = state.X, state.Y, state.Z
+    xi = _draw(problem.draw_f_sample, state)
+    zeta = _draw(problem.draw_g_sample, state)
     if hyper.variant is Variant.FIRST_ORDER:
         pair = hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
     else:
@@ -219,13 +230,13 @@ def step(
     hyper: HyperParams,
     state: SwarmState,
 ) -> SwarmState:
-    """One synchronous iteration; returns a new state sharing the generator.
+    """One synchronous iteration; returns a new state sharing the generators.
 
     ``W`` is the mixing matrix of an (n, .) state, or the (C, n, n) stack of
     the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
     ``hyper`` sets the step sizes and the Hessian-vector estimator of every
-    cell. The f-block and then the g-block of samples are drawn once from
-    ``state.rng``, which advances in place, and every cell uses them.
+    cell. Each generator in ``state.rngs`` draws its f-block, then its
+    g-block, advancing in place.
 
     The divergence guard gives one verdict per cell: ``NumericalDivergence``
     names every cell that left the finite range, with its own message, and
@@ -236,7 +247,7 @@ def step(
     gamma, theta = hyper.gamma(t), hyper.theta(t)
 
     Wm = W if isinstance(W, np.ndarray) else _weights(W, hyper)
-    Gy, Dz, Omega = _node_terms(problem, hyper, state.X, state.Y, state.Z, state.rng)
+    Gy, Dz, Omega = _node_terms(problem, hyper, state)
     Xn = Wm @ (state.X - hyper.tau * alpha * state.H)
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
@@ -271,7 +282,7 @@ def run(
     W: "MixingMatrix | list[MixingMatrix]",
     hyper: "HyperParams | list[HyperParams]",
     T: int,
-    seed: int,
+    seed: "int | list[int]",
     probe_every: int = 100,
     metadata: "dict | list[dict] | None" = None,
     wall_limit_s: float = 0.0,
@@ -283,22 +294,21 @@ def run(
     """Iterate T steps, probing metrics at each cell's averaged iterate.
 
     ``W`` is one mixing matrix, or a list of C advanced together as one
-    (C, n, .) swarm: the cells of one trial that share a Hessian-vector
-    estimator (the so cells of every topology and the centralized cell, or
-    the fo cells). ``hyper`` and ``metadata`` are one for every cell or lists
-    aligned with ``W``; the cells must agree on step sizes and estimator.
-    Each step draws one sample block that every cell uses, and the draws
-    depend on neither topology nor variant, so a cell's record is the one
-    its own one-matrix run gives, bit for bit.
+    (C, n, .) swarm: for a sweep, every trial's cells that share a
+    Hessian-vector estimator. ``hyper``, ``seed`` and ``metadata`` are one
+    for every cell or lists aligned with ``W``; the cells must agree on step
+    sizes and estimator. The draws depend on neither topology nor variant,
+    so a cell's record is the one its own one-matrix run gives, bit for bit.
 
-    Probes happen at t = 0, every ``probe_every`` iterations, and at t = T.
-    Identical inputs give a bit-identical record. With one matrix, ``run``
-    returns the RunRecord, and a ``NumericalDivergence`` leaves with the
-    probes taken before the blow-up as ``record``. With a list, it returns a
-    list aligned with ``W`` whose slots hold each cell's RunRecord or its
-    ``NumericalDivergence``: a diverged cell leaves the batch and the others
-    go on. The wall-clock limit, which bounds the whole call, or an error
-    from a probe ends the call for every cell.
+    Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
+    each one batched call over the live cells. Identical inputs give a
+    bit-identical record. With one matrix, ``run`` returns the RunRecord,
+    and a ``NumericalDivergence`` leaves with the probes taken before the
+    blow-up as ``record``. With a list, it returns a list aligned with ``W``
+    whose slots hold each cell's RunRecord or its ``NumericalDivergence``: a
+    diverged cell leaves the batch and the others go on. The wall-clock
+    limit, which bounds the whole call, or an error from a probe ends the
+    call for every cell.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -307,21 +317,22 @@ def run(
     Ws = [W] if isinstance(W, MixingMatrix) else list(W)
     hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
     metas = [metadata] * len(Ws) if not isinstance(metadata, list) else metadata
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
     if not Ws or len(hypers) != len(Ws) or len(metas) != len(Ws):
         raise ConfigMismatch("run needs one or more cells and one hyper and metadata per cell")
     shared = hypers[0]
     if any(_estimator(h) != _estimator(shared) for h in hypers):
         raise ConfigMismatch("cells of one run must share step sizes and estimator")
     weights = np.stack([_weights(w, h) for w, h in zip(Ws, hypers)])
-    state = init(problem, Ws, shared, seed, X0=X0, Y0=Y0, Z0=Z0, H0=H0)
+    state = init(problem, Ws, shared, seeds, X0=X0, Y0=Y0, Z0=Z0, H0=H0)
     records = []
-    for w, h, extra in zip(Ws, hypers, metas):
+    for w, h, s, extra in zip(Ws, hypers, seeds, metas):
         meta = {
             "variant": h.variant.value,
             "n_nodes": problem.n_nodes,
             "dim_x": problem.dim_x,
             "dim_y": problem.dim_y,
-            "seed": seed,
+            "seed": s,
             "T": T,
             "probe_every": probe_every,
             "rho": w.rho,
@@ -332,9 +343,9 @@ def run(
     live = list(range(len(Ws)))  # the cell at each position of the state's cell axis
 
     def probe_live():
-        alpha = shared.alpha(state.t)
-        for k, c in enumerate(live):
-            records[c].add_probe(metrics_mod.probe(problem, state.cells(k), alpha=alpha))
+        rows = metrics_mod.probe(problem, state, alpha=shared.alpha(state.t))
+        for c, row in zip(live, rows):
+            records[c].add_probe(row)
 
     probe_live()
     start = time.monotonic()
@@ -349,7 +360,10 @@ def run(
             live = [live[k] for k in keep]
             if not live:
                 break
-            weights, state = weights[keep], exc.state.cells(keep)
+            weights, state = weights[keep], replace(
+                exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
+                H=exc.state.H[keep], stream=exc.state.stream[keep],
+            )
         if (t + 1) % probe_every == 0 or t + 1 == T:
             probe_live()
             if wall_limit_s > 0 and time.monotonic() - start > wall_limit_s:

@@ -1,10 +1,11 @@
 """Run metrics: hypergradient norm, consensus error, transient cutoffs.
 
-Metrics are evaluated at the row-mean (network-average) iterate. The
-transient cutoff compares a decentralized run against a centralized
-reference on a shared probe grid: it is the first probe from which the
-smoothed decentralized curve stays within a relative tolerance of the
-smoothed centralized one for the rest of the horizon.
+Metrics are evaluated at the row-mean (network-average) iterate, for every
+cell of a (K, n, .) state in one batched probe. The transient cutoff
+compares a decentralized run against a centralized reference on a shared
+probe grid: it is the first probe from which the smoothed decentralized
+curve stays within a relative tolerance of the smoothed centralized one for
+the rest of the horizon.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import problem as problem_mod
 
@@ -103,46 +105,45 @@ class RunRecord:
         return rec
 
 
-def consensus_error(state) -> float:
-    """Mean squared deviation of (x_i, y_i, z_i) from their network means."""
+def consensus_error(state):
+    """Mean squared deviation of (x_i, y_i, z_i) from their network means, per cell."""
     total = 0.0
     for M in (state.X, state.Y, state.Z):
-        total += float(np.sum((M - M.mean(axis=0)) ** 2))
-    return total / state.X.shape[0]
+        dev = (M - M.mean(axis=-2, keepdims=True)) ** 2
+        # Summed flat, as np.sum sums an (n, .) array, so each cell rounds alike.
+        total = total + dev.reshape(dev.shape[:-2] + (-1,)).sum(axis=-1)
+    return total / state.X.shape[-2]
 
 
-def hypergrad_sq_norm(problem, state) -> float:
-    """|grad Phi(x_bar)|^2 at the row-mean upper iterate."""
-    g = problem_mod.hypergradient_exact(problem, state.x_bar())
-    return float(g @ g)
+def probe(problem, state, alpha: float):
+    """Metrics at each cell's row-mean iterate: a ProbeRow, or a list for a (K, n, .) state.
 
-
-def probe(problem, state, alpha: float) -> ProbeRow:
-    """Metrics of one cell's (n, .) state at its row-mean iterate.
-
-    The lower problem is solved once at x_bar; y*(x_bar) then serves z*,
-    grad Phi and Phi alike.
+    One batched lower solve serves every cell, and y*(x_bar) then serves
+    z*, grad Phi and Phi alike. Row k is cell k's own (n, .) probe, bit for bit.
     """
     x_bar, y_bar = state.x_bar(), state.y_bar()
     y_star = problem_mod.lower_solve(problem, x_bar)
     g = problem_mod.hypergradient_exact(problem, x_bar, y=y_star)
     phi_star = problem.phi_star()
+    lead = x_bar.shape[:-1]
     if phi_star is None:
-        gap = math.nan
+        gap = np.full(lead, math.nan)
     else:
-        gap = problem.mean_f_value(x_bar, y_star) - phi_star
-    row = ProbeRow(
-        t=state.t,
-        grad_sq_norm=float(g @ g),
-        phi_gap=gap,
-        consensus_error=consensus_error(state),
-        upper_loss=problem.mean_f_value(x_bar, y_bar),
-        alpha=alpha,
-    )
-    for name in ("grad_sq_norm", "consensus_error", "upper_loss"):
-        if not math.isfinite(getattr(row, name)):
+        gap = np.asarray(problem.mean_f_value(x_bar, y_star) - phi_star)
+    consensus = np.asarray(consensus_error(state))
+    upper = np.asarray(problem.mean_f_value(x_bar, y_bar))
+    # One dot product per cell: a reduction over the stack rounds differently.
+    grad_sq = np.reshape([g[k] @ g[k] for k in np.ndindex(lead)], lead)
+    for name, v in (("grad_sq_norm", grad_sq), ("consensus_error", consensus),
+                    ("upper_loss", upper)):
+        if not np.all(np.isfinite(v)):
             raise MetricsError(f"non-finite probe value for {name} at t={state.t}")
-    return row
+    rows = [
+        ProbeRow(state.t, float(grad_sq[k]), float(gap[k]), float(consensus[k]),
+                 float(upper[k]), alpha)
+        for k in np.ndindex(lead)
+    ]
+    return rows if lead else rows[0]
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,16 @@ class TransientEstimate:
 
 
 def _trailing_median(values: np.ndarray, window: int) -> np.ndarray:
-    out = np.empty_like(values, dtype=float)
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        out[i] = float(np.median(values[lo : i + 1]))
+    """Median of each value and up to ``window - 1`` before it (NaN for window < 1).
+
+    Medians are order statistics: this equals a window-by-window loop bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.full(len(values), math.nan)
+    for i in range(min(window - 1, len(values))):
+        out[i] = np.median(values[: i + 1])
+    if 0 < window <= len(values):
+        out[window - 1 :] = np.median(sliding_window_view(values, window), axis=-1)
     return out
 
 

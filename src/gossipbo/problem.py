@@ -8,18 +8,17 @@ together with their derivative oracles. Upper objective:
 Oracles are node-batched: they take the swarm's points stacked by node,
 (..., n, dim) arrays, and return row i for node i of every leading index;
 leading axes are batch axes, each acted on alone. The iteration engine
-calls each oracle once per step for every node of every cell it advances,
-(C, n, dim) points against one (n, .) sample broadcast over the cells; the
-verification helpers (``lower_solve``, ``z_star``, ``hypergradient_exact``,
-``phi_value``) call them with one point repeated on every row and average
-over the node axis. ``z_star`` and ``hypergradient_exact`` accept y*(x) from
-a caller that has already solved for it, so that a probe solves the lower
-problem once.
+calls each oracle once per step for every node of every cell it advances.
+The verification helpers (``lower_solve``, ``z_star``, ``hypergradient_exact``,
+``phi_value``) take one point x (d,) or a stack (..., d), repeat each point
+on every node's row and average over the node axis, so a probe of many
+cells is one call of each; ``z_star`` and ``hypergradient_exact`` accept
+y*(x) from a caller that has already solved for it.
 
 Derivative oracles are matrix-free: Hessian/Jacobian information is exposed
-only through vector products, matching the structure of the iteration engine.
-Dense matrices appear only inside the verification helpers, which assemble
-the p x p lower Hessian from basis products at desk scale.
+only through vector products. Dense matrices appear only inside the
+verification helpers, which assemble the p x p lower Hessian from one
+product call on a stack of basis vectors at desk scale.
 
 Stochastic oracles take an explicit sample drawn from one caller-owned
 numpy Generator: each variate of a sample is one (n, .) block whose row i
@@ -128,15 +127,15 @@ class BilevelProblem(abc.ABC):
         return self.cross_xy_g(X, Y, V)
 
     # -- analytic ground truth (when available) -------------------------
-    def y_star(self, x: np.ndarray) -> np.ndarray | None:
+    def y_star(self, x: np.ndarray) -> np.ndarray | None:  # at each point of x (..., d)
         return None
 
     def phi_star(self) -> float | None:
         return None
 
-    def mean_f_value(self, x, y) -> float:
-        """Network-mean upper loss at one point (x, y) shared by every node."""
-        return float(np.mean(self.f_value(_rows(self, x), _rows(self, y))))
+    def mean_f_value(self, x, y):
+        """Network-mean upper loss at each point (x, y) shared by every node."""
+        return np.mean(self.f_value(_rows(self, x), _rows(self, y)), axis=-1)
 
 
 # Row-wise products over the last axis but one. They go through np.matmul
@@ -163,26 +162,58 @@ def _quad(U, M, V):
 
 
 def _rows(problem: BilevelProblem, v) -> np.ndarray:
-    """One point repeated on every node's row."""
-    return np.tile(v, (problem.n_nodes, 1))
+    """Each point of ``v`` (..., dim) repeated on every node's row: (..., n, dim)."""
+    return np.repeat(np.asarray(v)[..., None, :], problem.n_nodes, axis=-2)
 
 
 def _mean_over_nodes(A: np.ndarray) -> np.ndarray:
-    """Mean over the node axis, summed node by node in node order.
+    """Mean over the node axis (-2), summed node by node in node order.
 
-    A running sum rather than ``A.mean(axis=0)``, which sums a single
+    A running sum rather than ``A.mean(axis=-2)``, which sums a single
     column pairwise: this way the rounding does not depend on the width.
     """
-    return np.cumsum(A, axis=0)[-1] / len(A)
+    return np.cumsum(A, axis=-2)[..., -1, :] / A.shape[-2]
+
+
+def _mean_grad_y_g(problem: BilevelProblem, x, y) -> np.ndarray:
+    return _mean_over_nodes(problem.grad_y_g(_rows(problem, x), _rows(problem, y)))
 
 
 def dense_lower_hessian(problem: BilevelProblem, x, y) -> np.ndarray:
-    """Assemble the network-mean lower Hessian from basis vector products."""
+    """Network-mean lower Hessian (..., p, p) at each point: column k is the
+    node mean of the products with e_k, all p basis vectors in one call."""
+    p = problem.dim_y
     X, Y = _rows(problem, x), _rows(problem, y)
-    basis = np.eye(problem.dim_y)
-    return np.column_stack(
-        [_mean_over_nodes(problem.hess_yy_g(X, Y, _rows(problem, e))) for e in basis]
-    )
+    basis = np.eye(p).reshape((p,) + (1,) * (Y.ndim - 1) + (p,))
+    E = np.broadcast_to(basis, (p,) + Y.shape)
+    columns = _mean_over_nodes(problem.hess_yy_g(X[None], Y[None], E))
+    return np.ascontiguousarray(np.moveaxis(columns, 0, -1))
+
+
+def _newton(problem: BilevelProblem, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Damped Newton on the mean lower loss at one point x, from y = 0."""
+    y = np.zeros(problem.dim_y)
+    for _ in range(max_iter):
+        grad = _mean_grad_y_g(problem, x, y)
+        if np.linalg.norm(grad) <= tol * max(1.0, float(np.linalg.norm(y))):
+            return y
+        H = dense_lower_hessian(problem, x, y)
+        try:
+            step = np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessian("lower Hessian solve failed") from exc
+        # Backtrack on the gradient norm, the quantity the stopping rule
+        # measures; plain value backtracking can stall on rounding once g
+        # differences drop below float resolution.
+        gn = np.linalg.norm(grad)
+        t = 1.0
+        while t > 1e-8:
+            cand = y - t * step
+            if np.linalg.norm(_mean_grad_y_g(problem, x, cand)) < gn:
+                break
+            t *= 0.5
+        y = y - t * step
+    return y
 
 
 def lower_solve(
@@ -191,44 +222,23 @@ def lower_solve(
     tol: float = LOWER_SOLVE_TOL,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Minimize the mean lower loss g(x, .) to gradient norm <= tol.
+    """Minimize the mean lower loss g(x, .) to gradient norm <= tol at each point x.
 
-    Uses the family's closed form when one exists, otherwise damped Newton
-    with the densely assembled mean Hessian (desk-scale p).
+    Uses the family's closed form for all points at once when one exists,
+    otherwise damped Newton point by point with the densely assembled mean
+    Hessian (desk-scale p). The residual is checked at every point.
     """
     x = np.asarray(x, dtype=float)
-    X = _rows(problem, x)
-
-    def mean_grad(y):
-        return _mean_over_nodes(problem.grad_y_g(X, _rows(problem, y)))
-
     y = problem.y_star(x)
     if y is None:
-        y = np.zeros(problem.dim_y)
-        for _ in range(max_iter):
-            grad = mean_grad(y)
-            if np.linalg.norm(grad) <= tol * max(1.0, float(np.linalg.norm(y))):
-                return y
-            H = dense_lower_hessian(problem, x, y)
-            try:
-                step = np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian("lower Hessian solve failed") from exc
-            # Backtrack on the gradient norm, the quantity the stopping
-            # rule measures; plain value backtracking can stall on
-            # rounding once g differences drop below float resolution.
-            gn = np.linalg.norm(grad)
-            t = 1.0
-            while t > 1e-8:
-                cand = y - t * step
-                if np.linalg.norm(mean_grad(cand)) < gn:
-                    break
-                t *= 0.5
-            y = y - t * step
-    residual = float(np.linalg.norm(mean_grad(y)))
-    if residual > tol * max(1.0, float(np.linalg.norm(y))):
+        points = x.reshape(-1, problem.dim_x)
+        y = np.array([_newton(problem, xk, tol, max_iter) for xk in points])
+        y = y.reshape(x.shape[:-1] + (problem.dim_y,))
+    residual = np.linalg.norm(_mean_grad_y_g(problem, x, y), axis=-1)
+    bad = residual > tol * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+    if np.any(bad):
         raise LowerSolveDiverged(
-            f"lower-level residual {residual:.3e} above tolerance {tol:.1e}"
+            f"lower-level residual {np.max(residual[bad]):.3e} above tolerance {tol:.1e}"
         )
     return y
 
@@ -236,9 +246,10 @@ def lower_solve(
 def z_star(
     problem: BilevelProblem, x: np.ndarray, tol: float = LOWER_SOLVE_TOL, *, y=None
 ) -> np.ndarray:
-    """Solve (mean lower Hessian at y*(x)) z = mean grad_y f(x, y*(x)).
+    """Solve (mean lower Hessian at y*(x)) z = mean grad_y f(x, y*(x)) at each point x.
 
-    ``y`` is y*(x) when the caller has already solved for it.
+    ``y`` is y*(x) when the caller has already solved for it. One stacked
+    solve treats each point alone; residual and finiteness are checked at each.
     """
     x = np.asarray(x, dtype=float)
     if y is None:
@@ -246,17 +257,18 @@ def z_star(
     H = dense_lower_hessian(problem, x, y)
     rhs = _mean_over_nodes(problem.grad_y_f(_rows(problem, x), _rows(problem, y)))
     try:
-        z = np.linalg.solve(H, rhs)
+        z = np.linalg.solve(H, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularHessian("lower Hessian is singular") from exc
-    residual = float(np.linalg.norm(H @ z - rhs))
-    if not np.all(np.isfinite(z)) or residual > tol * max(1.0, float(np.linalg.norm(rhs))):
-        raise SingularHessian(f"linear system residual {residual:.3e}")
+    residual = np.linalg.norm(_mv(H, z) - rhs, axis=-1)
+    bad = residual > tol * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
+    if not np.all(np.isfinite(z)) or np.any(bad):
+        raise SingularHessian(f"linear system residual {np.max(residual):.3e}")
     return z
 
 
 def hypergradient_exact(problem: BilevelProblem, x: np.ndarray, *, y=None) -> np.ndarray:
-    """Implicit-differentiation gradient of Phi at x.
+    """Implicit-differentiation gradient of Phi at each point x.
 
     grad Phi(x) = mean grad_x f(x, y*) - (mean d^2 g / dx dy) z*(x). The
     lower problem is solved once, for y* and z* alike; ``y`` is y*(x) when
@@ -271,7 +283,7 @@ def hypergradient_exact(problem: BilevelProblem, x: np.ndarray, *, y=None) -> np
 
 
 def phi_value(problem: BilevelProblem, x: np.ndarray) -> float:
-    """Upper objective at the lower-level minimizer: mean_i f_i(x, y*(x))."""
+    """Upper objective at the lower-level minimizer: mean_i f_i(x, y*(x)), at each point x."""
     x = np.asarray(x, dtype=float)
     return problem.mean_f_value(x, lower_solve(problem, x))
 
@@ -395,21 +407,18 @@ class QuadraticBilevel(BilevelProblem):
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
-        return np.linalg.solve(self.A_bar, -(self.B_bar @ x + self.c_bar))
+        rhs = -(_mv(self.B_bar, x) + self.c_bar)  # stacked: each point solved alone
+        return np.linalg.solve(self.A_bar, rhs[..., None])[..., 0]
 
     def x_opt(self) -> np.ndarray:
         """Minimizer of Phi for this family (dense closed form).
 
-        Phi is quadratic in x; solve grad Phi(x) = 0 by assembling its
-        linear map column by column.
+        Phi is quadratic in x; solve grad Phi(x) = 0 with its linear map,
+        whose column k is grad Phi(e_k) - grad Phi(0).
         """
         d = self.dim_x
-        g0 = hypergradient_exact(self, np.zeros(d))
-        M = np.empty((d, d))
-        eye = np.eye(d)
-        for k in range(d):
-            M[:, k] = hypergradient_exact(self, eye[k]) - g0
-        return np.linalg.solve(M, -g0)
+        G = hypergradient_exact(self, np.vstack([np.zeros(d), np.eye(d)]))
+        return np.linalg.solve((G[1:] - G[0]).T, -G[0])
 
     def phi_star(self):
         # A constant of the instance, derived on the first call only: the
@@ -572,7 +581,7 @@ class RidgeTuning(BilevelProblem):
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
-        return self.feat_var / (self.feat_var + abs(x[0])) * self.omega_bar
+        return self.feat_var / (self.feat_var + np.abs(x[..., :1])) * self.omega_bar
 
     def phi_star(self):
         # Phi(x) increases with |x|; the population optimum is x = 0.

@@ -249,26 +249,29 @@ def ridge_sweep():
         "torus": build_topology(Torus2D(3, 3), 9),
         "full": build_topology(FullyConnected(), 9),
     }
+    schedule = dict(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
+    # One engine call per level: every trial's centralized reference and
+    # topology cells, each trial on its own seed.
+    cells = [(trial, name) for trial in range(N_TRIALS) for name in ("centralized", *topos)]
     results = {}
     for label, sigma_omega in (("mild", 0.5), ("severe", 2.0)):
         prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=sigma_omega), 9)
         phi_star = prob.phi_star()
+        outcomes = run(
+            prob,
+            [topos["full" if name == "centralized" else name] for _, name in cells],
+            [
+                HyperParams(variant=Variant.CENTRALIZED if name == "centralized"
+                            else Variant.SECOND_ORDER, **schedule)
+                for _, name in cells
+            ],
+            T=10_000, seed=[1000 + trial for trial, _ in cells], probe_every=100,
+        )
+        recs = dict(zip(cells, outcomes))
         for trial in range(N_TRIALS):
-            seed = 1000 + trial
-            common = dict(T=10_000, seed=seed, probe_every=100)
-            cen = run(
-                prob, topos["full"],
-                HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8,
-                            decay_period=1000, variant=Variant.CENTRALIZED),
-                **common,
-            )
-            for name, W in topos.items():
-                rec = run(
-                    prob, W,
-                    HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8,
-                                decay_period=1000, variant=Variant.SECOND_ORDER),
-                    **common,
-                )
+            cen = recs[(trial, "centralized")]
+            for name in topos:
+                rec = recs[(trial, name)]
                 est = g.transient_cutoff(
                     rec, cen, rel_tol=0.2, window=5,
                     metric="upper_loss", baseline=phi_star,
@@ -319,6 +322,8 @@ def quadratic_heterogeneity_sweep():
     }
     full = build_topology(FullyConnected(), 9)
     schedule = dict(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
+    # One engine call per level, as in ridge_sweep.
+    cells = [(trial, name) for trial in range(N_TRIALS) for name in ("centralized", *topos)]
     results = {}
     for label, heterogeneity in (("mild", 0.02), ("severe", 0.08)):
         prob = make_quadratic(42, n_nodes=9, d=1, p=10, conditioning=5.0,
@@ -329,15 +334,22 @@ def quadratic_heterogeneity_sweep():
                      - hypergradient_exact(prob, np.zeros(1)))[0]
         level = {"x_opt": prob.x_opt(), "phi_star": prob.phi_star(),
                  "curvature": curvature, "centralized": [], "cutoff": {}}
+        outcomes = run(
+            prob,
+            [full if name == "centralized" else topos[name] for _, name in cells],
+            [
+                HyperParams(variant=Variant.CENTRALIZED if name == "centralized"
+                            else Variant.SECOND_ORDER, **schedule)
+                for _, name in cells
+            ],
+            T=10_000, seed=[1000 + trial for trial, _ in cells], probe_every=100,
+        )
+        recs = dict(zip(cells, outcomes))
         for trial in range(N_TRIALS):
-            common = dict(T=10_000, seed=1000 + trial, probe_every=100)
-            cen = run(prob, full, HyperParams(variant=Variant.CENTRALIZED, **schedule),
-                      **common)
+            cen = recs[(trial, "centralized")]
             level["centralized"].append(cen.column("grad_sq_norm"))
-            for name, W in topos.items():
-                rec = run(prob, W, HyperParams(variant=Variant.SECOND_ORDER, **schedule),
-                          **common)
-                est = g.transient_cutoff(rec, cen, rel_tol=0.2, window=5,
+            for name in topos:
+                est = g.transient_cutoff(recs[(trial, name)], cen, rel_tol=0.2, window=5,
                                          metric="grad_sq_norm")
                 level["cutoff"][(trial, name)] = est.cutoff_iteration
         results[label] = level

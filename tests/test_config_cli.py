@@ -511,7 +511,7 @@ def test_cells_of_a_group_fail_on_their_own(tmp_path, alpha0):
     problem = config.problem.build()
     diverged, survived = [], []
     for cell in manifest["cells"]:
-        assert cell["group"] == f"trial0/{'fo' if cell['variant'] == 'fo' else 'so'}"
+        assert cell["group"] == ("fo" if cell["variant"] == "fo" else "so")
         if cell["diverged_at"] is not None:
             diverged.append(cell)
             rec = RunRecord.from_csv((out / cell["partial_csv"]).read_text())
@@ -544,6 +544,52 @@ def test_cells_of_a_group_fail_on_their_own(tmp_path, alpha0):
         assert not survived and len({c["diverged_at"] for c in diverged}) > 1
 
 
+def test_a_cell_diverges_in_one_trial_only(tmp_path):
+    # With this much noise the lazy ring blows up at iteration 368 under
+    # seed 0 and only after the horizon under seeds 1 and 2, so trial 0's
+    # lazy cells leave the call that carries every trial 32 steps early.
+    # Their partial CSVs hold exactly the probes before the blow-up, and
+    # every other cell, the lazy ring of trials 1 and 2 included, is its
+    # one-matrix run.
+    from gossipbo import engine
+    from gossipbo.topology import MixingMatrix
+
+    text = (
+        HETEROGENEOUS_QUADRATIC.replace("ALPHA", "0.08")
+        .replace("noise_scale = 0.2", "noise_scale = 10.0")
+        .replace("t = 150", "t = 400")
+        .replace("n_trials = 1", "n_trials = 3")
+        .replace("base_seed = 7", "base_seed = 0")
+        .replace("probe_every = 1", "probe_every = 8")
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, text), "--out", str(out)]) == cli.EXIT_DIVERGED
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = parse_config(text)
+    problem = config.problem.build()
+    assert len(manifest["cells"]) == 3 * 7
+    diverged = {
+        (c["topology"], c["variant"], c["trial"]): c
+        for c in manifest["cells"] if c["diverged_at"] is not None
+    }
+    assert set(diverged) == {("lazy", "so", 0), ("lazy", "fo", 0)}
+    for cell in manifest["cells"]:
+        name = cli._cell_filename(cell["topology"], cell["variant"], cell["trial"])
+        if cell["diverged_at"] is not None:
+            rec = RunRecord.from_csv((out / cell["partial_csv"]).read_text())
+            assert list(rec.ts) == list(range(0, cell["diverged_at"], 8))
+            assert not (out / name).exists()
+            continue
+        assert cell["error"] is None and cell["partial_csv"] is None
+        if cell["topology"] == "centralized":
+            W = MixingMatrix.from_weights(np.full((4, 4), 0.25))
+        else:
+            W = next(t for t in config.topologies if t.name == cell["topology"]).build(4)
+        solo = engine.run(problem, W, config.run.hyper(cell["variant"]), T=400,
+                          seed=cell["seed"], probe_every=8)
+        assert (out / name).read_text() == solo.to_csv()
+
+
 def test_manifest_cell_times_share_their_group(tmp_path):
     import time
 
@@ -556,13 +602,13 @@ def test_manifest_cell_times_share_their_group(tmp_path):
     groups: dict[str, list[dict]] = {}
     for cell in manifest["cells"]:
         groups.setdefault(cell["group"], []).append(cell)
-    # so cells of both topologies run with the centralized cell; fo apart.
-    assert {g: len(cells) for g, cells in groups.items()} == {
-        "trial0/so": 3, "trial0/fo": 2, "trial1/so": 3, "trial1/fo": 2,
-    }
+    # so cells of both topologies run with the centralized cell, fo apart,
+    # each group across both trials.
+    assert {g: len(cells) for g, cells in groups.items()} == {"so": 6, "fo": 4}
     for cells in groups.values():
         assert len({c["wall_time_s"] for c in cells}) == 1
-        assert all(c["seed"] == cells[0]["seed"] for c in cells)
+        # The cells of one trial share its seed (base_seed 7 + trial).
+        assert {(c["trial"], c["seed"]) for c in cells} == {(0, 7), (1, 8)}
     # Each cell holds its share of its group's time, so the cell times add
     # up to the busy time of one serial sweep, not to a multiple of it.
     assert sum(c["wall_time_s"] for c in manifest["cells"]) <= elapsed

@@ -72,7 +72,7 @@ def test_init_shapes_and_overrides(quad):
     st0 = init(quad, W, hyper(), seed=0)
     assert st0.X.shape == (4, 2) and st0.Y.shape == (4, 3)
     assert st0.Z.shape == (4, 3) and st0.H.shape == (4, 2)
-    assert st0.t == 0 and isinstance(st0.rng, np.random.Generator)
+    assert st0.t == 0 and len(st0.rngs) == 1 and isinstance(st0.rngs[0], np.random.Generator)
     X0 = np.ones((4, 2))
     st1 = init(quad, W, hyper(), seed=0, X0=X0)
     assert np.array_equal(st1.X, X0)
@@ -88,7 +88,7 @@ def test_step_advances_counter_and_keeps_shapes(quad):
     st1 = step(quad, W, hyper(), st0)
     assert st1.t == 1
     assert st1.X.shape == st0.X.shape
-    assert st1.rng is st0.rng  # the generator advances in place
+    assert st1.rngs[0] is st0.rngs[0]  # the generator advances in place
 
 
 def test_zero_steps_reduce_to_gossip(quad):
@@ -241,17 +241,20 @@ def test_logcosh_runs_every_variant():
         assert np.max(np.abs(a - b)) <= delta**2 * max(1.0, np.max(np.abs(a)))
 
 
+def family_instance(family):
+    if family == "quadratic":
+        return make_quadratic(1, n_nodes=8, d=2, p=4, conditioning=5.0, heterogeneity=0.3,
+                              noise_scale=0.2)
+    if family == "ridge":
+        return make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=2.0), 9)
+    return make_logcosh(3, n_nodes=6, d=2, p=5)
+
+
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
 def test_group_matches_solo_runs(family):
     # so, fo and centralized cells advanced as groups -- so with centralized,
     # fo apart -- give each cell the record of its one-matrix run, byte for byte.
-    if family == "quadratic":
-        prob = make_quadratic(1, n_nodes=8, d=2, p=4, conditioning=5.0, heterogeneity=0.3,
-                              noise_scale=0.2)
-    elif family == "ridge":
-        prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=2.0), 9)
-    else:
-        prob = make_logcosh(3, n_nodes=6, d=2, p=5)
+    prob = family_instance(family)
     n = prob.n_nodes
     topologies = [Ring(0.2, 0.4), Ring(), FullyConnected()]
     Ws = [build_topology(t, n) for t in topologies]
@@ -270,6 +273,41 @@ def test_group_matches_solo_runs(family):
             solo = run(prob, W, hp, **kw)
             assert rec.to_csv() == solo.to_csv(), (family, hp.variant, k)
             assert rec.metadata == {**solo.metadata, "cell": k}
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_trial_axis_matches_solo_runs(family):
+    # Every trial's cells in one call per estimator, the trials interleaved
+    # on the cell axis: each cell draws from its own seed's generator and
+    # gets the record of its one-matrix run with that seed, byte for byte.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), Ring(), FullyConnected())]
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    kw = dict(T=60, probe_every=7, X0=X0)
+    seeds = [17, 4, 99]
+    groups = [
+        (Ws + Ws[-1:], [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]),
+        (Ws, [Variant.FIRST_ORDER] * 3),
+    ]
+    for group_Ws, variants in groups:
+        cells = [(k, seed) for k in range(len(group_Ws)) for seed in seeds]
+        hps = [hyper(variant=variants[k], fixed_theta=0.2, delta=1e-4) for k, _ in cells]
+        outcomes = run(prob, [group_Ws[k] for k, _ in cells], hps,
+                       seed=[seed for _, seed in cells], **kw)
+        assert len(outcomes) == len(cells)
+        for (k, seed), hp, rec in zip(cells, hps, outcomes):
+            solo = run(prob, group_Ws[k], hp, seed=seed, **kw)
+            assert rec.to_csv() == solo.to_csv(), (family, hp.variant, k, seed)
+            assert rec.metadata == solo.metadata
+
+
+def test_run_needs_one_seed_per_cell(quad):
+    Ws = [build_topology(Ring(), 4)] * 3
+    with pytest.raises(ConfigMismatch):
+        run(quad, Ws, hyper(), T=5, seed=[1, 2])
+    with pytest.raises(ConfigMismatch):
+        init(quad, Ws, hyper(), seed=[1, 2, 3, 4])
 
 
 def test_group_needs_one_estimator_and_schedule(quad):

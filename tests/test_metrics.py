@@ -1,6 +1,7 @@
 """Metrics: consensus error, records, CSV round trips, transient cutoffs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from gossipbo.metrics import (
     ProbeRow,
     RunRecord,
     consensus_error,
-    hypergrad_sq_norm,
     probe,
     summarize,
     transient_cutoff,
@@ -81,16 +81,6 @@ def test_consensus_error_gossip_contraction():
         assert consensus_error(state) <= W.rho ** (2 * k) * e0 * (1 + 1e-12)
 
 
-def test_hypergrad_sq_norm_trivial_instance():
-    prob = trivial_quadratic(dim=2, n_nodes=3)
-    W = build_topology(Ring(0.2, 0.4), 3)
-    hp = HyperParams(alpha0=0.1)
-    state = init(prob, W, hp, seed=0)
-    assert hypergrad_sq_norm(prob, state) == pytest.approx(0.0)
-    state = init(prob, W, hp, seed=0, X0=np.tile([2.0, 0.0], (3, 1)))
-    assert hypergrad_sq_norm(prob, state) == pytest.approx(4.0)
-
-
 def test_probe_reports_gap_and_rejects_nonfinite():
     from gossipbo.topology import FullyConnected
 
@@ -140,6 +130,79 @@ def test_probe_solves_the_lower_problem_once(family, monkeypatch):
         assert math.isnan(row.phi_gap)
     else:
         assert row.phi_gap == problem_mod.phi_value(prob, x_bar) - phi_star
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
+    # One probe of a (K, n, .) state makes one lower solve for all K cells,
+    # and row k is the probe of cell k's own (n, .) state, bit for bit.
+    from dataclasses import astuple, replace
+
+    from gossipbo import problem as problem_mod
+
+    if family == "quadratic":
+        prob = make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
+    elif family == "ridge":
+        prob = make_ridge_tuning(5, RidgeTuningSpec(dim_p=6, sigma_omega=0.5), 3)
+    else:
+        prob = make_logcosh(3, n_nodes=3, d=2, p=5)
+    rng = np.random.default_rng(1)
+    K = 64
+    state = init(prob, [build_topology(Ring(), 3)] * K, HyperParams(alpha0=0.1), seed=0)
+    state = replace(
+        state,
+        t=7,
+        X=0.1 + np.abs(rng.standard_normal(state.X.shape)),
+        Y=rng.standard_normal(state.Y.shape),
+        Z=rng.standard_normal(state.Z.shape),
+    )
+    prob.phi_star()  # a constant of the instance, derived on its first call
+    calls = []
+    solve = problem_mod.lower_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(problem_mod, "lower_solve", counted)
+    rows = probe(prob, state, alpha=0.1)
+    assert len(calls) == 1 and calls[0].shape == (K, prob.dim_x)
+    assert len(rows) == K
+    for k, row in enumerate(rows):
+        own = probe(prob, replace(state, X=state.X[k], Y=state.Y[k], Z=state.Z[k]), alpha=0.1)
+        assert [repr(v) for v in astuple(row)] == [repr(v) for v in astuple(own)], k
+        # Both against the definitions, computed one cell at a time.
+        g = problem_mod.hypergradient_exact(prob, state.X[k].mean(axis=0))
+        assert row.grad_sq_norm == float(g @ g), k
+        spread = sum(float(np.sum((M[k] - M[k].mean(axis=0)) ** 2))
+                     for M in (state.X, state.Y, state.Z))
+        assert row.consensus_error == spread / prob.n_nodes, k
+
+
+def _trailing_median_loop(values, window):
+    """One window at a time: the reference the vectorized median must equal."""
+    out = np.empty(len(values))
+    for i in range(len(values)):
+        out[i] = np.median(values[max(0, i - window + 1) : i + 1])
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_trailing_median_equals_the_loop(seed, length):
+    from gossipbo.metrics import _trailing_median
+
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.standard_normal(length))
+    values[rng.random(length) < 0.2] = 1.0  # ties
+    for window in (1, 2, 3, 4, 5, 8, length, length + 1, length + 7):
+        got = _trailing_median(values, window)
+        want = _trailing_median_loop(values, window)
+        assert got.tobytes() == want.tobytes(), (window, length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the median of no values
+        empty = _trailing_median_loop(values, 0)
+    assert np.all(np.isnan(empty)) and np.all(np.isnan(_trailing_median(values, 0)))
 
 
 def make_record(ts, values, metric="grad_sq_norm"):

@@ -223,6 +223,37 @@ def test_dense_lower_hessian_matches_family_matrix(quad):
     assert np.allclose(H, quad.A_bar, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["quad", "ridge", "logcosh"])
+def test_dense_lower_hessian_is_one_product_call(family, request, monkeypatch):
+    # One hess_yy_g call on a stack of basis rows assembles the Hessian at
+    # every point of a stack; each equals the column-by-column assembly from
+    # one product per basis vector at that point alone, bit for bit.
+    prob = request.getfixturevalue(family)
+    rng = np.random.default_rng(8)
+    x = 0.1 + np.abs(rng.standard_normal((3, prob.dim_x)))
+    y = rng.standard_normal((3, prob.dim_y))
+    calls = []
+    product = prob.hess_yy_g
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(prob, "hess_yy_g", counted)
+    H = dense_lower_hessian(prob, x, y)
+    assert len(calls) == 1 and H.shape == (3, prob.dim_y, prob.dim_y)
+    monkeypatch.undo()
+    n = prob.n_nodes
+    for k in range(3):
+        X, Y = rows(prob, x[k]), rows(prob, y[k])
+        columns = [
+            np.cumsum(prob.hess_yy_g(X, Y, rows(prob, e)), axis=0)[-1] / n
+            for e in np.eye(prob.dim_y)
+        ]
+        assert np.column_stack(columns).tobytes() == H[k].tobytes(), k
+        assert dense_lower_hessian(prob, x[k], y[k]).tobytes() == H[k].tobytes(), k
+
+
 def test_z_star_solves_linear_system(quad):
     x = np.array([0.3, -0.7])
     y = lower_solve(quad, x)
