@@ -13,12 +13,13 @@ go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
 parameters before anything runs. GOSSIPBO_OUT sets the default output
 directory.
 
-The sweep runs in this process as one engine call per Hessian-vector
-estimator: every trial's so cells of every topology with its centralized
-cell, then every trial's fo cells. A cell's CSV is the one its own run
-would give; its manifest entry names its ``group`` (``so`` or ``fo``) and
-holds its share of the group's wall time. ``workers`` and ``--workers`` are
-accepted and validated but change nothing.
+The sweep runs in this process as one engine call: every trial's so and
+fo cells of every topology with its centralized cell, on one problem
+instance and one set of mixing matrices, which also give the ``upper_loss``
+baseline and the manifest's spectral gaps. A cell's CSV is the one its own
+run would give; its manifest entry holds its share of the call's wall
+time, and ``wall_limit_s`` bounds the whole sweep. ``workers`` and
+``--workers`` are accepted and validated but change nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import time
 import numpy as np
 
 from . import engine, metrics
+# config_from_dict is not called here, but perfbench traces it as cli.config_from_dict.
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
-from .problem import ProblemError
+from .problem import BilevelProblem, ProblemError
 from .topology import MixingMatrix
 
 ENV_OUT_DIR = "GOSSIPBO_OUT"
@@ -46,50 +48,37 @@ EXIT_DIVERGED = 2
 EXIT_IO = 3
 
 
-def _groups(config: ExperimentConfig) -> list[list[tuple[int, str, str]]]:
-    """The sweep grid as engine calls, each a list of (trial, topology name, variant).
+def _run_cell(
+    config: ExperimentConfig, problem: BilevelProblem, mixing: dict[str, MixingMatrix]
+) -> list[dict]:
+    """Execute every cell of the sweep as one engine call.
 
-    The cells that share a Hessian-vector estimator run as one group across
-    all trials: the so cells of every topology together with the centralized
-    cell, and the fo cells. The centralized variant is topology-independent,
-    so it runs once per trial under the pseudo-topology name "centralized".
+    A cell is (trial, topology name, variant); the centralized variant is
+    topology-independent, so it runs once per trial under the
+    pseudo-topology name "centralized". Returns one result per cell. A
+    diverged cell keeps its probes and leaves the batch while the others go
+    on; an error that ends the engine call is recorded on every cell. Each
+    cell's ``wall_time_s`` is its share of the call's wall time, so the
+    cell times add up to busy time.
     """
-    so, fo = [], []
+    n = problem.n_nodes
+    weights = dict(mixing, centralized=MixingMatrix.from_weights(np.full((n, n), 1.0 / n)))
+    cells = []
     for trial in range(config.run.n_trials):
         for tc in config.topologies:
-            for variant in config.run.variants:
-                if variant != "centralized":
-                    (fo if variant == "fo" else so).append((trial, tc.name, variant))
+            cells += [(trial, tc.name, v) for v in config.run.variants if v != "centralized"]
         if "centralized" in config.run.variants:
-            so.append((trial, "centralized", "centralized"))
-    return [cells for cells in (so, fo) if cells]
-
-
-def _run_cell(config_dict: dict, cells: list[tuple[int, str, str]]) -> list[dict]:
-    """Execute one group of sweep cells as one engine call.
-
-    Returns one result per cell, in the order of ``cells``. A diverged cell
-    keeps its probes and leaves the batch while the others go on; an error
-    that ends the engine call is recorded on every cell of the group. Each
-    cell's ``wall_time_s`` is its share of the group's wall time, so the
-    cell times still add up to busy time, and ``group`` names the group.
-    """
-    config = config_from_dict(config_dict)
-    problem = config.problem.build()
-    n = problem.n_nodes
-    mixing = {tc.name: tc.build(n) for tc in config.topologies}
-    mixing["centralized"] = MixingMatrix.from_weights(np.full((n, n), 1.0 / n))
-    group = "fo" if cells[0][2] == "fo" else "so"
+            cells.append((trial, "centralized", "centralized"))
     start = time.monotonic()
     results = [
         dict(topology=topo_name, variant=variant, trial=trial, seed=config.run.base_seed + trial,
-             group=group, diverged_at=None, error=None, partial_csv=None, record=None)
+             diverged_at=None, error=None, partial_csv=None, record=None)
         for trial, topo_name, variant in cells
     ]
     try:
         outcomes = engine.run(
             problem,
-            [mixing[topo_name] for _, topo_name, _ in cells],
+            [weights[topo_name] for _, topo_name, _ in cells],
             [config.run.hyper(variant) for _, _, variant in cells],
             T=config.run.T,
             seed=[r["seed"] for r in results],
@@ -126,7 +115,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     """Run the full sweep; returns the process exit code. ``workers`` is ignored."""
     os.makedirs(out_dir, exist_ok=True)
     config_dict = emit_config(config)
-    results = [r for cells in _groups(config) for r in _run_cell(config_dict, cells)]
+    problem = config.problem.build()
+    mixing = {tc.name: tc.build(problem.n_nodes) for tc in config.topologies}
+    results = _run_cell(config, problem, mixing)
 
     # Aggregation is a deterministic reduce keyed by cell identity. A
     # diverged cell's partial record is written but kept out of the
@@ -166,7 +157,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     # optimality gaps rather than raw losses.
     baseline = 0.0
     if config.run.transient_metric in ("upper_loss",):
-        phi_star = config.problem.build().phi_star()
+        phi_star = problem.phi_star()
         if phi_star is not None:
             baseline = phi_star
     transients = []
@@ -183,10 +174,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         transients.append(dict(topology=topo_name, variant=variant, trial=trial,
                                cutoff_iteration=est.cutoff_iteration, matched=est.matched))
 
-    topologies = {}
-    for tc in config.topologies:
-        rho = tc.build(config.problem.n_nodes).rho
-        topologies[tc.name] = {"rho": rho, "spectral_gap": 1.0 - rho}
+    topologies = {
+        name: {"rho": W.rho, "spectral_gap": 1.0 - W.rho} for name, W in mixing.items()
+    }
     config_json = json.dumps(config_dict, sort_keys=True)
     manifest = {
         "config": config_dict,

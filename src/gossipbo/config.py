@@ -277,6 +277,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError("[run] t must be >= 1")
     if run.workers < 1:
         raise ValidationError("[run] workers must be >= 1")
+    if run.window < 1:
+        raise ValidationError("[run] window must be >= 1")
     if run.transient_metric not in _TRANSIENT_METRICS:
         raise ValidationError(
             f"[run] transient_metric must be one of {sorted(_TRANSIENT_METRICS)}"

@@ -14,11 +14,13 @@ uniform averaging in place of the gossip matrix, which keeps a single
 shared iterate and averages the per-node directions.
 
 A cell is one (mixing matrix, variant, seed). One engine call advances C
-cells that share step sizes and estimator, for instance every trial of a
-sweep, as (C, n, .) arrays with the gossip matrices stacked as (C, n, n):
-each step, every cell takes the sample rows of its own seed's generator.
-Every operation acts on each cell alone, so a cell's trajectory is the
-one its own run gives, bit for bit; a single cell is the case C = 1.
+cells that share step sizes, for instance every cell of a sweep, as
+(C, n, .) arrays with the gossip matrices stacked as (C, n, n): each step,
+every cell takes the sample rows of its own seed's generator. The cells
+are held second-order first, so the second-order estimator serves the
+leading block of the cell axis and the first-order one the tail. Every
+operation acts on each cell alone, so a cell's trajectory is the one its
+own run gives, bit for bit; a single cell is the case C = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import metrics as metrics_mod
-from .directions import hvp_fo, hvp_so
+from .directions import HvpPair, hvp_fo, hvp_so
 from .problem import BilevelProblem
 from .topology import MixingMatrix
 
@@ -123,7 +125,9 @@ class HyperParams:
 class SwarmState:
     """Iterates of one cell as (n, .) arrays, or of C cells as (C, n, .) arrays.
 
-    ``rngs`` holds one generator per distinct seed; cell c draws from ``rngs[stream[c]]``.
+    ``rngs`` holds one generator per distinct seed; cell c draws from
+    ``rngs[stream[c]]``. ``fo[c]`` is whether cell c uses the first-order
+    estimator; those cells follow every second-order one on the cell axis.
     """
 
     t: int
@@ -133,6 +137,7 @@ class SwarmState:
     H: np.ndarray  # (..., n, d)
     rngs: tuple[np.random.Generator, ...] = field(repr=False)
     stream: np.ndarray = field(repr=False)
+    fo: np.ndarray = field(repr=False)
 
     def x_bar(self) -> np.ndarray:
         return self.X.mean(axis=-2)
@@ -144,7 +149,7 @@ class SwarmState:
 def init(
     problem: BilevelProblem,
     W: "MixingMatrix | list[MixingMatrix]",
-    hyper: HyperParams,
+    hyper: "HyperParams | list[HyperParams]",
     seed: "int | list[int]",
     X0: np.ndarray | None = None,
     Y0: np.ndarray | None = None,
@@ -155,13 +160,15 @@ def init(
 
     One mixing matrix and one seed give an (n, .) state; a list of C
     matrices gives a (C, n, .) state whose cells all start from the same
-    (n, .) overrides, with one seed for every cell or a list of C.
+    (n, .) overrides, with one hyper and one seed for every cell or a list
+    of C each. A hyper sets only whether its cell is first-order.
     """
     single = isinstance(W, MixingMatrix)
     Ws = [W] if single else list(W)
     seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
-    if len(seeds) != len(Ws):
-        raise ConfigMismatch(f"{len(Ws)} cells but {len(seeds)} seeds")
+    hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
+    if len(seeds) != len(Ws) or len(hypers) != len(Ws):
+        raise ConfigMismatch(f"{len(Ws)} cells but {len(seeds)} seeds and {len(hypers)} hypers")
     distinct = list(dict.fromkeys(seeds))
     for w in Ws:
         if problem.n_nodes != w.n:
@@ -187,6 +194,7 @@ def init(
         H=pick(H0, (n, d)),
         rngs=tuple(map(np.random.default_rng, distinct)),
         stream=np.array([distinct.index(s) for s in seeds]).reshape(lead),
+        fo=np.array([h.variant is Variant.FIRST_ORDER for h in hypers]).reshape(lead),
     )
 
 
@@ -198,15 +206,28 @@ def _draw(draw, state: SwarmState):
     return tuple(np.stack(parts)[state.stream] for parts in zip(*blocks))
 
 
+def _hvp(problem, hyper, state, zeta):
+    """Each cell's products under its estimator: so on the leading cells, fo on the tail."""
+    X, Y, Z = state.X, state.Y, state.Z
+    k = state.fo.size - np.count_nonzero(state.fo)  # the second-order cells
+    if k == state.fo.size:
+        return hvp_so(problem, X, Y, Z, zeta)
+    if k == 0:
+        return hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
+    # A sample has a cell axis only when it comes from several generators.
+    split = zeta is not None and len(state.rngs) > 1
+    so = hvp_so(problem, X[:k], Y[:k], Z[:k], tuple(a[:k] for a in zeta) if split else zeta)
+    fo = hvp_fo(problem, X[k:], Y[k:], Z[k:], hyper.delta,
+                tuple(a[k:] for a in zeta) if split else zeta)
+    return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
+
+
 def _node_terms(problem, hyper, state):
     """Sampled directions of every node of every cell from the iteration-t snapshot."""
-    X, Y, Z = state.X, state.Y, state.Z
+    X, Y = state.X, state.Y
     xi = _draw(problem.draw_f_sample, state)
     zeta = _draw(problem.draw_g_sample, state)
-    if hyper.variant is Variant.FIRST_ORDER:
-        pair = hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
-    else:
-        pair = hvp_so(problem, X, Y, Z, zeta)
+    pair = _hvp(problem, hyper, state, zeta)
     Gy = problem.sgrad_y_g(X, Y, zeta)
     Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
     Omega = problem.sgrad_x_f(X, Y, xi) - pair.p_j
@@ -234,9 +255,10 @@ def step(
 
     ``W`` is the mixing matrix of an (n, .) state, or the (C, n, n) stack of
     the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
-    ``hyper`` sets the step sizes and the Hessian-vector estimator of every
-    cell. Each generator in ``state.rngs`` draws its f-block, then its
-    g-block, advancing in place.
+    ``hyper`` sets the step sizes and the finite-difference delta of every
+    cell; ``state.fo`` picks each cell's Hessian-vector estimator. Each
+    generator in ``state.rngs`` draws its f-block, then its g-block,
+    advancing in place.
 
     The divergence guard gives one verdict per cell: ``NumericalDivergence``
     names every cell that left the finite range, with its own message, and
@@ -271,12 +293,6 @@ def step(
     return new
 
 
-def _estimator(hyper: HyperParams) -> HyperParams:
-    """``hyper`` with the variant reduced to its Hessian-vector estimator."""
-    fo = hyper.variant is Variant.FIRST_ORDER
-    return replace(hyper, variant=Variant.FIRST_ORDER if fo else Variant.SECOND_ORDER)
-
-
 def run(
     problem: BilevelProblem,
     W: "MixingMatrix | list[MixingMatrix]",
@@ -294,11 +310,13 @@ def run(
     """Iterate T steps, probing metrics at each cell's averaged iterate.
 
     ``W`` is one mixing matrix, or a list of C advanced together as one
-    (C, n, .) swarm: for a sweep, every trial's cells that share a
-    Hessian-vector estimator. ``hyper``, ``seed`` and ``metadata`` are one
-    for every cell or lists aligned with ``W``; the cells must agree on step
-    sizes and estimator. The draws depend on neither topology nor variant,
-    so a cell's record is the one its own one-matrix run gives, bit for bit.
+    (C, n, .) swarm: for a sweep, every cell of every trial. ``hyper``,
+    ``seed`` and ``metadata`` are one for every cell or lists aligned with
+    ``W``; the cells may mix variants but must agree on every other
+    ``HyperParams`` field. The swarm holds the cells second-order first,
+    and the outcomes come back in the order of ``W``. The draws depend on
+    neither topology nor variant, so a cell's record is the one its own
+    one-matrix run gives, bit for bit.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
     each one batched call over the live cells. Identical inputs give a
@@ -318,13 +336,16 @@ def run(
     hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
     metas = [metadata] * len(Ws) if not isinstance(metadata, list) else metadata
     seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
-    if not Ws or len(hypers) != len(Ws) or len(metas) != len(Ws):
-        raise ConfigMismatch("run needs one or more cells and one hyper and metadata per cell")
+    if not Ws or {len(hypers), len(metas), len(seeds)} != {len(Ws)}:
+        raise ConfigMismatch("run needs one or more cells and one hyper, seed and metadata each")
     shared = hypers[0]
-    if any(_estimator(h) != _estimator(shared) for h in hypers):
-        raise ConfigMismatch("cells of one run must share step sizes and estimator")
-    weights = np.stack([_weights(w, h) for w, h in zip(Ws, hypers)])
-    state = init(problem, Ws, shared, seeds, X0=X0, Y0=Y0, Z0=Z0, H0=H0)
+    if any(replace(h, variant=shared.variant) != shared for h in hypers):
+        raise ConfigMismatch("cells of one run must agree on every hyper but the variant")
+    # The cell at each position of the state's cell axis: second-order first.
+    live = sorted(range(len(Ws)), key=lambda c: hypers[c].variant is Variant.FIRST_ORDER)
+    weights = np.stack([_weights(Ws[c], hypers[c]) for c in live])
+    state = init(problem, [Ws[c] for c in live], [hypers[c] for c in live],
+                 [seeds[c] for c in live], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
     records = []
     for w, h, s, extra in zip(Ws, hypers, seeds, metas):
         meta = {
@@ -340,7 +361,6 @@ def run(
         meta.update(extra or {})
         records.append(metrics_mod.RunRecord(metadata=meta))
     outcomes: list = list(records)
-    live = list(range(len(Ws)))  # the cell at each position of the state's cell axis
 
     def probe_live():
         rows = metrics_mod.probe(problem, state, alpha=shared.alpha(state.t))
@@ -362,7 +382,7 @@ def run(
                 break
             weights, state = weights[keep], replace(
                 exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
-                H=exc.state.H[keep], stream=exc.state.stream[keep],
+                H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],
             )
         if (t + 1) % probe_every == 0 or t + 1 == T:
             probe_live()

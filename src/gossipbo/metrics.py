@@ -67,19 +67,8 @@ class RunRecord:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(CSV_HEADER)
         for p in self.probes:
-            w.writerow(
-                [p.t]
-                + [
-                    repr(float(v))
-                    for v in (
-                        p.grad_sq_norm,
-                        p.phi_gap,
-                        p.consensus_error,
-                        p.upper_loss,
-                        p.alpha,
-                    )
-                ]
-            )
+            values = (p.grad_sq_norm, p.phi_gap, p.consensus_error, p.upper_loss, p.alpha)
+            w.writerow([p.t] + [repr(float(v)) for v in values])
         return buf.getvalue()
 
     @staticmethod
@@ -92,16 +81,8 @@ class RunRecord:
         for row in reader:
             if not row:
                 continue
-            rec.add_probe(
-                ProbeRow(
-                    t=int(row[0]),
-                    grad_sq_norm=float(row[1]),
-                    phi_gap=float(row[2]),
-                    consensus_error=float(row[3]),
-                    upper_loss=float(row[4]),
-                    alpha=float(row[5]),
-                )
-            )
+            # Columns in CSV_HEADER order, which is ProbeRow's field order.
+            rec.add_probe(ProbeRow(int(row[0]), *map(float, row[1:6])))
         return rec
 
 
@@ -132,17 +113,14 @@ def probe(problem, state, alpha: float):
         gap = np.asarray(problem.mean_f_value(x_bar, y_star) - phi_star)
     consensus = np.asarray(consensus_error(state))
     upper = np.asarray(problem.mean_f_value(x_bar, y_bar))
-    # One dot product per cell: a reduction over the stack rounds differently.
-    grad_sq = np.reshape([g[k] @ g[k] for k in np.ndindex(lead)], lead)
+    # A matmul per cell, as g @ g rounds; np.sum(g * g, axis=-1) rounds differently.
+    grad_sq = problem_mod._dot(g, g)
     for name, v in (("grad_sq_norm", grad_sq), ("consensus_error", consensus),
                     ("upper_loss", upper)):
         if not np.all(np.isfinite(v)):
             raise MetricsError(f"non-finite probe value for {name} at t={state.t}")
-    rows = [
-        ProbeRow(state.t, float(grad_sq[k]), float(gap[k]), float(consensus[k]),
-                 float(upper[k]), alpha)
-        for k in np.ndindex(lead)
-    ]
+    columns = np.stack([grad_sq, gap, consensus, upper], axis=-1).reshape(-1, 4)
+    rows = [ProbeRow(state.t, *values, alpha) for values in columns.tolist()]
     return rows if lead else rows[0]
 
 
@@ -179,15 +157,17 @@ def transient_cutoff(
     """First probe after which the decentralized curve tracks the reference.
 
     Both records must share a probe grid. Curves are smoothed with a
-    trailing-window median before comparison to suppress stochastic
-    crossings. If the decentralized curve never stays within
-    (1 + rel_tol) of the reference, ``matched`` is False and the cutoff
-    is the horizon.
+    trailing median over ``window`` >= 1 probes before comparison to
+    suppress stochastic crossings. If the decentralized curve never stays
+    within (1 + rel_tol) of the reference, ``matched`` is False and the
+    cutoff is the horizon.
 
     ``baseline`` is subtracted from both curves first; passing the known
     optimal value of a loss metric makes the relative comparison
     scale-free near convergence.
     """
+    if window < 1:
+        raise MetricsError(f"window must be >= 1, got {window}")
     td, tc = decentralized.ts, centralized.ts
     if len(td) != len(tc) or np.any(td != tc):
         raise GridMismatch("probe grids differ between the two records")

@@ -90,7 +90,7 @@ _RUN_VALUES = {
     "alpha0": _FLOATS, "c1": _FLOATS, "c2": _FLOATS, "c3": _FLOATS, "tau": _FLOATS,
     "decay_factor": _FLOATS, "decay_period": _INTS, "theta": _FLOATS, "delta": _FLOATS,
     "t": _POSITIVE, "probe_every": _POSITIVE, "n_trials": _POSITIVE, "base_seed": _INTS,
-    "rel_tol": _FLOATS, "window": _INTS, "out_dir": _PATHS, "workers": _POSITIVE,
+    "rel_tol": _FLOATS, "window": _POSITIVE, "out_dir": _PATHS, "workers": _POSITIVE,
     "wall_limit_s": _FLOATS,
     "transient_metric": st.sampled_from(
         ["grad_sq_norm", "phi_gap", "upper_loss", "consensus_error"]
@@ -426,6 +426,29 @@ def test_cli_transient_subcommand(tmp_path, capsys):
     assert {"cutoff_iteration", "matched", "rel_tol", "window"} <= set(payload)
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_window_below_one_rejected_by_validate_and_run(tmp_path, capsys, window):
+    text = GOOD_CONFIG.replace("transient_metric", f"window = {window}\ntransient_metric")
+    with pytest.raises(ValidationError, match="window"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert "window" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cli_transient_rejects_window_below_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"]) == 0
+    capsys.readouterr()
+    code = cli.main(["transient", str(out / "ring_so_trial0.csv"),
+                     str(out / "centralized_trial0.csv"), "--window", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert "window" in capsys.readouterr().err
+
+
 def test_torus_size_mismatch_rejected_by_validate_and_run(tmp_path, capsys):
     path = write_config(tmp_path, GOOD_CONFIG.replace("n_nodes = 9", "n_nodes = 8"))
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
@@ -511,7 +534,7 @@ def test_cells_of_a_group_fail_on_their_own(tmp_path, alpha0):
     problem = config.problem.build()
     diverged, survived = [], []
     for cell in manifest["cells"]:
-        assert cell["group"] == ("fo" if cell["variant"] == "fo" else "so")
+        assert "group" not in cell and cell["wall_time_s"] == manifest["cells"][0]["wall_time_s"]
         if cell["diverged_at"] is not None:
             diverged.append(cell)
             rec = RunRecord.from_csv((out / cell["partial_csv"]).read_text())
@@ -599,16 +622,14 @@ def test_manifest_cell_times_share_their_group(tmp_path):
     assert cli.run_experiment(config, str(out)) == cli.EXIT_OK
     elapsed = time.perf_counter() - start
     manifest = json.loads((out / "manifest.json").read_text())
-    groups: dict[str, list[dict]] = {}
-    for cell in manifest["cells"]:
-        groups.setdefault(cell["group"], []).append(cell)
-    # so cells of both topologies run with the centralized cell, fo apart,
-    # each group across both trials.
-    assert {g: len(cells) for g, cells in groups.items()} == {"so": 6, "fo": 4}
-    for cells in groups.values():
-        assert len({c["wall_time_s"] for c in cells}) == 1
-        # The cells of one trial share its seed (base_seed 7 + trial).
-        assert {(c["trial"], c["seed"]) for c in cells} == {(0, 7), (1, 8)}
-    # Each cell holds its share of its group's time, so the cell times add
+    cells = manifest["cells"]
+    # so and fo cells of both topologies and the centralized cell, of both
+    # trials, run as one call and share its time.
+    assert len(cells) == 10
+    assert len({c["wall_time_s"] for c in cells}) == 1
+    assert all("group" not in c for c in cells)
+    # The cells of one trial share its seed (base_seed 7 + trial).
+    assert {(c["trial"], c["seed"]) for c in cells} == {(0, 7), (1, 8)}
+    # Each cell holds its share of the call's time, so the cell times add
     # up to the busy time of one serial sweep, not to a multiple of it.
-    assert sum(c["wall_time_s"] for c in manifest["cells"]) <= elapsed
+    assert sum(c["wall_time_s"] for c in cells) <= elapsed

@@ -310,13 +310,110 @@ def test_run_needs_one_seed_per_cell(quad):
         init(quad, Ws, hyper(), seed=[1, 2, 3, 4])
 
 
-def test_group_needs_one_estimator_and_schedule(quad):
+def test_group_needs_one_schedule_and_mixes_estimators(quad):
     Ws = [build_topology(Ring(), 4)] * 2
-    with pytest.raises(ConfigMismatch):
-        run(quad, Ws, [hyper(variant=Variant.SECOND_ORDER), hyper(variant=Variant.FIRST_ORDER)],
-            T=5, seed=0)
+    hps = [hyper(variant=Variant.FIRST_ORDER), hyper(variant=Variant.SECOND_ORDER)]
+    for W, hp, rec in zip(Ws, hps, run(quad, Ws, hps, T=5, seed=0)):
+        assert rec.to_csv() == run(quad, W, hp, T=5, seed=0).to_csv()
     with pytest.raises(ConfigMismatch):
         run(quad, Ws, [hyper(alpha0=0.05), hyper(alpha0=0.04)], T=5, seed=0)
+    with pytest.raises(ConfigMismatch):
+        run(quad, Ws, [hyper(variant=Variant.SECOND_ORDER, delta=1e-3),
+                       hyper(variant=Variant.FIRST_ORDER, delta=1e-4)], T=5, seed=0)
+
+
+# Handed to ``run`` interleaved, fo before so: (topology index, variant).
+MIXED_ORDER = [
+    (0, Variant.FIRST_ORDER), (1, Variant.SECOND_ORDER), (2, Variant.CENTRALIZED),
+    (1, Variant.FIRST_ORDER), (0, Variant.SECOND_ORDER), (2, Variant.FIRST_ORDER),
+    (2, Variant.SECOND_ORDER), (0, Variant.CENTRALIZED),
+]
+
+
+@pytest.mark.parametrize("seeds", [[17], [17, 4, 99]], ids=["one-seed", "three-seeds"])
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_mixed_call_matches_solo_runs(family, seeds):
+    # so, fo and centralized cells of every trial in one call, in no
+    # particular order: each cell's record and metadata are those of its
+    # one-matrix run, byte for byte. With one seed the sample broadcasts
+    # over the cells (eight of them, as many as the quadratic has nodes);
+    # with three it has a cell axis that each estimator's block slices.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), Ring(), FullyConnected())]
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    kw = dict(T=60, probe_every=7, X0=X0)
+    cells = [(k, v, seed) for seed in seeds for k, v in MIXED_ORDER]
+    hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for _, v, _ in cells]
+    metas = [{"cell": i} for i in range(len(cells))]
+    outcomes = run(prob, [Ws[k] for k, _, _ in cells], hps, seed=[s for _, _, s in cells],
+                   metadata=metas, **kw)
+    assert len(outcomes) == len(cells)
+    for i, ((k, v, seed), hp, rec) in enumerate(zip(cells, hps, outcomes)):
+        solo = run(prob, Ws[k], hp, seed=seed, **kw)
+        assert rec.to_csv() == solo.to_csv(), (family, v, k, seed)
+        assert rec.metadata == {**solo.metadata, "cell": i}
+
+
+@pytest.mark.parametrize("lazy", [Variant.FIRST_ORDER, Variant.SECOND_ORDER])
+def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, monkeypatch):
+    # At alpha0 = 0.3 the two lazy rings diverge under either estimator, at
+    # iterations 82 and 105 (test_group_cells_diverge_on_their_own runs the
+    # first). Here only the ``lazy`` estimator runs on them: those cells
+    # leave the call one at a time while the other estimator's cells go on.
+    # After each drop the second-order estimator gets exactly the live so
+    # and centralized cells and the first-order one the live fo cells, and
+    # every cell is its solo run.
+    from gossipbo import engine
+
+    prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
+                          noise_scale=0.2)
+    lazier, lazy_W, ring, full = (
+        build_topology(t, 4) for t in (Ring(0.9, 0.05), Ring(0.8, 0.1), Ring(), FullyConnected())
+    )
+    other = Variant.SECOND_ORDER if lazy is Variant.FIRST_ORDER else Variant.FIRST_ORDER
+    cells = [(ring, other, 7), (lazier, lazy, 7), (full, other, 8), (lazy_W, lazy, 8),
+             (full, Variant.CENTRALIZED, 7), (ring, lazy, 8)]
+    hps = [hyper(alpha0=0.3, variant=v) for _, v, _ in cells]
+    kw = dict(T=200, probe_every=3)
+    sizes = {"so": [], "fo": []}
+    for name in sizes:
+        original = getattr(engine, f"hvp_{name}")
+
+        def counted(problem, X, *args, _name=name, _original=original):
+            sizes[_name].append(X.shape[0])
+            return _original(problem, X, *args)
+
+        monkeypatch.setattr(engine, f"hvp_{name}", counted)
+    outcomes = run(prob, [W for W, _, _ in cells], hps, seed=[s for _, _, s in cells], **kw)
+    monkeypatch.undo()
+
+    ends = []
+    for (W, _, seed), hp, out in zip(cells, hps, outcomes):
+        try:
+            solo = run(prob, W, hp, seed=seed, **kw)
+        except NumericalDivergence as exc:
+            solo = exc
+        assert type(out) is type(solo)
+        if isinstance(out, NumericalDivergence):
+            assert (out.iteration, str(out)) == (solo.iteration, str(solo))
+            assert out.record.to_csv() == solo.record.to_csv()
+            ends.append(out.iteration)
+        else:
+            assert out.to_csv() == solo.to_csv()
+            ends.append(kw["T"])
+    diverged = {i for i, out in enumerate(outcomes) if isinstance(out, NumericalDivergence)}
+    assert diverged == {1, 3}
+    assert ends[1] < ends[3]  # two drops
+    # A cell takes part in every step before the iteration it diverged at.
+    for name in sizes:
+        fo = name == "fo"
+        live = [
+            sum(1 for (_, v, _), end in zip(cells, ends)
+                if (v is Variant.FIRST_ORDER) == fo and s < end)
+            for s in range(max(ends))
+        ]
+        assert sizes[name] == [k for k in live if k], name
 
 
 def test_group_cells_diverge_on_their_own():

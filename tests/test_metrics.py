@@ -81,7 +81,9 @@ def test_consensus_error_gossip_contraction():
         assert consensus_error(state) <= W.rho ** (2 * k) * e0 * (1 + 1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_probe_reports_gap_and_rejects_nonfinite():
+    # The infinite iterate is fed on purpose; NumPy warns on the way to the error.
     from gossipbo.topology import FullyConnected
 
     prob = trivial_quadratic(dim=1, n_nodes=2)
@@ -177,6 +179,21 @@ def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
         spread = sum(float(np.sum((M[k] - M[k].mean(axis=0)) ** 2))
                      for M in (state.X, state.Y, state.Z))
         assert row.consensus_error == spread / prob.n_nodes, k
+
+
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=10))
+@settings(max_examples=60, deadline=None)
+def test_probe_squared_norms_equal_the_loop(seed, K, d):
+    # The probe squares each cell's hypergradient in one stacked matmul;
+    # every row rounds as that cell's own dot product g[k] @ g[k] does.
+    from gossipbo import problem as problem_mod
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((K, d)) * np.exp(rng.uniform(-20.0, 20.0, (K, 1)))
+    want = np.array([g[k] @ g[k] for k in range(K)])
+    assert problem_mod._dot(g, g).tobytes() == want.tobytes()
+    assert problem_mod._dot(g[0], g[0]).tobytes() == want[0].tobytes()
 
 
 def _trailing_median_loop(values, window):
@@ -282,6 +299,14 @@ def test_transient_cutoff_monotone_in_rel_tol(seed):
         for r in (0.1, 0.2, 0.5, 1.0, 3.0)
     ]
     assert all(a >= b for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_transient_cutoff_rejects_window_below_one(window):
+    # A window of no probes smooths every value to NaN, which never matches.
+    rec = make_record([0, 100, 200], [9.0, 4.0, 1.0])
+    with pytest.raises(MetricsError, match="window"):
+        transient_cutoff(rec, rec, rel_tol=0.1, window=window)
 
 
 def test_transient_cutoff_grid_mismatch():
