@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 runtime divergence or a failed
 cell (partial results written; a diverged cell's probes up to the blow-up
 go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
-``validate`` and ``run`` both build the problem, topologies and step-size
-parameters before anything runs. GOSSIPBO_OUT sets the default output
-directory.
+``validate`` and ``run`` share one ``ExperimentConfig.build``, which ``run``
+makes before it creates the output directory. ``base_seed`` must be >= 0 and
+``--trials`` >= 1. GOSSIPBO_OUT sets the default output directory.
 
 The sweep runs in this process as one engine call: every trial's so and
 fo cells of every topology with its centralized cell, on one problem
@@ -84,7 +84,6 @@ def _run_cell(
             seed=[r["seed"] for r in results],
             probe_every=config.run.probe_every,
             wall_limit_s=config.run.wall_limit_s,
-            metadata=[{"topology": topo_name, "trial": trial} for trial, topo_name, _ in cells],
         )
     except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
         for result in results:
@@ -112,32 +111,31 @@ def _cell_filename(topo_name: str, variant: str, trial: int) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
-    """Run the full sweep; returns the process exit code. ``workers`` is ignored."""
+    """Build and run the full sweep; returns the process exit code. ``workers`` is ignored."""
+    problem, mixing = config.build()
     os.makedirs(out_dir, exist_ok=True)
     config_dict = emit_config(config)
-    problem = config.problem.build()
-    mixing = {tc.name: tc.build(problem.n_nodes) for tc in config.topologies}
-    results = _run_cell(config, problem, mixing)
+    # Every output below follows this order of cell identity.
+    results = sorted(_run_cell(config, problem, mixing),
+                     key=lambda r: (r["topology"], r["variant"], r["trial"]))
 
-    # Aggregation is a deterministic reduce keyed by cell identity. A
-    # diverged cell's partial record is written but kept out of the
+    # A diverged cell's partial record is written but kept out of the
     # summaries and transient estimates, whose probe grids must match.
-    by_cell = {(r["topology"], r["variant"], r["trial"]): r for r in results}
     records: dict[tuple[str, str, int], metrics.RunRecord] = {}
-    for (topo_name, variant, trial), r in sorted(by_cell.items()):
+    for r in results:
+        cell = (r["topology"], r["variant"], r["trial"])
         if r["record"] is None:
             continue
-        name = r["partial_csv"] or _cell_filename(topo_name, variant, trial)
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(os.path.join(out_dir, r["partial_csv"] or _cell_filename(*cell)), "w") as fh:
             fh.write(r["record"].to_csv())
         if r["partial_csv"] is None:
-            records[(topo_name, variant, trial)] = r["record"]
+            records[cell] = r["record"]
 
     # Per-(topology, variant) summaries across trials.
     groups: dict[tuple[str, str], list[metrics.RunRecord]] = {}
     for (topo_name, variant, _), rec in records.items():
         groups.setdefault((topo_name, variant), []).append(rec)
-    for (topo_name, variant), recs in sorted(groups.items()):
+    for (topo_name, variant), recs in groups.items():
         table = metrics.summarize(recs)
         path = os.path.join(out_dir, f"summary_{topo_name}_{variant}.csv")
         with open(path, "w") as fh:
@@ -161,7 +159,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         if phi_star is not None:
             baseline = phi_star
     transients = []
-    for (topo_name, variant, trial), rec in sorted(records.items()):
+    for (topo_name, variant, trial), rec in records.items():
         if variant == "centralized":
             continue
         ref = records.get(("centralized", "centralized", trial))
@@ -181,11 +179,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     manifest = {
         "config": config_dict,
         "config_hash": hashlib.sha256(config_json.encode()).hexdigest(),
-        "cells": [
-            {k: v for k, v in r.items() if k != "record"} for r in sorted(
-                results, key=lambda r: (r["topology"], r["variant"], r["trial"])
-            )
-        ],
+        "cells": [{k: v for k, v in r.items() if k != "record"} for r in results],
         "transient_estimates": transients,
         "transient_metric": config.run.transient_metric,
         "rel_tol": config.run.rel_tol,
@@ -228,27 +222,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("run", "validate"):
         try:
             with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        try:
-            config = parse_config(text)
-            config.check_buildable()
+                config = parse_config(fh.read())
+            if args.command == "validate":
+                config.build()
+                print("config OK")
+                return EXIT_OK
+            if args.trials is not None:
+                if args.trials < 1:
+                    raise ConfigError("--trials must be >= 1")
+                config.run.n_trials = args.trials
+            out_dir = args.out or config.run.out_dir or os.environ.get(ENV_OUT_DIR) or "."
+            code = run_experiment(config, out_dir)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if args.command == "validate":
-            print("config OK")
-            return EXIT_OK
-        if args.trials is not None:
-            config.run.n_trials = args.trials
-        out_dir = args.out or config.run.out_dir or os.environ.get(ENV_OUT_DIR) or "."
-        try:
-            code = run_experiment(config, out_dir)
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -14,7 +14,8 @@ Layout:
     variants = so, fo, centralized
     ... schedules, horizon, trials, output ...
 
-Unknown keys are errors, never warnings.
+Unknown keys are errors, never warnings. ``ExperimentConfig.build`` builds
+what ``gossipbo validate`` and ``gossipbo run`` share.
 """
 
 from __future__ import annotations
@@ -147,20 +148,21 @@ class ExperimentConfig:
     topologies: list[TopologyConfig]
     run: RunConfig
 
-    def check_buildable(self) -> None:
-        """Build the problem, each topology at its node count and each variant's HyperParams.
+    def build(self) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix]]:
+        """Build the problem, each topology at its node count and each variant's HyperParams, once.
 
-        ``parse_config`` checks keys and types only; this raises, as a
+        ``parse_config`` checks keys, types and ranges; this raises, as a
         ValidationError, what a run would otherwise hit inside a cell.
+        Returns the problem and the mixing matrices by topology name.
         """
         try:
-            n = self.problem.build().n_nodes
-            for tc in self.topologies:
-                tc.build(n)
+            problem = self.problem.build()
+            mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
             for variant in self.run.variants:
                 self.run.hyper(variant)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        return problem, mixing
 
 
 _PROBLEM_KEYS = {
@@ -271,6 +273,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError("[run] variants must be non-empty")
     if run.n_trials < 1:
         raise ValidationError("[run] n_trials must be >= 1")
+    if run.base_seed < 0:
+        raise ValidationError("[run] base_seed must be >= 0")
     if run.probe_every < 1:
         raise ValidationError("[run] probe_every must be >= 1")
     if run.T < 1:

@@ -477,12 +477,12 @@ def make_quadratic(
     R0 = rand_sym(d)
     R0 = R0 @ R0.T + np.eye(d)  # positive definite upper-level curvature
     spec = QuadraticBilevelSpec(
-        P=np.broadcast_to(P, (n_nodes, p, p)).copy() if P.shape[0] == 1 else P,
-        Q=np.broadcast_to(Q, (n_nodes, p, d)).copy() if Q.shape[0] == 1 else Q,
+        P=P,
+        Q=Q,
         q=np.tile(rng.standard_normal(p), (n_nodes, 1)),
         R=np.tile(R0, (n_nodes, 1, 1)),
-        A=np.broadcast_to(A, (n_nodes, p, p)).copy() if A.shape[0] == 1 else A,
-        B=np.broadcast_to(B, (n_nodes, p, d)).copy() if B.shape[0] == 1 else B,
+        A=A,
+        B=B,
         c=np.tile(rng.standard_normal(p), (n_nodes, 1)),
     )
     return QuadraticBilevel(spec, noise_scale=noise_scale)

@@ -1,5 +1,6 @@
 """Config parsing/validation and the experiment-runner CLI."""
 
+import collections
 import json
 import os
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from gossipbo import cli
 from gossipbo.config import (
     ConfigError,
+    ProblemConfig,
+    TopologyConfig,
     ValidationError,
     config_from_dict,
     emit_config,
@@ -68,6 +71,7 @@ def test_config_round_trips_through_dict():
 
 
 _INTS = st.integers(-(10**6), 10**6)
+_NON_NEGATIVE = st.integers(0, 10**6)
 _POSITIVE = st.integers(1, 10**6)
 _FLOATS = st.floats(allow_nan=False)
 _PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
@@ -89,7 +93,7 @@ _TOPOLOGY_VALUES = {
 _RUN_VALUES = {
     "alpha0": _FLOATS, "c1": _FLOATS, "c2": _FLOATS, "c3": _FLOATS, "tau": _FLOATS,
     "decay_factor": _FLOATS, "decay_period": _INTS, "theta": _FLOATS, "delta": _FLOATS,
-    "t": _POSITIVE, "probe_every": _POSITIVE, "n_trials": _POSITIVE, "base_seed": _INTS,
+    "t": _POSITIVE, "probe_every": _POSITIVE, "n_trials": _POSITIVE, "base_seed": _NON_NEGATIVE,
     "rel_tol": _FLOATS, "window": _POSITIVE, "out_dir": _PATHS, "workers": _POSITIVE,
     "wall_limit_s": _FLOATS,
     "transient_metric": st.sampled_from(
@@ -437,6 +441,56 @@ def test_window_below_one_rejected_by_validate_and_run(tmp_path, capsys, window)
     out = tmp_path / "out"
     assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+def test_negative_base_seed_rejected_by_validate_and_run(tmp_path, capsys):
+    text = GOOD_CONFIG.replace("base_seed = 1000", "base_seed = -3")
+    with pytest.raises(ValidationError, match="base_seed"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "base_seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_rejected_by_run(tmp_path, capsys, trials):
+    out = tmp_path / "out"
+    code = cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", trials])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "--trials" in err
+    assert not out.exists()
+
+
+SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "quadratic_smoke.ini")
+
+
+def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
+    builds = collections.Counter()
+
+    def count(cls, key):
+        original = cls.build
+
+        def build(self, *args):
+            builds[key(self)] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "build", build)
+
+    count(ProblemConfig, lambda pc: "problem")
+    count(TopologyConfig, lambda tc: tc.name)
+    once = {"problem": 1, "ring": 1, "expo": 1}
+    assert cli.main(["validate", SMOKE_CONFIG]) == cli.EXIT_OK
+    assert builds == once
+    builds.clear()
+    out = tmp_path / "out"
+    assert cli.main(["run", SMOKE_CONFIG, "--out", str(out), "--trials", "1"]) == cli.EXIT_OK
+    assert builds == once
 
 
 def test_cli_transient_rejects_window_below_one(tmp_path, capsys):

@@ -1,0 +1,94 @@
+"""Outputs pinned before a refactor: the shipped configs and log-cosh runs.
+
+``tests/golden/<source>/`` holds the CSVs of four sources:
+
+- each config under ``configs/``, as ``gossipbo run`` writes it with one
+  trial and the horizon capped at 1000 (both set on the parsed config, so
+  the INI files stay as shipped);
+- ``logcosh``: one log-cosh ``engine.run`` record each for so, fo and
+  centralized, whose probes take the Newton branch of the lower solve.
+
+The test requires the same files, the same probe grids and every value
+within 1e-12 relative. A change that alters an instance on purpose
+regenerates the files of the sources it affects, and says why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import glob
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+from gossipbo import cli
+from gossipbo.config import parse_config
+from gossipbo.engine import HyperParams, Variant, run
+from gossipbo.problem import make_logcosh
+from gossipbo.topology import Ring, build_topology
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
+SOURCES = sorted(
+    os.path.basename(path).removesuffix(".ini")
+    for path in glob.glob(os.path.join(CONFIGS, "*.ini"))
+) + ["logcosh"]
+RTOL = 1e-12
+
+
+def outputs(source: str, work: str) -> dict[str, str]:
+    """The CSVs that ``source`` gives, by file name; ``work`` is an empty scratch directory."""
+    if source == "logcosh":
+        problem = make_logcosh(5, n_nodes=4, d=2, p=3, coupling=0.4, lam=1.2)
+        W = build_topology(Ring(0.2, 0.4), 4)
+        return {
+            f"logcosh_{v.value}.csv": run(
+                problem, W, HyperParams(alpha0=0.05, fixed_theta=0.2, variant=v),
+                T=200, seed=3, probe_every=20,
+            ).to_csv()
+            for v in Variant
+        }
+    with open(os.path.join(CONFIGS, f"{source}.ini")) as fh:
+        config = parse_config(fh.read())
+    config.run.n_trials = 1
+    config.run.T = min(config.run.T, 1000)
+    assert cli.run_experiment(config, work) == cli.EXIT_OK
+    texts = {}
+    for name in sorted(os.listdir(work)):
+        if name.endswith(".csv"):
+            with open(os.path.join(work, name)) as fh:
+                texts[name] = fh.read()
+    return texts
+
+
+def _table(text: str) -> tuple[list[str], np.ndarray]:
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return header, np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_outputs_match_the_golden_set(tmp_path, source):
+    got = outputs(source, str(tmp_path))
+    pinned = sorted(os.listdir(os.path.join(GOLDEN, source)))
+    assert sorted(got) == pinned
+    for name in pinned:
+        with open(os.path.join(GOLDEN, source, name)) as fh:
+            want_header, want = _table(fh.read())
+        got_header, values = _table(got[name])
+        assert got_header == want_header, name
+        np.testing.assert_array_equal(values[:, 0], want[:, 0], err_msg=f"{name}: probe grid")
+        np.testing.assert_allclose(values[:, 1:], want[:, 1:], rtol=RTOL, atol=0.0,
+                                   equal_nan=True, err_msg=name)
+
+
+if __name__ == "__main__":
+    for source in SOURCES:
+        target = os.path.join(GOLDEN, source)
+        os.makedirs(target, exist_ok=True)
+        with tempfile.TemporaryDirectory() as work:
+            for name, text in outputs(source, work).items():
+                with open(os.path.join(target, name), "w") as fh:
+                    fh.write(text)
+        print(f"wrote {os.path.relpath(target)}")
