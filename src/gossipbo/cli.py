@@ -10,8 +10,10 @@ Exit codes: 0 success, 1 config error, 2 runtime divergence or a failed
 cell (partial results written; a diverged cell's probes up to the blow-up
 go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
 ``validate`` and ``run`` share one ``ExperimentConfig.build``, which ``run``
-makes before it creates the output directory. ``base_seed`` must be >= 0 and
-``--trials`` >= 1. GOSSIPBO_OUT sets the default output directory.
+makes before it creates the output directory; it checks the run-level
+ranges again, for fields set in code. ``base_seed`` must be >= 0, and
+``--trials`` and ``--workers`` >= 1. GOSSIPBO_OUT sets the default output
+directory.
 
 The sweep runs in this process as one engine call: every trial's so and
 fo cells of every topology with its centralized cell, on one problem
@@ -227,9 +229,10 @@ def main(argv: list[str] | None = None) -> int:
                 config.build()
                 print("config OK")
                 return EXIT_OK
+            for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
+                if value is not None and value < 1:
+                    raise ConfigError(f"{flag} must be >= 1")
             if args.trials is not None:
-                if args.trials < 1:
-                    raise ConfigError("--trials must be >= 1")
                 config.run.n_trials = args.trials
             out_dir = args.out or config.run.out_dir or os.environ.get(ENV_OUT_DIR) or "."
             code = run_experiment(config, out_dir)

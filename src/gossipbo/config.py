@@ -127,6 +127,25 @@ class RunConfig:
     workers: int = 1
     wall_limit_s: float = 0.0  # 0 disables the per-run wall-clock guard
 
+    def check(self) -> None:
+        """Raise a ValidationError for a variant or run-level value out of range."""
+        for v in self.variants:
+            if v not in _VARIANTS:
+                raise ValidationError(f"[run] unknown variant {v!r}")
+        if not self.variants:
+            raise ValidationError("[run] variants must be non-empty")
+        for key, value, low in (
+            ("n_trials", self.n_trials, 1), ("base_seed", self.base_seed, 0),
+            ("probe_every", self.probe_every, 1), ("t", self.T, 1),
+            ("workers", self.workers, 1), ("window", self.window, 1),
+        ):
+            if value < low:
+                raise ValidationError(f"[run] {key} must be >= {low}")
+        if self.transient_metric not in _TRANSIENT_METRICS:
+            raise ValidationError(
+                f"[run] transient_metric must be one of {sorted(_TRANSIENT_METRICS)}"
+            )
+
     def hyper(self, variant: str) -> HyperParams:
         return HyperParams(
             alpha0=self.alpha0,
@@ -151,10 +170,12 @@ class ExperimentConfig:
     def build(self) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix]]:
         """Build the problem, each topology at its node count and each variant's HyperParams, once.
 
-        ``parse_config`` checks keys, types and ranges; this raises, as a
+        ``parse_config`` checks keys, types and ranges; this checks the run's
+        ranges again, for fields set after parsing, and raises, as a
         ValidationError, what a run would otherwise hit inside a cell.
         Returns the problem and the mixing matrices by topology name.
         """
+        self.run.check()
         try:
             problem = self.problem.build()
             mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
@@ -266,27 +287,7 @@ def parse_config(text: str) -> ExperimentConfig:
     _fill(run, "run", run_items, skip=("variants",))
     if "variants" in run_items:
         run.variants = [v.strip() for v in run_items["variants"].split(",") if v.strip()]
-    for v in run.variants:
-        if v not in _VARIANTS:
-            raise ValidationError(f"[run] unknown variant {v!r}")
-    if not run.variants:
-        raise ValidationError("[run] variants must be non-empty")
-    if run.n_trials < 1:
-        raise ValidationError("[run] n_trials must be >= 1")
-    if run.base_seed < 0:
-        raise ValidationError("[run] base_seed must be >= 0")
-    if run.probe_every < 1:
-        raise ValidationError("[run] probe_every must be >= 1")
-    if run.T < 1:
-        raise ValidationError("[run] t must be >= 1")
-    if run.workers < 1:
-        raise ValidationError("[run] workers must be >= 1")
-    if run.window < 1:
-        raise ValidationError("[run] window must be >= 1")
-    if run.transient_metric not in _TRANSIENT_METRICS:
-        raise ValidationError(
-            f"[run] transient_metric must be one of {sorted(_TRANSIENT_METRICS)}"
-        )
+    run.check()
     return ExperimentConfig(problem=prob, topologies=topologies, run=run)
 
 

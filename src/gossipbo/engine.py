@@ -21,6 +21,14 @@ are held second-order first, so the second-order estimator serves the
 leading block of the cell axis and the first-order one the tail. Every
 operation acts on each cell alone, so a cell's trajectory is the one its
 own run gives, bit for bit; a single cell is the case C = 1.
+
+``run`` draws the samples of up to ``BLOCK_STEPS`` steps at a time
+(``BilevelProblem.draw_block``), which leaves every generator where the
+same number of single steps would, and hands each step its slice. Cells
+that gossip with the same weights under the same estimator and seed have
+the same trajectory bit for bit (a fully connected so cell and the
+centralized cell of its trial, for instance): ``run`` advances one of them
+and gives every member its probes.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from .problem import BilevelProblem
 from .topology import MixingMatrix
 
 DIVERGENCE_LIMIT = 1e12
+# Steps whose samples ``run`` draws at once. Small: the pending block stays
+# in memory until its steps have run.
+BLOCK_STEPS = 16
 
 
 class EngineError(RuntimeError):
@@ -198,12 +209,25 @@ def init(
     )
 
 
-def _draw(draw, state: SwarmState):
-    """One (n, .) block per generator; each cell gets its own generator's block."""
-    blocks = [draw(rng) for rng in state.rngs]
-    if len(blocks) == 1 or blocks[0] is None:
+def _draw_block(problem, state: SwarmState, k: int):
+    """The next k steps' (xi, zeta), each variate with a leading step axis.
+
+    One generator gives (k, n, .) variates that broadcast over the cells;
+    several give (k, C, n, .), cell c taking its own generator's rows.
+    """
+    blocks = [problem.draw_block(rng, k) for rng in state.rngs]
+    if len(blocks) == 1:
         return blocks[0]
-    return tuple(np.stack(parts)[state.stream] for parts in zip(*blocks))
+    return tuple(
+        None if parts[0] is None
+        else tuple(np.take(np.stack(v, axis=1), state.stream, axis=1) for v in zip(*parts))
+        for parts in zip(*blocks)
+    )
+
+
+def _index(block, index):
+    """``block`` with every variate of its samples indexed by ``index``."""
+    return tuple(None if part is None else tuple(a[index] for a in part) for part in block)
 
 
 def _hvp(problem, hyper, state, zeta):
@@ -222,11 +246,10 @@ def _hvp(problem, hyper, state, zeta):
     return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
 
 
-def _node_terms(problem, hyper, state):
+def _node_terms(problem, hyper, state, sample):
     """Sampled directions of every node of every cell from the iteration-t snapshot."""
     X, Y = state.X, state.Y
-    xi = _draw(problem.draw_f_sample, state)
-    zeta = _draw(problem.draw_g_sample, state)
+    xi, zeta = sample
     pair = _hvp(problem, hyper, state, zeta)
     Gy = problem.sgrad_y_g(X, Y, zeta)
     Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
@@ -250,14 +273,16 @@ def step(
     W: "MixingMatrix | np.ndarray",
     hyper: HyperParams,
     state: SwarmState,
+    sample=None,
 ) -> SwarmState:
     """One synchronous iteration; returns a new state sharing the generators.
 
     ``W`` is the mixing matrix of an (n, .) state, or the (C, n, n) stack of
     the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
     ``hyper`` sets the step sizes and the finite-difference delta of every
-    cell; ``state.fo`` picks each cell's Hessian-vector estimator. Each
-    generator in ``state.rngs`` draws its f-block, then its g-block,
+    cell; ``state.fo`` picks each cell's Hessian-vector estimator.
+    ``sample`` is the step's (xi, zeta), one slice of a block ``run`` drew;
+    without it each generator in ``state.rngs`` draws a one-step block,
     advancing in place.
 
     The divergence guard gives one verdict per cell: ``NumericalDivergence``
@@ -269,20 +294,25 @@ def step(
     gamma, theta = hyper.gamma(t), hyper.theta(t)
 
     Wm = W if isinstance(W, np.ndarray) else _weights(W, hyper)
-    Gy, Dz, Omega = _node_terms(problem, hyper, state)
+    if sample is None:
+        sample = _index(_draw_block(problem, state, 1), 0)
+    Gy, Dz, Omega = _node_terms(problem, hyper, state, sample)
     Xn = Wm @ (state.X - hyper.tau * alpha * state.H)
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
     Hn = (1.0 - theta) * state.H + theta * Omega
     new = replace(state, t=t + 1, X=Xn, Y=Yn, Z=Zn, H=Hn)
 
-    # The max propagates NaN, so one comparison per cell catches NaN, inf
-    # and magnitudes past the limit.
-    verdicts = [
-        (name, ~(np.abs(arr).max(axis=(-2, -1)) <= DIVERGENCE_LIMIT))
-        for name, arr in (("x", Xn), ("y", Yn), ("z", Zn), ("h", Hn))
-    ]
-    if any(bad.any() for _, bad in verdicts):
+    # NaN fails both comparisons, so only iterates that are all finite and
+    # within the limit pass; the per-cell verdicts run only when one fails.
+    # There the max propagates NaN, so one comparison per cell catches NaN,
+    # inf and magnitudes past the limit.
+    iterates = (("x", Xn), ("y", Yn), ("z", Zn), ("h", Hn))
+    if not all(a.max() <= DIVERGENCE_LIMIT and a.min() >= -DIVERGENCE_LIMIT for _, a in iterates):
+        verdicts = [
+            (name, ~(np.abs(arr).max(axis=(-2, -1)) <= DIVERGENCE_LIMIT))
+            for name, arr in iterates
+        ]
         diverged: dict[int, str] = {}
         for name, bad in verdicts:
             for c in np.flatnonzero(bad):
@@ -316,7 +346,11 @@ def run(
     ``HyperParams`` field. The swarm holds the cells second-order first,
     and the outcomes come back in the order of ``W``. The draws depend on
     neither topology nor variant, so a cell's record is the one its own
-    one-matrix run gives, bit for bit.
+    one-matrix run gives, bit for bit. Cells alike in gossip weights,
+    estimator and seed are advanced as one, and each gets that one's probes
+    in its own record, with its own metadata. Samples are drawn
+    ``BLOCK_STEPS`` steps at a time, never past T; ``step`` runs once per
+    iteration on its slice.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
     each one batched call over the live cells. Identical inputs give a
@@ -324,7 +358,8 @@ def run(
     and a ``NumericalDivergence`` leaves with the probes taken before the
     blow-up as ``record``. With a list, it returns a list aligned with ``W``
     whose slots hold each cell's RunRecord or its ``NumericalDivergence``: a
-    diverged cell leaves the batch and the others go on. The wall-clock
+    diverged cell leaves the batch, and its columns the pending block, while
+    the others go on. The wall-clock
     limit, which bounds the whole call, or an error from a probe ends the
     call for every cell.
     """
@@ -341,11 +376,17 @@ def run(
     shared = hypers[0]
     if any(replace(h, variant=shared.variant) != shared for h in hypers):
         raise ConfigMismatch("cells of one run must agree on every hyper but the variant")
-    # The cell at each position of the state's cell axis: second-order first.
-    live = sorted(range(len(Ws)), key=lambda c: hypers[c].variant is Variant.FIRST_ORDER)
-    weights = np.stack([_weights(Ws[c], hypers[c]) for c in live])
-    state = init(problem, [Ws[c] for c in live], [hypers[c] for c in live],
-                 [seeds[c] for c in live], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
+    # One computation per (gossip weights, estimator, seed): the other
+    # fields of a hyper are shared, so such cells agree bit for bit.
+    gossip = [_weights(w, h) for w, h in zip(Ws, hypers)]
+    alike: dict[tuple, list[int]] = {}
+    for c, (wm, h, s) in enumerate(zip(gossip, hypers, seeds)):
+        alike.setdefault((wm.tobytes(), h.variant is Variant.FIRST_ORDER, s), []).append(c)
+    # The cells behind each position of the state's cell axis: second-order first.
+    live = sorted(alike.values(), key=lambda cs: hypers[cs[0]].variant is Variant.FIRST_ORDER)
+    weights = np.stack([gossip[cs[0]] for cs in live])
+    state = init(problem, [Ws[cs[0]] for cs in live], [hypers[cs[0]] for cs in live],
+                 [seeds[cs[0]] for cs in live], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
     records = []
     for w, h, s, extra in zip(Ws, hypers, seeds, metas):
         meta = {
@@ -364,22 +405,28 @@ def run(
 
     def probe_live():
         rows = metrics_mod.probe(problem, state, alpha=shared.alpha(state.t))
-        for c, row in zip(live, rows):
-            records[c].add_probe(row)
+        for cs, row in zip(live, rows):
+            for c in cs:
+                records[c].add_probe(row)
 
     probe_live()
     start = time.monotonic()
     for t in range(T):
+        if t % BLOCK_STEPS == 0:
+            block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
         try:
-            state = step(problem, weights, shared, state)
+            state = step(problem, weights, shared, state, _index(block, t % BLOCK_STEPS))
         except NumericalDivergence as exc:
             for k, message in exc.cells.items():
-                outcomes[live[k]] = NumericalDivergence(message, iteration=exc.iteration)
-                outcomes[live[k]].record = records[live[k]]
+                for c in live[k]:
+                    outcomes[c] = NumericalDivergence(message, iteration=exc.iteration)
+                    outcomes[c].record = records[c]
             keep = [k for k in range(len(live)) if k not in exc.cells]
             live = [live[k] for k in keep]
             if not live:
                 break
+            if len(state.rngs) > 1:  # the block has a cell axis
+                block = _index(block, (slice(None), keep))
             weights, state = weights[keep], replace(
                 exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
                 H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],

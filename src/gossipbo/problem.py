@@ -22,9 +22,11 @@ product call on a stack of basis vectors at desk scale.
 
 Stochastic oracles take an explicit sample drawn from one caller-owned
 numpy Generator: each variate of a sample is one (n, .) block whose row i
-is node i's draw, in a fixed order per family. The draws depend on neither
-the variant nor the topology, so runs are reproducible and
-common-random-number comparisons across algorithm variants are exact.
+is node i's draw, in a fixed order per family. ``draw_block`` draws the
+samples of k steps at once, bit for bit what k rounds of the per-step draws
+give. The draws depend on neither the variant nor the topology, so runs
+are reproducible and common-random-number comparisons across algorithm
+variants are exact.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class BilevelProblem(abc.ABC):
     (n, .) and broadcasts over the leading axes. ``draw_f_sample(rng)`` and
     ``draw_g_sample(rng)`` draw one sample for every node from the run's
     generator, each variate as one (n, .) block whose row i belongs to node i.
+    ``draw_block(rng, k)`` draws the (xi, zeta) samples of k steps, each
+    variate as a (k, n, .) block; row j of it, and the generator's state
+    afterwards, are what k rounds of ``draw_f_sample`` then ``draw_g_sample``
+    give, bit for bit. The engine draws only through ``draw_block``.
     """
 
     def __init__(self, n_nodes: int, dim_x: int, dim_y: int):
@@ -107,6 +113,13 @@ class BilevelProblem(abc.ABC):
 
     def draw_g_sample(self, rng: np.random.Generator):
         return None
+
+    def draw_block(self, rng: np.random.Generator, k: int):
+        rounds = [(self.draw_f_sample(rng), self.draw_g_sample(rng)) for _ in range(k)]
+        return tuple(
+            None if samples[0] is None else tuple(map(np.stack, zip(*samples)))
+            for samples in zip(*rounds)
+        )
 
     def sgrad_x_f(self, X, Y, xi) -> np.ndarray:
         return self.grad_x_f(X, Y)
@@ -375,6 +388,17 @@ class QuadraticBilevel(BilevelProblem):
             rng.standard_normal(n),
         )
 
+    def draw_block(self, rng, k):
+        # A Generator fills normals in order, so one (k, .) fill holds each
+        # step's six variates back to back, as the per-step draws take them.
+        n, p, d = self.n_nodes, self.dim_y, self.dim_x
+        raw = rng.standard_normal((k, n * (2 * p + 2 * d + 2)))
+        e_yf, e_xf, e_yg, e_xg, s, s2 = np.split(raw, np.cumsum([n * p, n * d] * 2 + [n]), axis=1)
+        return (
+            (e_yf.reshape(k, n, p), e_xf.reshape(k, n, d)),
+            (e_yg.reshape(k, n, p), e_xg.reshape(k, n, d), s, s2),
+        )
+
     def sgrad_x_f(self, X, Y, xi):
         e_y, e_x = xi
         return self.grad_x_f(X, Y) + self.sigma * self._a1 * e_x / np.sqrt(self.dim_x)
@@ -567,6 +591,20 @@ class RidgeTuning(BilevelProblem):
 
     # f and g are losses on the same stream of (features, label) pairs.
     draw_g_sample = draw_f_sample
+
+    def draw_block(self, rng, k):
+        # rng.uniform(-b, b) is -b + (b - -b) * rng.random(); scaling and then
+        # shifting in place rounds the same.
+        n, p, b = self.n_nodes, self.dim_y, FEATURE_HALF_WIDTH
+        feats, noise = np.empty((k, 2, n, p)), np.empty((k, 2, n))
+        for j in range(k):
+            for f_or_g in range(2):
+                rng.random(out=feats[j, f_or_g])
+                rng.standard_normal(out=noise[j, f_or_g])
+        feats *= b - -b
+        feats -= b
+        labels = _dot(feats, self.omega) + noise
+        return (feats[:, 0], labels[:, 0]), (feats[:, 1], labels[:, 1])
 
     def sgrad_y_f(self, X, Y, xi):
         feats, label = xi

@@ -467,6 +467,33 @@ def test_trials_below_one_rejected_by_run(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_rejected_by_run(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    code = cli.main(["run", write_config(tmp_path), "--out", str(out), "--workers", workers])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "--workers" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_trials", 0), ("T", 0), ("probe_every", 0), ("window", 0), ("workers", 0),
+    ("base_seed", -1), ("variants", []), ("transient_metric", "loss"),
+])
+def test_run_ranges_set_in_code_rejected_before_output(tmp_path, field, value):
+    # parse_config and build share the run-level checks, so a field set on a
+    # parsed config is rejected as a ValidationError before any output.
+    config = parse_config(GOOD_CONFIG)
+    setattr(config.run, field, value)
+    with pytest.raises(ValidationError, match="\\[run\\]"):
+        config.build()
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError):
+        cli.run_experiment(config, str(out))
+    assert not out.exists()
+
+
 SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "quadratic_smoke.ini")
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from gossipbo import engine
 from gossipbo.engine import (
+    BLOCK_STEPS,
     ConfigMismatch,
     EngineError,
     HyperParams,
@@ -13,7 +15,7 @@ from gossipbo.engine import (
     run,
     step,
 )
-from gossipbo.metrics import consensus_error
+from gossipbo.metrics import RunRecord, consensus_error, probe
 from gossipbo.problem import (
     RidgeTuningSpec,
     make_logcosh,
@@ -364,8 +366,6 @@ def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, monkeypatch):
     # After each drop the second-order estimator gets exactly the live so
     # and centralized cells and the first-order one the live fo cells, and
     # every cell is its solo run.
-    from gossipbo import engine
-
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
     lazier, lazy_W, ring, full = (
@@ -470,3 +470,140 @@ def test_step_gives_one_verdict_per_cell(quad):
     assert str(exc) == exc.cells[1] and exc.iteration == 1
     assert exc.state.t == 1
     assert all(np.all(np.isfinite(a[0])) for a in (exc.state.X, exc.state.Y, exc.state.H))
+
+
+@pytest.mark.parametrize("where, value", [("Y", np.inf), ("Y", -np.inf), ("Z", 1e13),
+                                          ("Z", -1e13)])
+def test_step_verdict_names_exactly_the_cell_out_of_range(quad, where, value):
+    # As with NaN: an infinite y entry, or a z entry whose gossiped value
+    # (a third of it on the ring) is past the limit either way, fails
+    # exactly its cell, under that iterate.
+    W = build_topology(Ring(), 4)
+    st = init(quad, [W] * 3, hyper(), seed=[0, 1, 2])
+    getattr(st, where)[1, 2, 0] = value
+    # inf - inf in an infinite cell's noisy gradient is NaN, also caught.
+    with pytest.raises(NumericalDivergence) as exc_info, np.errstate(invalid="ignore"):
+        step(quad, np.stack([W.weights] * 3), hyper(), st)
+    exc = exc_info.value
+    message = f"{where.lower()}-iterates diverged at iteration 1"
+    assert exc.cells == {1: message} and str(exc) == message and exc.iteration == 1
+    for c in (0, 2):
+        assert all(np.all(np.abs(a[c]) <= 1e12) for a in (exc.state.X, exc.state.Y,
+                                                           exc.state.Z, exc.state.H))
+
+
+def stepwise(prob, W, hp, T, seed, probe_every, X0=None):
+    """A cell's CSV from bare ``step`` calls, each drawing its own one-step
+    sample, with the divergence (iteration, message) or None."""
+    st = init(prob, W, hp, seed=seed, X0=X0)
+    rec = RunRecord(metadata={})
+    rec.add_probe(probe(prob, st, alpha=hp.alpha(0)))
+    for t in range(T):
+        try:
+            st = step(prob, W, hp, st)
+        except NumericalDivergence as exc:
+            return rec.to_csv(), (exc.iteration, str(exc))
+        if (t + 1) % probe_every == 0 or t + 1 == T:
+            rec.add_probe(probe(prob, st, alpha=hp.alpha(st.t)))
+    return rec.to_csv(), None
+
+
+def outcome_of(out):
+    if isinstance(out, NumericalDivergence):
+        return out.record.to_csv(), (out.iteration, str(out))
+    return out.to_csv(), None
+
+
+@pytest.mark.parametrize("T", [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+                               3 * BLOCK_STEPS + 5])
+@pytest.mark.parametrize("seeds", [[5], [17, 4, 99]], ids=["one-seed", "three-seeds"])
+@pytest.mark.parametrize("family", ["quadratic", "ridge"])
+def test_block_edges_match_step_by_step(family, seeds, T):
+    # Samples drawn a block at a time, the last block cut at T, give every
+    # cell what stepping it alone, one draw per step, gives.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), FullyConnected())]
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    cells = [(W, v, seed) for seed in seeds for W in Ws
+             for v in (Variant.SECOND_ORDER, Variant.FIRST_ORDER)]
+    hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for _, v, _ in cells]
+    outcomes = run(prob, [W for W, _, _ in cells], hps, T=T, seed=[s for _, _, s in cells],
+                   probe_every=7, X0=X0)
+    for (W, _, seed), hp, out in zip(cells, hps, outcomes):
+        assert outcome_of(out) == stepwise(prob, W, hp, T, seed, 7, X0=X0)
+
+
+def test_cell_diverging_mid_block_matches_step_by_step():
+    # The lazier ring diverges at iteration 82, inside a block: its columns
+    # leave the pending block and every other cell goes on as if alone.
+    prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
+                          noise_scale=0.2)
+    lazier, ring, full = (build_topology(t, 4) for t in (Ring(0.9, 0.05), Ring(),
+                                                          FullyConnected()))
+    cells = [(ring, Variant.SECOND_ORDER, 8), (lazier, Variant.SECOND_ORDER, 7),
+             (full, Variant.CENTRALIZED, 8), (ring, Variant.FIRST_ORDER, 7),
+             (lazier, Variant.FIRST_ORDER, 9)]
+    hps = [hyper(alpha0=0.3, variant=v) for _, v, _ in cells]
+    T = 120
+    outcomes = run(prob, [W for W, _, _ in cells], hps, T=T, seed=[s for _, _, s in cells],
+                   probe_every=3)
+    ends = {}
+    for i, ((W, _, seed), hp, out) in enumerate(zip(cells, hps, outcomes)):
+        assert outcome_of(out) == stepwise(prob, W, hp, T, seed, 3)
+        if isinstance(out, NumericalDivergence):
+            ends[i] = out.iteration
+    assert 1 in ends and ends[1] % BLOCK_STEPS not in (0, 1)
+    assert set(ends) <= {1, 4}
+
+
+def test_alike_cells_are_computed_once(monkeypatch):
+    # A fully connected so cell and a centralized cell of the same seed
+    # gossip with the same weights, as does an exact duplicate pair: the
+    # engine advances one cell per (weights, estimator, seed), and each
+    # member gets its solo record with its own variant and rho.
+    prob = family_instance("ridge")
+    n = prob.n_nodes
+    full, ring = build_topology(FullyConnected(), n), build_topology(Ring(0.2, 0.4), n)
+    so, cen = Variant.SECOND_ORDER, Variant.CENTRALIZED
+    cells = [(full, so, 17), (ring, cen, 17), (full, so, 4), (full, cen, 4),
+             (ring, so, 4), (ring, so, 4)]
+    hps = [hyper(variant=v, fixed_theta=0.2) for _, v, _ in cells]
+    kw = dict(T=40, probe_every=7)
+    widths = []
+    original = engine.step
+
+    def counted(problem, W, hyper, state, *args):
+        widths.append(state.X.shape[0])
+        return original(problem, W, hyper, state, *args)
+
+    monkeypatch.setattr(engine, "step", counted)
+    outcomes = run(prob, [W for W, _, _ in cells], hps, seed=[s for _, _, s in cells],
+                   metadata=[{"cell": i} for i in range(len(cells))], **kw)
+    monkeypatch.undo()
+    assert widths == [3] * kw["T"]
+    for i, ((W, v, seed), hp, rec) in enumerate(zip(cells, hps, outcomes)):
+        solo = run(prob, W, hp, seed=seed, **kw)
+        assert rec.to_csv() == solo.to_csv()
+        assert rec.metadata == {**solo.metadata, "cell": i}
+        assert (rec.metadata["variant"], rec.metadata["rho"]) == (v.value, W.rho)
+    assert len({id(rec) for rec in outcomes}) == len(cells)
+
+
+def test_alike_cells_diverge_each_with_its_own_error():
+    prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
+                          noise_scale=0.2)
+    lazier, ring = build_topology(Ring(0.9, 0.05), 4), build_topology(Ring(), 4)
+    Ws = [lazier, ring, lazier]
+    hp = hyper(alpha0=0.3)
+    outcomes = run(prob, Ws, hp, T=120, seed=7, probe_every=3,
+                   metadata=[{"cell": i} for i in range(3)])
+    first, _, twin = outcomes
+    solo = run(prob, ring, hp, T=120, seed=7, probe_every=3)
+    assert outcomes[1].to_csv() == solo.to_csv()
+    assert isinstance(first, NumericalDivergence) and isinstance(twin, NumericalDivergence)
+    assert first is not twin and first.record is not twin.record
+    assert (first.iteration, str(first)) == (twin.iteration, str(twin))
+    assert first.record.to_csv() == twin.record.to_csv()
+    assert (first.record.metadata["cell"], twin.record.metadata["cell"]) == (0, 2)
+    assert outcome_of(first) == stepwise(prob, lazier, hp, 120, 7, 3)

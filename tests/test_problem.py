@@ -350,6 +350,27 @@ def test_samples_are_node_blocks_in_a_fixed_order(family, request):
         assert np.allclose(got, want, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("k", [1, 3, 17])
+@pytest.mark.parametrize("family", ["quad", "ridge", "logcosh"])
+def test_draw_block_is_k_rounds_of_step_draws(family, k, request):
+    # Row j of every variate is step j's f- or g-sample, bit for bit, and
+    # the generator ends where k rounds of the per-step draws leave it.
+    prob = request.getfixturevalue(family)
+    for seed in (0, 3, 12345):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        xi, zeta = prob.draw_block(rng, k)
+        for j in range(k):
+            for block, one in ((xi, prob.draw_f_sample(ref)), (zeta, prob.draw_g_sample(ref))):
+                if one is None:
+                    assert block is None
+                    continue
+                assert len(block) == len(one)
+                for got, want in zip(block, one):
+                    assert got.shape == (k,) + want.shape
+                    assert got[j].tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_ridge_sign_zero_freezes_regularizer_gradient(ridge):
     X, Y = rows(ridge, np.zeros(1)), rows(ridge, np.ones(ridge.dim_y))
     assert ridge.grad_x_g(X, Y)[0] == pytest.approx(0.0)
