@@ -138,8 +138,9 @@ class RunConfig:
             ("n_trials", self.n_trials, 1), ("base_seed", self.base_seed, 0),
             ("probe_every", self.probe_every, 1), ("t", self.T, 1),
             ("workers", self.workers, 1), ("window", self.window, 1),
+            ("rel_tol", self.rel_tol, 0), ("wall_limit_s", self.wall_limit_s, 0),
         ):
-            if value < low:
+            if not value >= low:  # NaN too
                 raise ValidationError(f"[run] {key} must be >= {low}")
         if self.transient_metric not in _TRANSIENT_METRICS:
             raise ValidationError(

@@ -39,18 +39,15 @@ def hvp_so(problem: BilevelProblem, X, Y, Z, sample) -> HvpPair:
 def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float, sample) -> HvpPair:
     """Central-difference products from first-order gradients only.
 
-    Both perturbed evaluations reuse the same sample. The squared bias is
-    bounded by (1/3) L^2 delta^2 |z|^4 with L the Hessian-Lipschitz
-    constant of the lower loss.
+    Both perturbed evaluations reuse the same sample, and each oracle
+    evaluates them as one call on the stacked pair (Y + delta Z, Y - delta Z);
+    leading axes are batch axes, so each half is what its own call gives.
+    The squared bias is bounded by (1/3) L^2 delta^2 |z|^4 with L the
+    Hessian-Lipschitz constant of the lower loss.
     """
     if delta <= 0:
         raise DegenerateDelta(f"delta must be positive, got {delta}")
-    Y_plus = Y + delta * Z
-    Y_minus = Y - delta * Z
-    p_h = (
-        problem.sgrad_y_g(X, Y_plus, sample) - problem.sgrad_y_g(X, Y_minus, sample)
-    ) / (2.0 * delta)
-    p_j = (
-        problem.sgrad_x_g(X, Y_plus, sample) - problem.sgrad_x_g(X, Y_minus, sample)
-    ) / (2.0 * delta)
-    return HvpPair(p_h=p_h, p_j=p_j)
+    Y_pm = np.stack([Y + delta * Z, Y - delta * Z])
+    gy = problem.sgrad_y_g(X[None], Y_pm, sample)
+    gx = problem.sgrad_x_g(X[None], Y_pm, sample)
+    return HvpPair(p_h=(gy[0] - gy[1]) / (2.0 * delta), p_j=(gx[0] - gx[1]) / (2.0 * delta))

@@ -29,6 +29,12 @@ that gossip with the same weights under the same estimator and seed have
 the same trajectory bit for bit (a fully connected so cell and the
 centralized cell of its trial, for instance): ``run`` advances one of them
 and gives every member its probes.
+
+``run`` keeps each probe's snapshot and evaluates the pending probes as one
+batched call of at most ``PROBE_NODE_ROWS`` node rows when the next probe
+would not fit, and at the end of the call. Each row is what a probe at its
+own time gives, bit for bit, and an error is the one the first failing
+probe raises, as if raised at its probe time.
 """
 
 from __future__ import annotations
@@ -45,9 +51,16 @@ from .problem import BilevelProblem
 from .topology import MixingMatrix
 
 DIVERGENCE_LIMIT = 1e12
+# A float sum of squares at most this puts every entry inside the limit.
+_SMALL_SUM_SQ = (DIVERGENCE_LIMIT / 2) ** 2
 # Steps whose samples ``run`` draws at once. Small: the pending block stays
 # in memory until its steps have run.
 BLOCK_STEPS = 16
+# Node rows (probed cells times nodes) that ``run`` evaluates in one probe
+# call at most; a probe with more is evaluated alone. In node rows, not
+# probes, because the exact helpers build the dense lower Hessian from a
+# stack of p such rows.
+PROBE_NODE_ROWS = 512
 
 
 class EngineError(RuntimeError):
@@ -303,23 +316,22 @@ def step(
     Hn = (1.0 - theta) * state.H + theta * Omega
     new = replace(state, t=t + 1, X=Xn, Y=Yn, Z=Zn, H=Hn)
 
-    # NaN fails both comparisons, so only iterates that are all finite and
-    # within the limit pass; the per-cell verdicts run only when one fails.
-    # There the max propagates NaN, so one comparison per cell catches NaN,
+    # Iterates whose sum of squares is small pass at once. NaN, inf and
+    # squares that overflow fail that test, so the per-cell verdicts run;
+    # there the max propagates NaN, so one comparison per cell catches NaN,
     # inf and magnitudes past the limit.
     iterates = (("x", Xn), ("y", Yn), ("z", Zn), ("h", Hn))
-    if not all(a.max() <= DIVERGENCE_LIMIT and a.min() >= -DIVERGENCE_LIMIT for _, a in iterates):
-        verdicts = [
-            (name, ~(np.abs(arr).max(axis=(-2, -1)) <= DIVERGENCE_LIMIT))
-            for name, arr in iterates
-        ]
+    with np.errstate(over="ignore"):
+        small = all(a.ravel().dot(a.ravel()) <= _SMALL_SUM_SQ for _, a in iterates)
+    if not small:
         diverged: dict[int, str] = {}
-        for name, bad in verdicts:
-            for c in np.flatnonzero(bad):
+        for name, arr in iterates:
+            for c in np.flatnonzero(~(np.abs(arr).max(axis=(-2, -1)) <= DIVERGENCE_LIMIT)):
                 diverged.setdefault(int(c), f"{name}-iterates diverged at iteration {t + 1}")
-        raise NumericalDivergence(
-            diverged[min(diverged)], iteration=t + 1, cells=diverged, state=new
-        )
+        if diverged:
+            raise NumericalDivergence(
+                diverged[min(diverged)], iteration=t + 1, cells=diverged, state=new
+            )
     return new
 
 
@@ -353,15 +365,23 @@ def run(
     iteration on its slice.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
-    each one batched call over the live cells. Identical inputs give a
-    bit-identical record. With one matrix, ``run`` returns the RunRecord,
-    and a ``NumericalDivergence`` leaves with the probes taken before the
-    blow-up as ``record``. With a list, it returns a list aligned with ``W``
-    whose slots hold each cell's RunRecord or its ``NumericalDivergence``: a
-    diverged cell leaves the batch, and its columns the pending block, while
-    the others go on. The wall-clock
-    limit, which bounds the whole call, or an error from a probe ends the
-    call for every cell.
+    each over the live cells. They are evaluated in batches: the pending
+    probes' snapshots go to one ``metrics.probe`` call when the next probe
+    would take them past ``PROBE_NODE_ROWS`` node rows, before an error
+    leaves the call, and at the end. Each row is the one a probe at its own
+    time gives, bit for bit, and a failing batch is evaluated again probe
+    time by probe time, so the error raised is the one the first failing
+    probe raises, as at its probe time; the call may have stepped up to one
+    batch further. Identical
+    inputs give a bit-identical record. With one matrix, ``run`` returns
+    the RunRecord, and a ``NumericalDivergence`` leaves with the probes
+    taken before the blow-up as ``record``. With a list, it returns a list
+    aligned with ``W`` whose slots hold each cell's RunRecord or its
+    ``NumericalDivergence``: a diverged cell leaves the batch, and its
+    columns the pending block, while the others go on; its pending probes
+    still reach its record. The wall-clock limit, which bounds the whole
+    call, or an error from a probe ends the call for every cell, and an
+    earlier probe's error wins.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -402,41 +422,80 @@ def run(
         meta.update(extra or {})
         records.append(metrics_mod.RunRecord(metadata=meta))
     outcomes: list = list(records)
+    # Probes not yet evaluated, as (state, live) at their probe time. A state
+    # holds its arrays by reference, which is safe: ``step`` writes into none.
+    pending: list[tuple[SwarmState, list]] = []
+    pending_rows = 0
+
+    def flush():
+        """Evaluate the pending probes as one call and file each row in its cells' records."""
+        nonlocal pending_rows
+        batch = pending[:]
+        pending.clear()
+        pending_rows = 0
+        if not batch:
+            return
+        snaps = [snap for snap, _ in batch]
+        counts = [len(cells) for _, cells in batch]
+        # A probe reads t, X, Y and Z; each stacked row carries its own t and alpha.
+        stacked = replace(
+            snaps[0], t=np.repeat([s.t for s in snaps], counts), H=None,
+            X=np.concatenate([s.X for s in snaps]), Y=np.concatenate([s.Y for s in snaps]),
+            Z=np.concatenate([s.Z for s in snaps]),
+        )
+        alphas = np.repeat([shared.alpha(s.t) for s in snaps], counts)
+        try:
+            rows = metrics_mod.probe(problem, stacked, alpha=alphas)
+        except Exception:
+            # Raise what the first failing probe raises at its own time.
+            for s in snaps:
+                metrics_mod.probe(problem, s, alpha=shared.alpha(s.t))
+            raise
+        rows = iter(rows)
+        for _, cells in batch:
+            for cs, row in zip(cells, rows):
+                for c in cs:
+                    records[c].add_probe(row)
 
     def probe_live():
-        rows = metrics_mod.probe(problem, state, alpha=shared.alpha(state.t))
-        for cs, row in zip(live, rows):
-            for c in cs:
-                records[c].add_probe(row)
+        nonlocal pending_rows
+        rows = len(live) * problem.n_nodes
+        if pending_rows + rows > PROBE_NODE_ROWS:
+            flush()
+        pending.append((state, live))
+        pending_rows += rows
 
     probe_live()
     start = time.monotonic()
-    for t in range(T):
-        if t % BLOCK_STEPS == 0:
-            block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
-        try:
-            state = step(problem, weights, shared, state, _index(block, t % BLOCK_STEPS))
-        except NumericalDivergence as exc:
-            for k, message in exc.cells.items():
-                for c in live[k]:
-                    outcomes[c] = NumericalDivergence(message, iteration=exc.iteration)
-                    outcomes[c].record = records[c]
-            keep = [k for k in range(len(live)) if k not in exc.cells]
-            live = [live[k] for k in keep]
-            if not live:
-                break
-            if len(state.rngs) > 1:  # the block has a cell axis
-                block = _index(block, (slice(None), keep))
-            weights, state = weights[keep], replace(
-                exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
-                H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],
-            )
-        if (t + 1) % probe_every == 0 or t + 1 == T:
-            probe_live()
-            if wall_limit_s > 0 and time.monotonic() - start > wall_limit_s:
-                raise EngineError(
-                    f"wall-clock limit {wall_limit_s:.1f}s exceeded at iteration {t + 1}"
+    try:
+        for t in range(T):
+            if t % BLOCK_STEPS == 0:
+                block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
+            try:
+                state = step(problem, weights, shared, state, _index(block, t % BLOCK_STEPS))
+            except NumericalDivergence as exc:
+                for k, message in exc.cells.items():
+                    for c in live[k]:
+                        outcomes[c] = NumericalDivergence(message, iteration=exc.iteration)
+                        outcomes[c].record = records[c]
+                keep = [k for k in range(len(live)) if k not in exc.cells]
+                live = [live[k] for k in keep]
+                if not live:
+                    break
+                if len(state.rngs) > 1:  # the block has a cell axis
+                    block = _index(block, (slice(None), keep))
+                weights, state = weights[keep], replace(
+                    exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
+                    H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],
                 )
+            if (t + 1) % probe_every == 0 or t + 1 == T:
+                probe_live()
+                if wall_limit_s > 0 and time.monotonic() - start > wall_limit_s:
+                    raise EngineError(
+                        f"wall-clock limit {wall_limit_s:.1f}s exceeded at iteration {t + 1}"
+                    )
+    finally:
+        flush()  # on an error too: a pending probe's error came first
     if not isinstance(W, MixingMatrix):
         return outcomes
     if isinstance(outcomes[0], NumericalDivergence):

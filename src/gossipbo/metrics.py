@@ -96,11 +96,13 @@ def consensus_error(state):
     return total / state.X.shape[-2]
 
 
-def probe(problem, state, alpha: float):
+def probe(problem, state, alpha: float | np.ndarray):
     """Metrics at each cell's row-mean iterate: a ProbeRow, or a list for a (K, n, .) state.
 
     One batched lower solve serves every cell, and y*(x_bar) then serves
     z*, grad Phi and Phi alike. Row k is cell k's own (n, .) probe, bit for bit.
+    For a stack of snapshots taken at different times, ``state.t`` and
+    ``alpha`` may hold one value per leading row, which that row carries.
     """
     x_bar, y_bar = state.x_bar(), state.y_bar()
     y_star = problem_mod.lower_solve(problem, x_bar)
@@ -115,12 +117,15 @@ def probe(problem, state, alpha: float):
     upper = np.asarray(problem.mean_f_value(x_bar, y_bar))
     # A matmul per cell, as g @ g rounds; np.sum(g * g, axis=-1) rounds differently.
     grad_sq = problem_mod._dot(g, g)
+    ts = np.broadcast_to(state.t, lead).ravel().tolist()
     for name, v in (("grad_sq_norm", grad_sq), ("consensus_error", consensus),
                     ("upper_loss", upper)):
-        if not np.all(np.isfinite(v)):
-            raise MetricsError(f"non-finite probe value for {name} at t={state.t}")
+        finite = np.isfinite(v).ravel()
+        if not finite.all():
+            raise MetricsError(f"non-finite probe value for {name} at t={ts[finite.argmin()]}")
     columns = np.stack([grad_sq, gap, consensus, upper], axis=-1).reshape(-1, 4)
-    rows = [ProbeRow(state.t, *values, alpha) for values in columns.tolist()]
+    alphas = np.broadcast_to(alpha, lead).ravel().tolist()
+    rows = [ProbeRow(t, *values, a) for t, values, a in zip(ts, columns.tolist(), alphas)]
     return rows if lead else rows[0]
 
 
@@ -158,9 +163,9 @@ def transient_cutoff(
 
     Both records must share a probe grid. Curves are smoothed with a
     trailing median over ``window`` >= 1 probes before comparison to
-    suppress stochastic crossings. If the decentralized curve never stays
-    within (1 + rel_tol) of the reference, ``matched`` is False and the
-    cutoff is the horizon.
+    suppress stochastic crossings. ``rel_tol`` must be >= 0. If the
+    decentralized curve never stays within (1 + rel_tol) of the reference,
+    ``matched`` is False and the cutoff is the horizon.
 
     ``baseline`` is subtracted from both curves first; passing the known
     optimal value of a loss metric makes the relative comparison
@@ -168,6 +173,8 @@ def transient_cutoff(
     """
     if window < 1:
         raise MetricsError(f"window must be >= 1, got {window}")
+    if not rel_tol >= 0:  # NaN too
+        raise MetricsError(f"rel_tol must be >= 0, got {rel_tol}")
     td, tc = decentralized.ts, centralized.ts
     if len(td) != len(tc) or np.any(td != tc):
         raise GridMismatch("probe grids differ between the two records")

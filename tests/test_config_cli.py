@@ -74,6 +74,7 @@ _INTS = st.integers(-(10**6), 10**6)
 _NON_NEGATIVE = st.integers(0, 10**6)
 _POSITIVE = st.integers(1, 10**6)
 _FLOATS = st.floats(allow_nan=False)
+_NON_NEGATIVE_FLOATS = st.floats(min_value=0, allow_nan=False)
 _PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
 _PROBLEM_VALUES = {
     "quadratic": {
@@ -94,8 +95,8 @@ _RUN_VALUES = {
     "alpha0": _FLOATS, "c1": _FLOATS, "c2": _FLOATS, "c3": _FLOATS, "tau": _FLOATS,
     "decay_factor": _FLOATS, "decay_period": _INTS, "theta": _FLOATS, "delta": _FLOATS,
     "t": _POSITIVE, "probe_every": _POSITIVE, "n_trials": _POSITIVE, "base_seed": _NON_NEGATIVE,
-    "rel_tol": _FLOATS, "window": _POSITIVE, "out_dir": _PATHS, "workers": _POSITIVE,
-    "wall_limit_s": _FLOATS,
+    "rel_tol": _NON_NEGATIVE_FLOATS, "window": _POSITIVE, "out_dir": _PATHS,
+    "workers": _POSITIVE, "wall_limit_s": _NON_NEGATIVE_FLOATS,
     "transient_metric": st.sampled_from(
         ["grad_sq_norm", "phi_gap", "upper_loss", "consensus_error"]
     ),
@@ -443,6 +444,25 @@ def test_window_below_one_rejected_by_validate_and_run(tmp_path, capsys, window)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["wall_limit_s = -5", "wall_limit_s = nan", "rel_tol = -3",
+                                  "rel_tol = nan"])
+def test_negative_tolerance_or_wall_limit_rejected_by_validate_and_run(tmp_path, capsys, line):
+    # A negative wall_limit_s would turn the wall-clock guard off, and a
+    # negative rel_tol would make every transient cutoff unmatched.
+    key = line.split(" =")[0]
+    text = GOOD_CONFIG.replace("transient_metric", f"{line}\ntransient_metric")
+    with pytest.raises(ValidationError, match=key):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists()
+
+
 def test_negative_base_seed_rejected_by_validate_and_run(tmp_path, capsys):
     text = GOOD_CONFIG.replace("base_seed = 1000", "base_seed = -3")
     with pytest.raises(ValidationError, match="base_seed"):
@@ -480,6 +500,8 @@ def test_workers_below_one_rejected_by_run(tmp_path, capsys, workers):
 @pytest.mark.parametrize("field, value", [
     ("n_trials", 0), ("T", 0), ("probe_every", 0), ("window", 0), ("workers", 0),
     ("base_seed", -1), ("variants", []), ("transient_metric", "loss"),
+    ("rel_tol", -3.0), ("rel_tol", float("nan")), ("wall_limit_s", -5.0),
+    ("wall_limit_s", float("nan")),
 ])
 def test_run_ranges_set_in_code_rejected_before_output(tmp_path, field, value):
     # parse_config and build share the run-level checks, so a field set on a
@@ -528,6 +550,17 @@ def test_cli_transient_rejects_window_below_one(tmp_path, capsys):
                      str(out / "centralized_trial0.csv"), "--window", "0"])
     assert code == cli.EXIT_CONFIG
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rel_tol", ["-1", "nan"])
+def test_cli_transient_rejects_negative_rel_tol(tmp_path, capsys, rel_tol):
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"]) == 0
+    capsys.readouterr()
+    code = cli.main(["transient", str(out / "ring_so_trial0.csv"),
+                     str(out / "centralized_trial0.csv"), "--rel-tol", rel_tol])
+    assert code == cli.EXIT_CONFIG
+    assert "rel_tol" in capsys.readouterr().err
 
 
 def test_torus_size_mismatch_rejected_by_validate_and_run(tmp_path, capsys):

@@ -142,3 +142,32 @@ def test_degenerate_delta_rejected(quad):
         hvp_fo(quad, X, Y, Z, 0.0, None)
     with pytest.raises(DegenerateDelta):
         hvp_fo(quad, X, Y, Z, -1e-3, None)
+
+
+@pytest.mark.parametrize("per_cell", [True, False], ids=["per-cell-sample", "shared-sample"])
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_fo_stacked_pair_equals_four_calls(family, per_cell):
+    # hvp_fo evaluates Y + delta Z and Y - delta Z in one call of each
+    # gradient oracle; on several cells, each with its own sample or all
+    # sharing one, the products are the four-call central difference bit for bit.
+    if family == "quadratic":
+        prob = make_quadratic(21, n_nodes=3, d=2, p=4, conditioning=5.0, noise_scale=0.5)
+    elif family == "ridge":
+        prob = make_ridge_tuning(2, RidgeTuningSpec(dim_p=5, sigma_omega=0.5), 3)
+    else:
+        prob = make_logcosh(8, n_nodes=3, d=2, p=5, coupling=0.4, lam=1.5)
+    C, n = 5, prob.n_nodes
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((C, n, prob.dim_x))
+    Y, Z = (rng.standard_normal((C, n, prob.dim_y)) for _ in range(2))
+    samples = [prob.draw_g_sample(np.random.default_rng(s)) for s in range(C if per_cell else 1)]
+    zeta = None if samples[0] is None else tuple(
+        np.stack(v) if per_cell else v[0] for v in zip(*samples)
+    )
+    delta = 1e-4
+    pair = hvp_fo(prob, X, Y, Z, delta, zeta)
+    plus, minus = Y + delta * Z, Y - delta * Z
+    p_h = (prob.sgrad_y_g(X, plus, zeta) - prob.sgrad_y_g(X, minus, zeta)) / (2.0 * delta)
+    p_j = (prob.sgrad_x_g(X, plus, zeta) - prob.sgrad_x_g(X, minus, zeta)) / (2.0 * delta)
+    assert pair.p_h.shape == p_h.shape and pair.p_h.tobytes() == p_h.tobytes()
+    assert pair.p_j.shape == p_j.shape and pair.p_j.tobytes() == p_j.tobytes()

@@ -607,3 +607,193 @@ def test_alike_cells_diverge_each_with_its_own_error():
     assert first.record.to_csv() == twin.record.to_csv()
     assert (first.record.metadata["cell"], twin.record.metadata["cell"]) == (0, 2)
     assert outcome_of(first) == stepwise(prob, lazier, hp, 120, 7, 3)
+
+
+@pytest.mark.parametrize("probe_every", [1, 3])
+@pytest.mark.parametrize("seeds", [[5], [17, 4, 99]], ids=["one-seed", "three-seeds"])
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_batched_probes_match_step_by_step(family, seeds, probe_every, monkeypatch):
+    # Probes evaluated at most PROBE_NODE_ROWS node rows at a time, over a
+    # horizon that crosses several flushes, give every cell the CSV that a
+    # probe at each probe time gives.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), FullyConnected())]
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    cells = [(W, v, seed) for seed in seeds for W in Ws
+             for v in (Variant.SECOND_ORDER, Variant.FIRST_ORDER)]
+    hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for _, v, _ in cells]
+    T = 150
+    calls = []
+    original = engine.metrics_mod.probe
+
+    def counted(problem, state, alpha):
+        calls.append(state.X.shape[0])
+        return original(problem, state, alpha)
+
+    monkeypatch.setattr(engine.metrics_mod, "probe", counted)
+    outcomes = run(prob, [W for W, _, _ in cells], hps, T=T, seed=[s for _, _, s in cells],
+                   probe_every=probe_every, X0=X0)
+    monkeypatch.undo()
+    assert len(calls) >= 3
+    for (W, _, seed), hp, out in zip(cells, hps, outcomes):
+        assert outcome_of(out) == stepwise(prob, W, hp, T, seed, probe_every, X0=X0)
+
+
+def test_pending_probes_stay_within_the_budget(monkeypatch):
+    # Fewer probe calls than probe times, and no call holds more node rows
+    # than the budget; under a budget smaller than one probe, each probe is
+    # evaluated alone.
+    prob = family_instance("quadratic")
+    n = prob.n_nodes
+    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), Ring(), FullyConnected())]
+    hp = hyper(fixed_theta=0.2)
+    T, probe_every = 300, 2
+    calls = []
+    original = engine.metrics_mod.probe
+
+    def counted(problem, state, alpha):
+        calls.append(state.X.shape[0] * n)
+        return original(problem, state, alpha)
+
+    monkeypatch.setattr(engine.metrics_mod, "probe", counted)
+    outcomes = run(prob, Ws, hp, T=T, seed=3, probe_every=probe_every)
+    monkeypatch.undo()
+    probe_times = T // probe_every + 1
+    assert 1 < len(calls) < probe_times
+    assert max(calls) <= engine.PROBE_NODE_ROWS
+    assert sum(calls) == probe_times * len(Ws) * n
+    for W, rec in zip(Ws, outcomes):
+        assert rec.to_csv() == stepwise(prob, W, hp, T, 3, probe_every)[0]
+    calls.clear()
+    monkeypatch.setattr(engine.metrics_mod, "probe", counted)
+    monkeypatch.setattr(engine, "PROBE_NODE_ROWS", n)
+    alone = run(prob, Ws, hp, T=T, seed=3, probe_every=probe_every)
+    monkeypatch.undo()
+    assert calls == [len(Ws) * n] * probe_times
+    assert [rec.to_csv() for rec in alone] == [rec.to_csv() for rec in outcomes]
+
+
+def test_cell_diverging_with_probes_pending_matches_step_by_step(monkeypatch):
+    # The lazier ring diverges at iteration 82 while its latest probes wait
+    # in the pending batch: they still reach its partial record, and every
+    # other cell goes on as if alone.
+    prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
+                          noise_scale=0.2)
+    lazier, ring = build_topology(Ring(0.9, 0.05), 4), build_topology(Ring(), 4)
+    cells = [(ring, Variant.SECOND_ORDER), (lazier, Variant.SECOND_ORDER),
+             (ring, Variant.FIRST_ORDER)]
+    hps = [hyper(alpha0=0.3, variant=v) for _, v in cells]
+    T, probe_every = 200, 1
+    spans = []
+    original = engine.metrics_mod.probe
+
+    def counted(problem, state, alpha):
+        spans.append((int(np.min(state.t)), int(np.max(state.t))))
+        return original(problem, state, alpha)
+
+    monkeypatch.setattr(engine.metrics_mod, "probe", counted)
+    outcomes = run(prob, [W for W, _ in cells], hps, T=T, seed=7, probe_every=probe_every)
+    monkeypatch.undo()
+    diverged = outcomes[1]
+    assert isinstance(diverged, NumericalDivergence)
+    assert any(lo < diverged.iteration <= hi for lo, hi in spans)
+    for (W, _), hp, out in zip(cells, hps, outcomes):
+        assert outcome_of(out) == stepwise(prob, W, hp, T, 7, probe_every)
+
+
+def failing_lower_solve(monkeypatch, bad_points, kind):
+    """Make the exact lower solve fail at every point of ``bad_points``; the
+    message names how many points the call had, so a batched call's error
+    differs from a single probe's."""
+    from gossipbo import problem as problem_mod
+
+    original = problem_mod.lower_solve
+    bad = {x.tobytes() for x in bad_points}
+    sizes = []
+
+    def lower_solve(problem, x, *args, **kwargs):
+        points = np.asarray(x).reshape(-1, problem.dim_x)
+        sizes.append(len(points))
+        hits = [k for k, p in enumerate(points) if p.tobytes() in bad]
+        if hits:
+            message = f"point {hits[0]} of {len(points)} failed"
+            if kind == "warning":
+                import warnings
+
+                warnings.warn(message, RuntimeWarning)  # an error under the suite's filter
+            raise problem_mod.LowerSolveDiverged(message)
+        return original(problem, x, *args, **kwargs)
+
+    monkeypatch.setattr(problem_mod, "lower_solve", lower_solve)
+    return sizes
+
+
+def probed_steps(prob, Ws, hp, T, seed, probe_every):
+    """Every probe of a (C, n, .) state stepped by bare ``step`` calls, each
+    probe evaluated at its own time."""
+    st = init(prob, Ws, hp, seed=seed)
+    weights = np.stack([W.weights for W in Ws])
+    states = [st]
+    rows = [probe(prob, st, alpha=hp.alpha(0))]
+    for t in range(T):
+        st = step(prob, weights, hp, st)
+        if (t + 1) % probe_every == 0 or t + 1 == T:
+            states.append(st)
+            rows.append(probe(prob, st, alpha=hp.alpha(st.t)))
+    return states, rows
+
+
+@pytest.mark.parametrize("kind", ["error", "warning"])
+def test_probe_error_in_a_batch_is_the_first_failing_probes(kind, monkeypatch):
+    # The exact oracle fails from probe time 30 on, in the middle of a batch
+    # (24 node rows per probe: probes 0-20 make the first batch). The run
+    # raises what the probe at t = 30 raises on its own, not the batch's error.
+    prob = family_instance("quadratic")
+    Ws = [build_topology(t, prob.n_nodes) for t in (Ring(0.2, 0.4), Ring(), Ring(0.5, 0.25))]
+    hp = hyper(fixed_theta=0.2)
+    T, fail_from = 60, 30
+    states, _ = probed_steps(prob, Ws, hp, T, 11, 1)
+    bad = [x for st in states[fail_from:] for x in st.x_bar()]
+    sizes = failing_lower_solve(monkeypatch, bad, kind)
+    expected = RuntimeWarning if kind == "warning" else engine.metrics_mod.problem_mod.ProblemError
+    with pytest.raises(expected) as reference:
+        probed_steps(prob, Ws, hp, T, 11, 1)
+    assert sizes[-1] == len(Ws)
+    sizes.clear()
+    with pytest.raises(type(reference.value)) as raised:
+        run(prob, Ws, hp, T=T, seed=11, probe_every=1)
+    assert str(raised.value) == str(reference.value) == f"point 0 of {len(Ws)} failed"
+    assert max(sizes) > len(Ws)  # the batch failed first
+    # A wall-clock limit passed at t = 1 does not hide the error of the probe at t = 1.
+    sizes = failing_lower_solve(monkeypatch, [x for st in states[1:] for x in st.x_bar()], kind)
+    with pytest.raises(type(reference.value)) as raised:
+        run(prob, Ws, hp, T=T, seed=11, probe_every=1, wall_limit_s=1e-9)
+    assert str(raised.value) == f"point 0 of {len(Ws)} failed"
+    assert sizes[0] == 2 * len(Ws)
+
+
+@pytest.mark.parametrize("value", [1e12, -1e12, np.nextafter(1e12, np.inf), 6e11, np.nan,
+                                   np.inf, -np.inf, 1e200])
+def test_guard_filter_gives_the_exact_verdict(quad, value):
+    # With alpha = theta = 0 the new h is the old one, so ``value`` reaches
+    # an iterate as it is (inf and NaN also reach x, through 0 * h). The
+    # step's verdicts and messages are those of the exact per-cell check,
+    # including for 6e11, which is within the limit but fails the quick
+    # sum-of-squares test, and 1e200, whose square overflows.
+    W = build_topology(Ring(), 4)
+    hp = hyper(alpha0=0.0, fixed_theta=0.0)
+    st = init(quad, [W] * 3, hp, seed=[0, 1, 2])
+    st.H[1, 2, 0] = value
+    with np.errstate(invalid="ignore"):
+        try:
+            new, cells = step(quad, np.stack([W.weights] * 3), hp, st), {}
+        except NumericalDivergence as exc:
+            new, cells = exc.state, exc.cells
+    expected: dict[int, str] = {}
+    for name, arr in zip("xyzh", (new.X, new.Y, new.Z, new.H)):
+        for c in np.flatnonzero(~(np.abs(arr).max(axis=(-2, -1)) <= 1e12)):
+            expected.setdefault(int(c), f"{name}-iterates diverged at iteration 1")
+    assert cells == expected
+    assert (1 in cells) == (not abs(value) <= 1e12)
+    assert set(cells) <= {1}

@@ -309,6 +309,14 @@ def test_transient_cutoff_rejects_window_below_one(window):
         transient_cutoff(rec, rec, rel_tol=0.1, window=window)
 
 
+@pytest.mark.parametrize("rel_tol", [-1.0, -1e-9, math.nan])
+def test_transient_cutoff_rejects_negative_rel_tol(rel_tol):
+    # Below zero, (1 + rel_tol) * reference can fall below every curve.
+    rec = make_record([0, 100, 200], [9.0, 4.0, 1.0])
+    with pytest.raises(MetricsError, match="rel_tol"):
+        transient_cutoff(rec, rec, rel_tol=rel_tol)
+
+
 def test_transient_cutoff_grid_mismatch():
     a = make_record([0, 100], [1.0, 1.0])
     b = make_record([0, 50], [1.0, 1.0])
