@@ -138,18 +138,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     for (topo_name, variant, _), rec in records.items():
         groups.setdefault((topo_name, variant), []).append(rec)
     for (topo_name, variant), recs in groups.items():
-        table = metrics.summarize(recs)
         path = os.path.join(out_dir, f"summary_{topo_name}_{variant}.csv")
         with open(path, "w") as fh:
-            cols = ["t"]
-            for name in metrics.SUMMARY_METRICS:
-                cols += [f"{name}_mean", f"{name}_stderr"]
-            fh.write(",".join(cols) + "\n")
-            for k, t in enumerate(table.ts):
-                row = [str(int(t))]
-                for name in metrics.SUMMARY_METRICS:
-                    row += [repr(float(table.mean[name][k])), repr(float(table.stderr[name][k]))]
-                fh.write(",".join(row) + "\n")
+            fh.write(metrics.summarize(recs).to_csv())
 
     # Transient estimates against the centralized reference, per trial.
     # Loss-based metrics are measured above the known optimal value when

@@ -47,7 +47,8 @@ def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float, sample) -> HvpPair:
     """
     if delta <= 0:
         raise DegenerateDelta(f"delta must be positive, got {delta}")
-    Y_pm = np.stack([Y + delta * Z, Y - delta * Z])
+    dZ = delta * Z
+    Y_pm = np.stack([Y + dZ, Y - dZ])
     gy = problem.sgrad_y_g(X[None], Y_pm, sample)
     gx = problem.sgrad_x_g(X[None], Y_pm, sample)
     return HvpPair(p_h=(gy[0] - gy[1]) / (2.0 * delta), p_j=(gx[0] - gx[1]) / (2.0 * delta))

@@ -117,18 +117,21 @@ class HyperParams:
     variant: Variant = Variant.SECOND_ORDER
 
     def __post_init__(self):
-        if self.alpha0 < 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.alpha0 >= 0:
             raise ValueError("alpha0 must be >= 0")
         if not (0 < self.decay_factor <= 1):
             raise ValueError("decay_factor must be in (0, 1]")
         if self.decay_period < 1:
             raise ValueError("decay_period must be >= 1")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be > 0")
-        if min(self.c1, self.c2, self.c3) <= 0:
+        if not all(c > 0 for c in (self.c1, self.c2, self.c3)):
             raise ValueError("c1, c2, c3 must be > 0")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be > 0")
+        if self.fixed_theta is not None and not 0 <= self.fixed_theta <= 1:
+            raise ValueError("fixed_theta must be in [0, 1]")
 
     def alpha(self, t: int) -> float:
         return self.alpha0 * self.decay_factor ** (t // self.decay_period)
@@ -314,7 +317,7 @@ def step(
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
     Hn = (1.0 - theta) * state.H + theta * Omega
-    new = replace(state, t=t + 1, X=Xn, Y=Yn, Z=Zn, H=Hn)
+    new = SwarmState(t + 1, Xn, Yn, Zn, Hn, state.rngs, state.stream, state.fo)
 
     # Iterates whose sum of squares is small pass at once. NaN, inf and
     # squares that overflow fail that test, so the per-cell verdicts run;

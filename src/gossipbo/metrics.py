@@ -63,13 +63,14 @@ class RunRecord:
         return np.array([getattr(p, name) for p in self.probes], dtype=float)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_HEADER)
+        # The shortest repr of each float needs no quoting.
+        rows = [",".join(CSV_HEADER) + "\n"]
         for p in self.probes:
-            values = (p.grad_sq_norm, p.phi_gap, p.consensus_error, p.upper_loss, p.alpha)
-            w.writerow([p.t] + [repr(float(v)) for v in values])
-        return buf.getvalue()
+            rows.append(
+                f"{p.t},{float(p.grad_sq_norm)!r},{float(p.phi_gap)!r},"
+                f"{float(p.consensus_error)!r},{float(p.upper_loss)!r},{float(p.alpha)!r}\n"
+            )
+        return "".join(rows)
 
     @staticmethod
     def from_csv(text: str, metadata: dict | None = None) -> "RunRecord":
@@ -109,12 +110,10 @@ def probe(problem, state, alpha: float | np.ndarray):
     g = problem_mod.hypergradient_exact(problem, x_bar, y=y_star)
     phi_star = problem.phi_star()
     lead = x_bar.shape[:-1]
-    if phi_star is None:
-        gap = np.full(lead, math.nan)
-    else:
-        gap = np.asarray(problem.mean_f_value(x_bar, y_star) - phi_star)
+    # Phi(x_bar) and the upper loss at (x_bar, y_bar) from one call.
+    phi, upper = problem.mean_f_value(x_bar, np.stack([y_star, y_bar]))
+    gap = np.full(lead, math.nan) if phi_star is None else phi - phi_star
     consensus = np.asarray(consensus_error(state))
-    upper = np.asarray(problem.mean_f_value(x_bar, y_bar))
     # A matmul per cell, as g @ g rounds; np.sum(g * g, axis=-1) rounds differently.
     grad_sq = problem_mod._dot(g, g)
     ts = np.broadcast_to(state.t, lead).ravel().tolist()
@@ -144,8 +143,18 @@ def _trailing_median(values: np.ndarray, window: int) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     out = np.full(len(values), math.nan)
-    for i in range(min(window - 1, len(values))):
-        out[i] = np.median(values[: i + 1])
+    m = min(window - 1, len(values))
+    if m > 0:
+        # Row i of the sorted prefixes holds the first i + 1 values, then +inf.
+        prefixes = np.sort(np.where(np.tri(m, dtype=bool), values[:m], math.inf), axis=1)
+        i = np.arange(m)
+        # np.median takes the mean of the middle value or pair, and that
+        # sum starts from +0.0 (so a -0.0 median reads +0.0).
+        head = 0.0 + prefixes[i, i // 2]
+        pair = i % 2 == 1
+        head[pair] = (head[pair] + prefixes[i[pair], i[pair] // 2 + 1]) / 2
+        head[np.logical_or.accumulate(np.isnan(values[:m]))] = math.nan
+        out[:m] = head
     if 0 < window <= len(values):
         out[window - 1 :] = np.median(sliding_window_view(values, window), axis=-1)
     return out
@@ -184,12 +193,8 @@ def transient_cutoff(
     cen = _trailing_median(centralized.column(metric) - baseline, window)
     ok = dec <= (1.0 + rel_tol) * cen
     # Smallest index from which every later probe satisfies the bound.
-    idx = len(ok)
-    for i in range(len(ok) - 1, -1, -1):
-        if ok[i]:
-            idx = i
-        else:
-            break
+    failed = np.flatnonzero(~ok)
+    idx = int(failed[-1]) + 1 if failed.size else 0
     if idx == len(ok):
         return TransientEstimate(
             cutoff_iteration=int(td[-1]), rel_tol=rel_tol, window=window, matched=False
@@ -205,6 +210,18 @@ class SummaryTable:
     mean: dict[str, np.ndarray]
     stderr: dict[str, np.ndarray]
     n_records: int
+
+    def to_csv(self) -> str:
+        """t, then each metric's mean and standard error, one row per probe."""
+        header = ["t"]
+        columns = [self.ts.tolist()]
+        for name in SUMMARY_METRICS:
+            header += [f"{name}_mean", f"{name}_stderr"]
+            columns += [self.mean[name].tolist(), self.stderr[name].tolist()]
+        rows = [",".join(header) + "\n"]
+        for t, *values in zip(*columns):
+            rows.append(f"{int(t)},{','.join(map(repr, values))}\n")
+        return "".join(rows)
 
 
 SUMMARY_METRICS = ["grad_sq_norm", "phi_gap", "consensus_error", "upper_loss"]

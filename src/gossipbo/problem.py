@@ -174,6 +174,16 @@ def _quad(U, M, V):
     return np.matmul(np.matmul(U[..., None, :], M), V[..., :, None])[..., 0, 0]
 
 
+def _coordinates(V, dim: int) -> np.ndarray:
+    """Row i is np.eye(dim, V.shape[-1]) @ V[i], bit for bit: the first
+    coordinates of V[i] kept, the rest zero. The ``+ 0.0`` matches the +0.0
+    that the product's sum starts from, which turns a -0.0 into +0.0."""
+    k = min(dim, V.shape[-1])
+    out = np.zeros(V.shape[:-1] + (dim,))
+    np.add(V[..., :k], 0.0, out=out[..., :k])
+    return out
+
+
 def _rows(problem: BilevelProblem, v) -> np.ndarray:
     """Each point of ``v`` (..., dim) repeated on every node's row: (..., n, dim)."""
     return np.repeat(np.asarray(v)[..., None, :], problem.n_nodes, axis=-2)
@@ -330,13 +340,10 @@ class QuadraticBilevel(BilevelProblem):
         self.A_bar = spec.A.mean(axis=0)
         self.B_bar = spec.B.mean(axis=0)
         self.c_bar = spec.c.mean(axis=0)
-        if min(np.linalg.eigvalsh(spec.A[i]).min() for i in range(n)) <= 0:
+        if np.linalg.eigvalsh(spec.A).min() <= 0:
             raise ValueError("every A_i must be positive definite")
         super().__init__(n, d, p)
         self.sigma = noise_scale
-        # Truncated identity coupling the stochastic cross term; unit
-        # spectral norm keeps the Hessian-product noise within sigma^2 |z|^2.
-        self._J = np.eye(p, d)
         self._a1, self._a2, self._a3 = 0.5, 0.4, 0.4
         self._phi_star = None
 
@@ -374,7 +381,9 @@ class QuadraticBilevel(BilevelProblem):
     # One f-sample is a pair of unit-variance direction noises, e_y (n, p)
     # then e_x (n, d); one g-sample additionally carries scalar
     # Hessian/Jacobian noises s, s2 (n,), so perturbed-point gradients of
-    # the same sample stay consistent.
+    # the same sample stay consistent. The cross terms go through the
+    # truncated identity J = np.eye(p, d) (``_coordinates``); its unit
+    # spectral norm keeps the Hessian-product noise within sigma^2 |z|^2.
     def draw_f_sample(self, rng):
         n, p, d = self.n_nodes, self.dim_y, self.dim_x
         return rng.standard_normal((n, p)), rng.standard_normal((n, d))
@@ -412,13 +421,16 @@ class QuadraticBilevel(BilevelProblem):
         noise = (
             self._a1 * e_y / np.sqrt(self.dim_y)
             + self._a2 * s[..., None] * Y
-            + self._a3 * s2[..., None] * _mv(self._J, X)
+            + self._a3 * s2[..., None] * _coordinates(X, self.dim_y)
         )
         return self.grad_y_g(X, Y) + self.sigma * noise
 
     def sgrad_x_g(self, X, Y, zeta):
         e_y, e_x, s, s2 = zeta
-        noise = self._a1 * e_x / np.sqrt(self.dim_x) + self._a3 * s2[..., None] * _mtv(self._J, Y)
+        noise = (
+            self._a1 * e_x / np.sqrt(self.dim_x)
+            + self._a3 * s2[..., None] * _coordinates(Y, self.dim_x)
+        )
         return self.grad_x_g(X, Y) + self.sigma * noise
 
     def shess_yy_g(self, X, Y, V, zeta):
@@ -427,7 +439,8 @@ class QuadraticBilevel(BilevelProblem):
 
     def scross_xy_g(self, X, Y, V, zeta):
         s2 = zeta[3]
-        return self.cross_xy_g(X, Y, V) + self.sigma * self._a3 * s2[..., None] * _mtv(self._J, V)
+        coupled = _coordinates(V, self.dim_x)
+        return self.cross_xy_g(X, Y, V) + self.sigma * self._a3 * s2[..., None] * coupled
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -489,7 +502,7 @@ def make_quadratic(
     A = A0[None, :, :] + heterogeneity * np.array(
         [(E + E.T) / 2.0 for E in centered((p, p))]
     )
-    min_eig = min(np.linalg.eigvalsh(A[i]).min() for i in range(n_nodes))
+    min_eig = np.linalg.eigvalsh(A).min()
     if min_eig < 0.1:
         A = A + (0.1 - min_eig) * np.eye(p)[None, :, :]
 
@@ -597,10 +610,10 @@ class RidgeTuning(BilevelProblem):
         # shifting in place rounds the same.
         n, p, b = self.n_nodes, self.dim_y, FEATURE_HALF_WIDTH
         feats, noise = np.empty((k, 2, n, p)), np.empty((k, 2, n))
-        for j in range(k):
-            for f_or_g in range(2):
-                rng.random(out=feats[j, f_or_g])
-                rng.standard_normal(out=noise[j, f_or_g])
+        random, normal = rng.random, rng.standard_normal
+        for f, e in zip(feats.reshape(2 * k, n, p), noise.reshape(2 * k, n)):
+            random(out=f)
+            normal(out=e)
         feats *= b - -b
         feats -= b
         labels = _dot(feats, self.omega) + noise

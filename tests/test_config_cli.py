@@ -3,6 +3,7 @@
 import collections
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -581,6 +582,25 @@ def test_zero_delta_rejected_by_validate_and_run(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha0", "nan"), ("theta", "nan"), ("theta", "1.5"), ("tau", "nan"), ("c2", "nan"),
+    ("delta", "nan"),
+])
+def test_nan_or_out_of_range_step_sizes_rejected_by_validate_and_run(tmp_path, capsys, key, value):
+    # parse_config takes any float here; HyperParams is what rejects these.
+    text = re.sub(rf"^{key} = .*\n", "", GOOD_CONFIG, flags=re.M)
+    text = text.replace("transient_metric", f"{key} = {value}\ntransient_metric")
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
     assert not out.exists()
 
 

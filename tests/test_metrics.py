@@ -1,5 +1,7 @@
 """Metrics: consensus error, records, CSV round trips, transient cutoffs."""
 
+import csv
+import io
 import math
 import warnings
 
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 from gossipbo.engine import HyperParams, Variant, init, step
 from gossipbo.metrics import (
     CSV_HEADER,
+    SUMMARY_METRICS,
     EmptyInput,
     GridMismatch,
     MetricsError,
     ProbeRow,
     RunRecord,
+    SummaryTable,
     consensus_error,
     probe,
     summarize,
@@ -220,6 +224,64 @@ def test_trailing_median_equals_the_loop(seed, length):
         warnings.simplefilter("ignore", RuntimeWarning)  # the median of no values
         empty = _trailing_median_loop(values, 0)
     assert np.all(np.isnan(empty)) and np.all(np.isnan(_trailing_median(values, 0)))
+
+
+def test_trailing_median_equals_the_loop_on_special_values():
+    # NaN in a prefix makes its median NaN; a -0.0 median reads +0.0; a
+    # window holding both infinities has a NaN median.
+    from gossipbo.metrics import _trailing_median
+
+    pool = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 3.0])
+    rng = np.random.default_rng(2024)
+    with np.errstate(invalid="ignore"):  # the mean of -inf and +inf
+        for length in range(1, 31):
+            for _ in range(4):
+                values = rng.choice(pool, length)
+                for window in range(1, 10):
+                    got = _trailing_median(values, window)
+                    want = _trailing_median_loop(values, window)
+                    assert got.tobytes() == want.tobytes(), (values, window)
+
+
+def _csv_reference(header, rows):
+    """csv.writer with each float written as its repr: the layout of every output CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for t, *values in rows:
+        writer.writerow([int(t)] + [repr(float(v)) for v in values])
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.0 / 3.0]
+
+
+def test_record_csv_matches_the_csv_writer_reference():
+    rng = np.random.default_rng(7)
+    rec = RunRecord(metadata={})
+    rows = []
+    for t in range(0, 400, 20):
+        row = [t] + [float(v) for v in rng.choice(_SPECIAL_FLOATS, 5)]
+        rec.add_probe(ProbeRow(*row))
+        rows.append(row)
+    assert rec.to_csv() == _csv_reference(CSV_HEADER, rows)
+    assert RunRecord.from_csv(rec.to_csv()).to_csv() == rec.to_csv()
+
+
+def test_summary_csv_matches_the_csv_writer_reference():
+    rng = np.random.default_rng(8)
+    ts = np.arange(0, 300, 30)
+    mean = {name: rng.choice(_SPECIAL_FLOATS, len(ts)) for name in SUMMARY_METRICS}
+    stderr = {name: rng.choice(_SPECIAL_FLOATS, len(ts)) for name in SUMMARY_METRICS}
+    header = ["t"]
+    for name in SUMMARY_METRICS:
+        header += [f"{name}_mean", f"{name}_stderr"]
+    rows = [
+        [t] + [v for name in SUMMARY_METRICS for v in (mean[name][k], stderr[name][k])]
+        for k, t in enumerate(ts)
+    ]
+    table = SummaryTable(ts=ts, mean=mean, stderr=stderr, n_records=3)
+    assert table.to_csv() == _csv_reference(header, rows)
 
 
 def make_record(ts, values, metric="grad_sq_norm"):

@@ -410,6 +410,38 @@ def test_quadratic_stochastic_noise_is_zero_mean(quad):
     assert np.linalg.norm(acc / k - noisy.grad_y_g(X, Y)[0]) < 0.05
 
 
+@pytest.mark.parametrize("d, p", [(3, 2), (3, 3), (2, 5), (1, 4)])
+def test_quadratic_coupling_is_the_explicit_truncated_identity(d, p):
+    # The sampled cross terms couple through J = np.eye(p, d). Reference:
+    # the products with the explicit matrix, compared as bytes, on stacks
+    # holding +0.0 and -0.0 and on the broadcast shapes hvp_fo passes.
+    from gossipbo.problem import _coordinates, _mtv, _mv
+
+    prob = make_quadratic(5, n_nodes=3, d=d, p=p, heterogeneity=0.3, noise_scale=0.7)
+    J = np.eye(p, d)
+    a1, a2, a3, sigma = prob._a1, prob._a2, prob._a3, prob.sigma
+    rng = np.random.default_rng(10 * d + p)
+    for _ in range(25):
+        X = rng.standard_normal((1, 2, 3, d))
+        Y, V = rng.standard_normal((2, 2, 2, 3, p))
+        for M in (X, Y, V):
+            M[rng.random(M.shape) < 0.3] = 0.0
+            M[rng.random(M.shape) < 0.3] = -0.0
+        assert _coordinates(X, p).tobytes() == _mv(J, X).tobytes()
+        assert _coordinates(Y, d).tobytes() == _mtv(J, Y).tobytes()
+        e_y, e_x, s, s2 = zeta = prob.draw_g_sample(rng)
+        want_gy = prob.grad_y_g(X, Y) + sigma * (
+            a1 * e_y / np.sqrt(p) + a2 * s[..., None] * Y + a3 * s2[..., None] * _mv(J, X)
+        )
+        want_gx = prob.grad_x_g(X, Y) + sigma * (
+            a1 * e_x / np.sqrt(d) + a3 * s2[..., None] * _mtv(J, Y)
+        )
+        want_cross = prob.cross_xy_g(X, Y, V) + sigma * a3 * s2[..., None] * _mtv(J, V)
+        assert prob.sgrad_y_g(X, Y, zeta).tobytes() == want_gy.tobytes()
+        assert prob.sgrad_x_g(X, Y, zeta).tobytes() == want_gx.tobytes()
+        assert prob.scross_xy_g(X, Y, V, zeta).tobytes() == want_cross.tobytes()
+
+
 def test_logcosh_hessian_lipschitz_constant_vs_sampling(logcosh):
     # Third derivative of the separable part is lam * d/du(1 - tanh^2 u);
     # scan densely for its maximum magnitude.
