@@ -15,7 +15,6 @@ from .problem import (
     QuadraticBilevel,
     QuadraticBilevelSpec,
     RidgeTuning,
-    RidgeTuningSpec,
     hypergradient_exact,
     lower_solve,
     make_logcosh,
@@ -33,7 +32,6 @@ from .topology import (
     Torus2D,
     build_topology,
     load_mixing_matrix,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"

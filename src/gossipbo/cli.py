@@ -2,17 +2,18 @@
 
 Subcommands:
 
-    gossipbo run <config.ini> [--out DIR] [--workers K] [--trials N]
+    gossipbo run <config.ini> [--out DIR] [--trials N]
     gossipbo validate <config.ini>
-    gossipbo transient <run.csv> <ref.csv> --rel-tol R --window W
+    gossipbo transient <run.csv> <ref.csv> [--rel-tol R] [--window W]
 
-Exit codes: 0 success, 1 config error, 2 runtime divergence or a failed
-cell (partial results written; a diverged cell's probes up to the blow-up
-go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
-``validate`` and ``run`` share one ``ExperimentConfig.build``, which ``run``
-makes before it creates the output directory; it checks the run-level
-ranges again, for fields set in code. ``base_seed`` must be >= 0, and
-``--trials`` and ``--workers`` >= 1. GOSSIPBO_OUT sets the default output
+Exit codes: 0 success, 1 config or usage error, 2 runtime divergence or a
+failed cell (partial results written; a diverged cell's probes up to the
+blow-up go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O
+error. ``validate`` and ``run`` share one ``ExperimentConfig.build``, which
+``run`` makes before it creates the output directory; it checks the
+run-level ranges again, for fields set in code, and builds the problem, the
+topologies and each variant's HyperParams once. ``base_seed`` must be
+>= 0, and ``--trials`` >= 1. GOSSIPBO_OUT sets the default output
 directory.
 
 The sweep runs in this process as one engine call: every trial's so and
@@ -20,8 +21,8 @@ fo cells of every topology with its centralized cell, on one problem
 instance and one set of mixing matrices, which also give the ``upper_loss``
 baseline and the manifest's spectral gaps. A cell's CSV is the one its own
 run would give; its manifest entry holds its share of the call's wall
-time, and ``wall_limit_s`` bounds the whole sweep. ``workers`` and
-``--workers`` are accepted and validated but change nothing.
+time, and ``wall_limit_s`` bounds the whole sweep. The ``[run] workers``
+key is accepted and validated but changes nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 from . import engine, metrics
 # config_from_dict is not called here, but perfbench traces it as cli.config_from_dict.
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
+from .engine import HyperParams
 from .problem import BilevelProblem, ProblemError
 from .topology import MixingMatrix
 
@@ -51,7 +53,10 @@ EXIT_IO = 3
 
 
 def _run_cell(
-    config: ExperimentConfig, problem: BilevelProblem, mixing: dict[str, MixingMatrix]
+    config: ExperimentConfig,
+    problem: BilevelProblem,
+    mixing: dict[str, MixingMatrix],
+    hypers: dict[str, HyperParams],
 ) -> list[dict]:
     """Execute every cell of the sweep as one engine call.
 
@@ -81,7 +86,7 @@ def _run_cell(
         outcomes = engine.run(
             problem,
             [weights[topo_name] for _, topo_name, _ in cells],
-            [config.run.hyper(variant) for _, _, variant in cells],
+            [hypers[variant] for _, _, variant in cells],
             T=config.run.T,
             seed=[r["seed"] for r in results],
             probe_every=config.run.probe_every,
@@ -114,11 +119,11 @@ def _cell_filename(topo_name: str, variant: str, trial: int) -> str:
 
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
     """Build and run the full sweep; returns the process exit code. ``workers`` is ignored."""
-    problem, mixing = config.build()
+    problem, mixing, hypers = config.build()
     os.makedirs(out_dir, exist_ok=True)
     config_dict = emit_config(config)
     # Every output below follows this order of cell identity.
-    results = sorted(_run_cell(config, problem, mixing),
+    results = sorted(_run_cell(config, problem, mixing, hypers),
                      key=lambda r: (r["topology"], r["variant"], r["trial"]))
 
     # A diverged cell's partial record is written but kept out of the
@@ -198,7 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run an experiment sweep")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=None)  # accepted; changes nothing
     p_run.add_argument("--trials", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="validate a config file")
@@ -210,7 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     p_tr.add_argument("--rel-tol", type=float, default=0.2)
     p_tr.add_argument("--window", type=int, default=5)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
     if args.command in ("run", "validate"):
         try:
@@ -220,10 +227,9 @@ def main(argv: list[str] | None = None) -> int:
                 config.build()
                 print("config OK")
                 return EXIT_OK
-            for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
-                if value is not None and value < 1:
-                    raise ConfigError(f"{flag} must be >= 1")
             if args.trials is not None:
+                if args.trials < 1:
+                    raise ConfigError("--trials must be >= 1")
                 config.run.n_trials = args.trials
             out_dir = args.out or config.run.out_dir or os.environ.get(ENV_OUT_DIR) or "."
             code = run_experiment(config, out_dir)

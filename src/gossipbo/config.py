@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 from . import topology as topo
 from .engine import HyperParams, Variant
-from .problem import (
-    BilevelProblem,
-    RidgeTuningSpec,
-    make_quadratic,
-    make_ridge_tuning,
-)
+from .problem import BilevelProblem, make_quadratic, make_ridge_tuning
 
 
 class ConfigError(ValueError):
@@ -69,8 +64,7 @@ class ProblemConfig:
                 noise_scale=self.noise_scale,
             )
         if self.family == "ridge_tuning":
-            spec = RidgeTuningSpec(dim_p=self.dim_y, sigma_omega=self.sigma_omega)
-            return make_ridge_tuning(self.seed, spec, self.n_nodes)
+            return make_ridge_tuning(self.seed, self.n_nodes, self.dim_y, self.sigma_omega)
         raise ValidationError(f"unknown problem family {self.family!r}")
 
 
@@ -114,7 +108,7 @@ class RunConfig:
     tau: float = 1.0
     decay_factor: float = 1.0
     decay_period: int = 1000
-    theta: float = -1.0  # < 0 means theta_t = c3 * alpha_t
+    theta: float | None = None  # None means theta_t = c3 * alpha_t
     delta: float = 1e-3
     T: int = 1000
     probe_every: int = 100
@@ -156,7 +150,7 @@ class RunConfig:
             tau=self.tau,
             decay_factor=self.decay_factor,
             decay_period=self.decay_period,
-            fixed_theta=None if self.theta < 0 else self.theta,
+            fixed_theta=self.theta,
             delta=self.delta,
             variant=Variant(variant),
         )
@@ -168,23 +162,25 @@ class ExperimentConfig:
     topologies: list[TopologyConfig]
     run: RunConfig
 
-    def build(self) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix]]:
+    def build(
+        self,
+    ) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix], dict[str, HyperParams]]:
         """Build the problem, each topology at its node count and each variant's HyperParams, once.
 
         ``parse_config`` checks keys, types and ranges; this checks the run's
         ranges again, for fields set after parsing, and raises, as a
         ValidationError, what a run would otherwise hit inside a cell.
-        Returns the problem and the mixing matrices by topology name.
+        Returns the problem, the mixing matrices by topology name and the
+        HyperParams by variant.
         """
         self.run.check()
         try:
             problem = self.problem.build()
             mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
-            for variant in self.run.variants:
-                self.run.hyper(variant)
+            hypers = {v: self.run.hyper(v) for v in self.run.variants}
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        return problem, mixing
+        return problem, mixing, hypers
 
 
 _PROBLEM_KEYS = {
@@ -228,7 +224,8 @@ def _fill(obj, section: str, items: dict[str, str], skip=()):
             continue
         attr = "T" if key == "t" else key
         current = getattr(obj, attr)
-        setattr(obj, attr, _coerce(section, key, raw, type(current)))
+        # The one field whose default is None, theta, is a float when set.
+        setattr(obj, attr, _coerce(section, key, raw, float if current is None else type(current)))
 
 
 def parse_config(text: str) -> ExperimentConfig:

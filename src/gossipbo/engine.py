@@ -345,7 +345,6 @@ def run(
     T: int,
     seed: "int | list[int]",
     probe_every: int = 100,
-    metadata: "dict | list[dict] | None" = None,
     wall_limit_s: float = 0.0,
     X0=None,
     Y0=None,
@@ -355,17 +354,16 @@ def run(
     """Iterate T steps, probing metrics at each cell's averaged iterate.
 
     ``W`` is one mixing matrix, or a list of C advanced together as one
-    (C, n, .) swarm: for a sweep, every cell of every trial. ``hyper``,
-    ``seed`` and ``metadata`` are one for every cell or lists aligned with
-    ``W``; the cells may mix variants but must agree on every other
-    ``HyperParams`` field. The swarm holds the cells second-order first,
-    and the outcomes come back in the order of ``W``. The draws depend on
-    neither topology nor variant, so a cell's record is the one its own
-    one-matrix run gives, bit for bit. Cells alike in gossip weights,
-    estimator and seed are advanced as one, and each gets that one's probes
-    in its own record, with its own metadata. Samples are drawn
-    ``BLOCK_STEPS`` steps at a time, never past T; ``step`` runs once per
-    iteration on its slice.
+    (C, n, .) swarm: for a sweep, every cell of every trial. ``hyper`` and
+    ``seed`` are one for every cell or lists aligned with ``W``; the cells
+    may mix variants but must agree on every other ``HyperParams`` field.
+    The swarm holds the cells second-order first, and the outcomes come
+    back in the order of ``W``. The draws depend on neither topology nor
+    variant, so a cell's record is the one its own one-matrix run gives,
+    bit for bit. Cells alike in gossip weights, estimator and seed are
+    advanced as one, and each gets that one's probes in its own record.
+    Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T;
+    ``step`` runs once per iteration on its slice.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
     each over the live cells. They are evaluated in batches: the pending
@@ -392,10 +390,9 @@ def run(
         raise ValueError("probe_every must be >= 1")
     Ws = [W] if isinstance(W, MixingMatrix) else list(W)
     hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
-    metas = [metadata] * len(Ws) if not isinstance(metadata, list) else metadata
     seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
-    if not Ws or {len(hypers), len(metas), len(seeds)} != {len(Ws)}:
-        raise ConfigMismatch("run needs one or more cells and one hyper, seed and metadata each")
+    if not Ws or {len(hypers), len(seeds)} != {len(Ws)}:
+        raise ConfigMismatch("run needs one or more cells and one hyper and seed each")
     shared = hypers[0]
     if any(replace(h, variant=shared.variant) != shared for h in hypers):
         raise ConfigMismatch("cells of one run must agree on every hyper but the variant")
@@ -410,20 +407,7 @@ def run(
     weights = np.stack([gossip[cs[0]] for cs in live])
     state = init(problem, [Ws[cs[0]] for cs in live], [hypers[cs[0]] for cs in live],
                  [seeds[cs[0]] for cs in live], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
-    records = []
-    for w, h, s, extra in zip(Ws, hypers, seeds, metas):
-        meta = {
-            "variant": h.variant.value,
-            "n_nodes": problem.n_nodes,
-            "dim_x": problem.dim_x,
-            "dim_y": problem.dim_y,
-            "seed": s,
-            "T": T,
-            "probe_every": probe_every,
-            "rho": w.rho,
-        }
-        meta.update(extra or {})
-        records.append(metrics_mod.RunRecord(metadata=meta))
+    records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
     # Probes not yet evaluated, as (state, live) at their probe time. A state
     # holds its arrays by reference, which is safe: ``step`` writes into none.

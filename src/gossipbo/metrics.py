@@ -47,7 +47,6 @@ class ProbeRow:
 
 @dataclass
 class RunRecord:
-    metadata: dict
     probes: list[ProbeRow] = field(default_factory=list)
 
     def add_probe(self, row: ProbeRow) -> None:
@@ -73,12 +72,12 @@ class RunRecord:
         return "".join(rows)
 
     @staticmethod
-    def from_csv(text: str, metadata: dict | None = None) -> "RunRecord":
+    def from_csv(text: str) -> "RunRecord":
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header != CSV_HEADER:
             raise MetricsError(f"unexpected CSV header: {header}")
-        rec = RunRecord(metadata=metadata or {})
+        rec = RunRecord()
         for row in reader:
             if not row:
                 continue

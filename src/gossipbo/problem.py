@@ -481,10 +481,14 @@ def make_quadratic(
     shifts all A_i by a common multiple of the identity if needed so each
     node's lower level stays strongly convex.
     """
-    if d < 1 or p < 1:
-        raise ValueError("d and p must be >= 1")
-    if conditioning < 1:
-        raise ValueError("conditioning must be >= 1")
+    if n_nodes < 1 or d < 1 or p < 1:
+        raise ValueError("n_nodes, d and p must be >= 1")
+    # Negated comparisons, so that NaN fails them too.
+    if not 1 <= conditioning < np.inf:
+        raise ValueError("conditioning must be finite and >= 1")
+    for name, value in (("heterogeneity", heterogeneity), ("noise_scale", noise_scale)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
     rng = np.random.default_rng(seed)
 
     def rand_sym(dim, scale=1.0):
@@ -542,25 +546,18 @@ def trivial_quadratic(dim: int = 1, n_nodes: int = 1) -> QuadraticBilevel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RidgeTuningSpec:
+class RidgeTuning(BilevelProblem):
     """Scalar ridge-weight tuning for per-node linear regression.
 
     Each node i streams pairs (features, label) with
     features ~ U(-2 * 1.5^(1/3), 2 * 1.5^(1/3))^p and
-    label = features . w_i + N(0, 1), where w_i = w + eps_i,
-    eps_i ~ N(0, sigma_omega^2 I). The upper loss is the validation
-    square error; the lower loss adds the ridge term |x| |y|^2.
+    label = features . w_i + N(0, 1), where ``omega`` holds the rows
+    w_i = w + eps_i, eps_i ~ N(0, sigma_omega^2 I). The upper loss is the
+    validation square error; the lower loss adds the ridge term |x| |y|^2.
     """
 
-    dim_p: int
-    sigma_omega: float  # 0.5 mild, 2.0 severe
-
-
-class RidgeTuning(BilevelProblem):
-    def __init__(self, omega: np.ndarray, spec: RidgeTuningSpec):
+    def __init__(self, omega: np.ndarray):
         n, p = omega.shape
-        self.spec = spec
         self.omega = omega
         self.omega_bar = omega.mean(axis=0)
         self.spread = float(np.mean(np.sum((omega - self.omega_bar) ** 2, axis=1)))
@@ -639,14 +636,19 @@ class RidgeTuning(BilevelProblem):
         return self.feat_var * self.spread + 1.0
 
 
-def make_ridge_tuning(seed: int, spec: RidgeTuningSpec, n_nodes: int) -> RidgeTuning:
-    """Seeded instance: base weights from U(0, 10), Gaussian node offsets."""
-    if spec.dim_p < 1 or n_nodes < 1:
+def make_ridge_tuning(seed: int, n_nodes: int, dim_p: int, sigma_omega: float) -> RidgeTuning:
+    """Seeded instance: base weights from U(0, 10), Gaussian node offsets.
+
+    ``sigma_omega`` is the offsets' spread: 0.5 mild, 2.0 severe.
+    """
+    if dim_p < 1 or n_nodes < 1:
         raise ValueError("dim_p and n_nodes must be >= 1")
+    if not 0 <= sigma_omega < np.inf:  # NaN too
+        raise ValueError("sigma_omega must be finite and >= 0")
     rng = np.random.default_rng(seed)
-    base = rng.uniform(0.0, 10.0, spec.dim_p)
-    eps = spec.sigma_omega * rng.standard_normal((n_nodes, spec.dim_p))
-    return RidgeTuning(base[None, :] + eps, spec)
+    base = rng.uniform(0.0, 10.0, dim_p)
+    eps = sigma_omega * rng.standard_normal((n_nodes, dim_p))
+    return RidgeTuning(base[None, :] + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,6 @@ def build_topology(kind: TopologyKind, n: int) -> MixingMatrix:
     return MixingMatrix.from_weights(W, require_connected=True)
 
 
-def spectral_gap(W: MixingMatrix) -> float:
-    """1 - rho, where rho = ||W - 11^T/n||_2 (largest singular value)."""
-    if W.rho >= 1.0 - 1e-12:
-        raise SpectralGapDegenerate(f"rho = {W.rho:.12f} >= 1")
-    return 1.0 - W.rho
-
-
 def load_mixing_matrix(text: str) -> MixingMatrix:
     """Parse a custom matrix: first line n, then n rows of n reals."""
     lines = [ln for ln in text.splitlines() if ln.strip()]

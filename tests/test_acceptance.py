@@ -19,7 +19,6 @@ import pytest
 import gossipbo as g
 from gossipbo.engine import HyperParams, Variant, init, run, step
 from gossipbo.problem import (
-    RidgeTuningSpec,
     hypergradient_exact,
     make_logcosh,
     make_quadratic,
@@ -255,7 +254,7 @@ def ridge_sweep():
     cells = [(trial, name) for trial in range(N_TRIALS) for name in ("centralized", *topos)]
     results = {}
     for label, sigma_omega in (("mild", 0.5), ("severe", 2.0)):
-        prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=sigma_omega), 9)
+        prob = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=sigma_omega)
         phi_star = prob.phi_star()
         outcomes = run(
             prob,
@@ -381,7 +380,7 @@ def test_criterion_7c_heterogeneity_ordering(quadratic_heterogeneity_sweep):
 
 
 def test_criterion_8_consensus_error_scaling():
-    prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=2.0), 9)
+    prob = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=2.0)
     W = build_topology(Ring(0.2, 0.4), 9)
     wins = 0
     for trial in range(10):
@@ -415,7 +414,7 @@ def test_criterion_8_consensus_error_scaling():
 
 def test_criterion_9_csv_determinism():
     quad = make_quadratic(7, n_nodes=4, d=3, p=3, conditioning=5.0)
-    ridge = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=0.5), 9)
+    ridge = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=0.5)
     cases = [
         (quad, build_topology(Ring(), 4),
          HyperParams(alpha0=0.05, fixed_theta=0.5, variant=Variant.SECOND_ORDER)),

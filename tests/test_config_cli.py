@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipbo import cli
+from gossipbo import config as config_module
 from gossipbo.config import (
     ConfigError,
     ProblemConfig,
@@ -167,10 +168,12 @@ def test_parse_emit_is_stable(sections):
 
 
 def test_hyper_maps_theta_sentinel():
+    # An unset theta is None, which selects theta_t = c3 * alpha_t.
     config = parse_config(GOOD_CONFIG)
     hp = config.run.hyper("so")
     assert hp.fixed_theta == pytest.approx(0.2)
-    config.run.theta = -1.0
+    config = parse_config(GOOD_CONFIG.replace("theta = 0.2\n", ""))
+    assert config.run.theta is None
     hp2 = config.run.hyper("so")
     assert hp2.fixed_theta is None
 
@@ -303,10 +306,11 @@ def test_cli_run_is_deterministic(tmp_path):
 
 
 def test_cli_run_parallel_matches_serial(tmp_path):
+    # The config's two trials, once as set in the file and once through --trials.
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "serial", tmp_path / "par"
     assert cli.main(["run", config, "--out", str(out1)]) == 0
-    assert cli.main(["run", config, "--out", str(out2), "--workers", "3"]) == 0
+    assert cli.main(["run", config, "--out", str(out2), "--trials", "2"]) == 0
     for name in os.listdir(out1):
         if name.endswith(".csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -488,16 +492,6 @@ def test_trials_below_one_rejected_by_run(tmp_path, capsys, trials):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_rejected_by_run(tmp_path, capsys, workers):
-    out = tmp_path / "out"
-    code = cli.main(["run", write_config(tmp_path), "--out", str(out), "--workers", workers])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "config error:" in err and "--workers" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("field, value", [
     ("n_trials", 0), ("T", 0), ("probe_every", 0), ("window", 0), ("workers", 0),
     ("base_seed", -1), ("variants", []), ("transient_metric", "loss"),
@@ -521,6 +515,7 @@ SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "quadrat
 
 
 def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
+    # The problem, each topology and each variant's HyperParams.
     builds = collections.Counter()
 
     def count(cls, key):
@@ -534,13 +529,36 @@ def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
 
     count(ProblemConfig, lambda pc: "problem")
     count(TopologyConfig, lambda tc: tc.name)
-    once = {"problem": 1, "ring": 1, "expo": 1}
+    hyper_params = config_module.HyperParams
+
+    def counted_hyper_params(**kw):
+        builds[kw["variant"].value] += 1
+        return hyper_params(**kw)
+
+    monkeypatch.setattr(config_module, "HyperParams", counted_hyper_params)
+    once = {"problem": 1, "ring": 1, "expo": 1, "so": 1, "fo": 1, "centralized": 1}
     assert cli.main(["validate", SMOKE_CONFIG]) == cli.EXIT_OK
     assert builds == once
     builds.clear()
     out = tmp_path / "out"
     assert cli.main(["run", SMOKE_CONFIG, "--out", str(out), "--trials", "1"]) == cli.EXIT_OK
     assert builds == once
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "CONFIG", "--foo", "1"], cli.EXIT_CONFIG),
+    (["run", "CONFIG", "--trials", "x"], cli.EXIT_CONFIG),
+    (["run", "CONFIG", "--workers", "3"], cli.EXIT_CONFIG),
+    (["transient", "a.csv"], cli.EXIT_CONFIG),
+    ([], cli.EXIT_CONFIG),
+    (["run", "--help"], cli.EXIT_OK),
+], ids=["unknown-flag", "bad-trials", "workers-flag", "missing-ref", "no-command", "help"])
+def test_usage_errors_exit_as_config_errors(tmp_path, capsys, argv, code):
+    # argparse would exit 2, the code of a diverged or failed cell.
+    path = write_config(tmp_path)
+    assert cli.main([path if a == "CONFIG" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert "usage:" in (captured.out if code == cli.EXIT_OK else captured.err)
 
 
 def test_cli_transient_rejects_window_below_one(tmp_path, capsys):
@@ -586,13 +604,24 @@ def test_zero_delta_rejected_by_validate_and_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("alpha0", "nan"), ("theta", "nan"), ("theta", "1.5"), ("tau", "nan"), ("c2", "nan"),
-    ("delta", "nan"),
+    ("alpha0", "nan"), ("theta", "nan"), ("theta", "1.5"), ("theta", "-0.5"), ("tau", "nan"),
+    ("c2", "nan"), ("delta", "nan"),
+    ("sigma_omega", "nan"), ("sigma_omega", "inf"), ("sigma_omega", "-1"),
+    ("noise_scale", "nan"), ("noise_scale", "-1"), ("heterogeneity", "-1"),
+    ("conditioning", "nan"), ("conditioning", "inf"), ("n_nodes", "0"),
 ])
 def test_nan_or_out_of_range_step_sizes_rejected_by_validate_and_run(tmp_path, capsys, key, value):
-    # parse_config takes any float here; HyperParams is what rejects these.
-    text = re.sub(rf"^{key} = .*\n", "", GOOD_CONFIG, flags=re.M)
-    text = text.replace("transient_metric", f"{key} = {value}\ntransient_metric")
+    # parse_config takes any number here; HyperParams or, for a [problem]
+    # key, the problem's constructor is what rejects these. The quadratic
+    # keys go into the smoke config.
+    text = GOOD_CONFIG
+    if key in _PROBLEM_VALUES["quadratic"]:
+        with open(SMOKE_CONFIG) as fh:
+            text = fh.read()
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    in_problem = key in _PROBLEM_VALUES["quadratic"] or key == "sigma_omega"
+    header = "[problem]\n" if in_problem else "[run]\n"
+    text = text.replace(header, f"{header}{key} = {value}\n")
     path = write_config(tmp_path, text)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gossipbo.directions import DegenerateDelta, hvp_fo, hvp_so
 from gossipbo.problem import (
-    RidgeTuningSpec,
     make_logcosh,
     make_quadratic,
     make_ridge_tuning,
@@ -126,7 +125,7 @@ def test_fo_uses_same_sample_for_both_sides():
 
 
 def test_ridge_fo_products(quad):
-    prob = make_ridge_tuning(2, RidgeTuningSpec(dim_p=5, sigma_omega=0.5), 3)
+    prob = make_ridge_tuning(2, n_nodes=3, dim_p=5, sigma_omega=0.5)
     rng = np.random.default_rng(1)
     X, Y, Z = rows(prob, np.array([0.6]), rng.standard_normal(5), rng.standard_normal(5))
     zeta = prob.draw_g_sample(rng)
@@ -153,7 +152,7 @@ def test_fo_stacked_pair_equals_four_calls(family, per_cell):
     if family == "quadratic":
         prob = make_quadratic(21, n_nodes=3, d=2, p=4, conditioning=5.0, noise_scale=0.5)
     elif family == "ridge":
-        prob = make_ridge_tuning(2, RidgeTuningSpec(dim_p=5, sigma_omega=0.5), 3)
+        prob = make_ridge_tuning(2, n_nodes=3, dim_p=5, sigma_omega=0.5)
     else:
         prob = make_logcosh(8, n_nodes=3, d=2, p=5, coupling=0.4, lam=1.5)
     C, n = 5, prob.n_nodes

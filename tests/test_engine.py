@@ -17,7 +17,6 @@ from gossipbo.engine import (
 )
 from gossipbo.metrics import RunRecord, consensus_error, probe
 from gossipbo.problem import (
-    RidgeTuningSpec,
     make_logcosh,
     make_quadratic,
     make_ridge_tuning,
@@ -126,8 +125,6 @@ def test_run_probe_grid(quad):
     W = build_topology(Ring(), 4)
     rec = run(quad, W, hyper(), T=250, seed=4, probe_every=100)
     assert list(rec.ts) == [0, 100, 200, 250]
-    assert rec.metadata["variant"] == "so"
-    assert rec.metadata["seed"] == 4
 
 
 def test_run_determinism(quad):
@@ -215,7 +212,7 @@ def test_wall_limit_enforced(quad):
 
 
 def test_ridge_end_to_end_smoke():
-    prob = make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=0.5), 9)
+    prob = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=0.5)
     W = build_topology(Ring(0.2, 0.4), 9)
     hp = HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
     rec = run(prob, W, hp, T=500, seed=100, probe_every=100)
@@ -248,7 +245,7 @@ def family_instance(family):
         return make_quadratic(1, n_nodes=8, d=2, p=4, conditioning=5.0, heterogeneity=0.3,
                               noise_scale=0.2)
     if family == "ridge":
-        return make_ridge_tuning(42, RidgeTuningSpec(dim_p=10, sigma_omega=2.0), 9)
+        return make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=2.0)
     return make_logcosh(3, n_nodes=6, d=2, p=5)
 
 
@@ -268,13 +265,11 @@ def test_group_matches_solo_runs(family):
     ]
     for group_Ws, variants in groups:
         hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for v in variants]
-        metas = [{"cell": k} for k in range(len(hps))]
-        outcomes = run(prob, group_Ws, hps, metadata=metas, **kw)
+        outcomes = run(prob, group_Ws, hps, **kw)
         assert len(outcomes) == len(hps)
         for k, (W, hp, rec) in enumerate(zip(group_Ws, hps, outcomes)):
             solo = run(prob, W, hp, **kw)
             assert rec.to_csv() == solo.to_csv(), (family, hp.variant, k)
-            assert rec.metadata == {**solo.metadata, "cell": k}
 
 
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
@@ -301,7 +296,6 @@ def test_trial_axis_matches_solo_runs(family):
         for (k, seed), hp, rec in zip(cells, hps, outcomes):
             solo = run(prob, group_Ws[k], hp, seed=seed, **kw)
             assert rec.to_csv() == solo.to_csv(), (family, hp.variant, k, seed)
-            assert rec.metadata == solo.metadata
 
 
 def test_run_needs_one_seed_per_cell(quad):
@@ -336,7 +330,7 @@ MIXED_ORDER = [
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
 def test_mixed_call_matches_solo_runs(family, seeds):
     # so, fo and centralized cells of every trial in one call, in no
-    # particular order: each cell's record and metadata are those of its
+    # particular order: each cell's record is that of its
     # one-matrix run, byte for byte. With one seed the sample broadcasts
     # over the cells (eight of them, as many as the quadratic has nodes);
     # with three it has a cell axis that each estimator's block slices.
@@ -347,14 +341,11 @@ def test_mixed_call_matches_solo_runs(family, seeds):
     kw = dict(T=60, probe_every=7, X0=X0)
     cells = [(k, v, seed) for seed in seeds for k, v in MIXED_ORDER]
     hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for _, v, _ in cells]
-    metas = [{"cell": i} for i in range(len(cells))]
-    outcomes = run(prob, [Ws[k] for k, _, _ in cells], hps, seed=[s for _, _, s in cells],
-                   metadata=metas, **kw)
+    outcomes = run(prob, [Ws[k] for k, _, _ in cells], hps, seed=[s for _, _, s in cells], **kw)
     assert len(outcomes) == len(cells)
-    for i, ((k, v, seed), hp, rec) in enumerate(zip(cells, hps, outcomes)):
+    for (k, v, seed), hp, rec in zip(cells, hps, outcomes):
         solo = run(prob, Ws[k], hp, seed=seed, **kw)
         assert rec.to_csv() == solo.to_csv(), (family, v, k, seed)
-        assert rec.metadata == {**solo.metadata, "cell": i}
 
 
 @pytest.mark.parametrize("lazy", [Variant.FIRST_ORDER, Variant.SECOND_ORDER])
@@ -496,7 +487,7 @@ def stepwise(prob, W, hp, T, seed, probe_every, X0=None):
     """A cell's CSV from bare ``step`` calls, each drawing its own one-step
     sample, with the divergence (iteration, message) or None."""
     st = init(prob, W, hp, seed=seed, X0=X0)
-    rec = RunRecord(metadata={})
+    rec = RunRecord()
     rec.add_probe(probe(prob, st, alpha=hp.alpha(0)))
     for t in range(T):
         try:
@@ -561,7 +552,7 @@ def test_alike_cells_are_computed_once(monkeypatch):
     # A fully connected so cell and a centralized cell of the same seed
     # gossip with the same weights, as does an exact duplicate pair: the
     # engine advances one cell per (weights, estimator, seed), and each
-    # member gets its solo record with its own variant and rho.
+    # member gets its solo record, as an object of its own.
     prob = family_instance("ridge")
     n = prob.n_nodes
     full, ring = build_topology(FullyConnected(), n), build_topology(Ring(0.2, 0.4), n)
@@ -578,15 +569,12 @@ def test_alike_cells_are_computed_once(monkeypatch):
         return original(problem, W, hyper, state, *args)
 
     monkeypatch.setattr(engine, "step", counted)
-    outcomes = run(prob, [W for W, _, _ in cells], hps, seed=[s for _, _, s in cells],
-                   metadata=[{"cell": i} for i in range(len(cells))], **kw)
+    outcomes = run(prob, [W for W, _, _ in cells], hps, seed=[s for _, _, s in cells], **kw)
     monkeypatch.undo()
     assert widths == [3] * kw["T"]
-    for i, ((W, v, seed), hp, rec) in enumerate(zip(cells, hps, outcomes)):
+    for (W, _, seed), hp, rec in zip(cells, hps, outcomes):
         solo = run(prob, W, hp, seed=seed, **kw)
         assert rec.to_csv() == solo.to_csv()
-        assert rec.metadata == {**solo.metadata, "cell": i}
-        assert (rec.metadata["variant"], rec.metadata["rho"]) == (v.value, W.rho)
     assert len({id(rec) for rec in outcomes}) == len(cells)
 
 
@@ -596,8 +584,7 @@ def test_alike_cells_diverge_each_with_its_own_error():
     lazier, ring = build_topology(Ring(0.9, 0.05), 4), build_topology(Ring(), 4)
     Ws = [lazier, ring, lazier]
     hp = hyper(alpha0=0.3)
-    outcomes = run(prob, Ws, hp, T=120, seed=7, probe_every=3,
-                   metadata=[{"cell": i} for i in range(3)])
+    outcomes = run(prob, Ws, hp, T=120, seed=7, probe_every=3)
     first, _, twin = outcomes
     solo = run(prob, ring, hp, T=120, seed=7, probe_every=3)
     assert outcomes[1].to_csv() == solo.to_csv()
@@ -605,7 +592,6 @@ def test_alike_cells_diverge_each_with_its_own_error():
     assert first is not twin and first.record is not twin.record
     assert (first.iteration, str(first)) == (twin.iteration, str(twin))
     assert first.record.to_csv() == twin.record.to_csv()
-    assert (first.record.metadata["cell"], twin.record.metadata["cell"]) == (0, 2)
     assert outcome_of(first) == stepwise(prob, lazier, hp, 120, 7, 3)
 
 

@@ -27,7 +27,6 @@ from gossipbo.metrics import (
 )
 from gossipbo.problem import (
     ProblemError,
-    RidgeTuningSpec,
     make_logcosh,
     make_quadratic,
     make_ridge_tuning,
@@ -68,7 +67,7 @@ def test_consensus_error_translation_invariant(seed):
 
 def test_consensus_error_gossip_contraction():
     # Pure gossip (zero steps): error after k rounds <= rho^{2k} * initial.
-    prob = make_ridge_tuning(1, RidgeTuningSpec(dim_p=3, sigma_omega=0.5), 6)
+    prob = make_ridge_tuning(1, n_nodes=6, dim_p=3, sigma_omega=0.5)
     W = build_topology(Ring(0.2, 0.4), 6)
     hp = HyperParams(alpha0=0.0, fixed_theta=0.0, variant=Variant.SECOND_ORDER)
     rng = np.random.default_rng(2)
@@ -110,7 +109,7 @@ def test_probe_solves_the_lower_problem_once(family, monkeypatch):
     if family == "quadratic":
         prob = make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
     elif family == "ridge":
-        prob = make_ridge_tuning(5, RidgeTuningSpec(dim_p=6, sigma_omega=0.5), 3)
+        prob = make_ridge_tuning(5, n_nodes=3, dim_p=6, sigma_omega=0.5)
     else:
         prob = make_logcosh(3, n_nodes=3, d=2, p=5)
     rng = np.random.default_rng(0)
@@ -149,7 +148,7 @@ def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
     if family == "quadratic":
         prob = make_quadratic(11, n_nodes=3, d=2, p=4, conditioning=6.0, heterogeneity=0.4)
     elif family == "ridge":
-        prob = make_ridge_tuning(5, RidgeTuningSpec(dim_p=6, sigma_omega=0.5), 3)
+        prob = make_ridge_tuning(5, n_nodes=3, dim_p=6, sigma_omega=0.5)
     else:
         prob = make_logcosh(3, n_nodes=3, d=2, p=5)
     rng = np.random.default_rng(1)
@@ -258,7 +257,7 @@ _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.0
 
 def test_record_csv_matches_the_csv_writer_reference():
     rng = np.random.default_rng(7)
-    rec = RunRecord(metadata={})
+    rec = RunRecord()
     rows = []
     for t in range(0, 400, 20):
         row = [t] + [float(v) for v in rng.choice(_SPECIAL_FLOATS, 5)]
@@ -285,7 +284,7 @@ def test_summary_csv_matches_the_csv_writer_reference():
 
 
 def make_record(ts, values, metric="grad_sq_norm"):
-    rec = RunRecord(metadata={})
+    rec = RunRecord()
     for t, v in zip(ts, values):
         kwargs = dict(
             t=int(t), grad_sq_norm=1.0, phi_gap=0.0,

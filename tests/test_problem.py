@@ -10,7 +10,6 @@ from gossipbo.problem import (
     FEATURE_HALF_WIDTH,
     FEATURE_VAR,
     LowerSolveDiverged,
-    RidgeTuningSpec,
     SingularHessian,
     dense_lower_hessian,
     hypergradient_exact,
@@ -50,7 +49,7 @@ def quad():
 
 @pytest.fixture(scope="module")
 def ridge():
-    return make_ridge_tuning(5, RidgeTuningSpec(dim_p=6, sigma_omega=0.5), 4)
+    return make_ridge_tuning(5, n_nodes=4, dim_p=6, sigma_omega=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +379,7 @@ def test_ridge_sign_zero_freezes_regularizer_gradient(ridge):
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25, deadline=None)
 def test_ridge_stochastic_gradient_unbiased_in_sample_mean(seed):
-    prob = make_ridge_tuning(9, RidgeTuningSpec(dim_p=4, sigma_omega=1.0), 3)
+    prob = make_ridge_tuning(9, n_nodes=3, dim_p=4, sigma_omega=1.0)
     rng = np.random.default_rng(seed)
     X = rows(prob, np.array([0.2]))
     Y = rows(prob, rng.standard_normal(prob.dim_y))

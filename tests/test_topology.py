@@ -12,11 +12,9 @@ from gossipbo.topology import (
     MixingMatrix,
     NonStochasticWeights,
     Ring,
-    SpectralGapDegenerate,
     Torus2D,
     build_topology,
     load_mixing_matrix,
-    spectral_gap,
 )
 
 TOL = 1e-12
@@ -72,17 +70,6 @@ def test_torus_3x3_rho():
     # (1 + 2 cos(2 pi a/3) + 2 cos(2 pi b/3)) / 5.
     W = build_topology(Torus2D(3, 3), 9)
     assert abs(W.rho - 0.4) < 1e-12
-
-
-def test_spectral_gap_values():
-    W = build_topology(Ring(0.2, 0.4), 9)
-    assert abs(spectral_gap(W) - (1.0 - W.rho)) < 1e-15
-
-
-def test_spectral_gap_degenerate_identity():
-    W = load_mixing_matrix("2\n1 0\n0 1\n")
-    with pytest.raises(SpectralGapDegenerate):
-        spectral_gap(W)
 
 
 @given(st.integers(min_value=3, max_value=20), st.integers(min_value=0, max_value=2**31))
