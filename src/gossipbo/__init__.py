@@ -13,7 +13,6 @@ from .problem import (
     BilevelProblem,
     LogCoshBilevel,
     QuadraticBilevel,
-    QuadraticBilevelSpec,
     RidgeTuning,
     hypergradient_exact,
     lower_solve,

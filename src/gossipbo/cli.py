@@ -6,12 +6,13 @@ Subcommands:
     gossipbo validate <config.ini>
     gossipbo transient <run.csv> <ref.csv> [--rel-tol R] [--window W]
 
-Exit codes: 0 success, 1 config or usage error, 2 runtime divergence or a
-failed cell (partial results written; a diverged cell's probes up to the
-blow-up go to ``<cell>_partial.csv``, named in its manifest entry), 3 I/O
-error. ``validate`` and ``run`` share one ``ExperimentConfig.build``, which
-``run`` makes before it creates the output directory; it checks the
-run-level ranges again, for fields set in code, and builds the problem, the
+Exit codes: 0 success, 1 config or usage error (or a malformed CSV given
+to ``transient``), 2 runtime divergence or a failed cell (partial results
+written; a diverged cell's probes up to the blow-up go to
+``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
+``validate`` and ``run`` share one ``ExperimentConfig.build``, which ``run``
+makes before it creates the output directory; it checks the run-level
+ranges again, for fields set in code, and builds the problem, the
 topologies and each variant's HyperParams once. ``base_seed`` must be
 >= 0, and ``--trials`` >= 1. GOSSIPBO_OUT sets the default output
 directory.
@@ -244,14 +245,18 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     # transient
-    try:
-        with open(args.run_csv) as fh:
-            rec = metrics.RunRecord.from_csv(fh.read())
-        with open(args.ref_csv) as fh:
-            ref = metrics.RunRecord.from_csv(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = []
+    for path in (args.run_csv, args.ref_csv):
+        try:
+            with open(path) as fh:
+                records.append(metrics.RunRecord.from_csv(fh.read()))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ValueError as exc:  # a malformed CSV, or one that is not text
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    rec, ref = records
     try:
         est = metrics.transient_cutoff(rec, ref, rel_tol=args.rel_tol, window=args.window)
     except metrics.MetricsError as exc:

@@ -14,17 +14,21 @@ Layout:
     variants = so, fo, centralized
     ... schedules, horizon, trials, output ...
 
-Unknown keys are errors, never warnings. ``ExperimentConfig.build`` builds
+Unknown keys are errors, never warnings. Each family and kind is declared
+once, with its constructor and the keys it takes (``_FAMILIES``, ``_KINDS``);
+parsing, building and ``emit_config`` read only that, so the manifest holds
+the keys each section takes and no others. ``ExperimentConfig.build`` builds
 what ``gossipbo validate`` and ``gossipbo run`` share.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import topology as topo
 from .engine import HyperParams, Variant
+from .metrics import PROBE_METRICS
 from .problem import BilevelProblem, make_quadratic, make_ridge_tuning
 
 
@@ -40,6 +44,46 @@ class ValidationError(ConfigError):
     pass
 
 
+def _read_matrix(path: str) -> topo.MixingMatrix:
+    with open(path) as fh:
+        return topo.load_mixing_matrix(fh.read())
+
+
+# One table per variable section: a family or kind maps to its constructor
+# and the keys it takes, which the constructor takes positionally in that
+# order. Parsing, both builds and emit_config read only these.
+_FAMILIES = {
+    "quadratic": (make_quadratic, (
+        "seed", "n_nodes", "dim_x", "dim_y", "conditioning", "heterogeneity", "noise_scale",
+    )),
+    "ridge_tuning": (make_ridge_tuning, ("seed", "n_nodes", "dim_y", "sigma_omega")),
+}
+# A kind's constructor gives what build_topology lays out on the problem's
+# nodes or, for a custom file, the matrix itself.
+_KINDS = {
+    "fully_connected": (topo.FullyConnected, ()),
+    "ring": (topo.Ring, ("self_weight", "neighbor_weight")),
+    # Self weight 0.2 and 0.4 to each of the two ring neighbors.
+    "adjusted_ring": (lambda: topo.Ring(0.2, 0.4), ()),
+    "torus2d": (topo.Torus2D, ("rows", "cols")),
+    "exponential": (topo.ExponentialGraph, ()),
+    "custom": (_read_matrix, ("path",)),
+}
+# Lower bounds of the [problem] keys that seed or size an instance.
+_PROBLEM_MINIMA = {"seed": 0, "n_nodes": 1, "dim_x": 1, "dim_y": 1}
+
+
+def _lookup(table: dict, section: str, key: str, value) -> tuple:
+    """The table's (constructor, keys) for ``value``, which the section's ``key`` names."""
+    if value not in table:
+        raise ValidationError(f"[{section}] {key} must be one of {sorted(table)}")
+    return table[value]
+
+
+def _taken(obj, keys) -> dict:
+    return {k: getattr(obj, k) for k in keys}
+
+
 @dataclass
 class ProblemConfig:
     family: str
@@ -53,19 +97,12 @@ class ProblemConfig:
     sigma_omega: float = 0.5
 
     def build(self) -> BilevelProblem:
-        if self.family == "quadratic":
-            return make_quadratic(
-                self.seed,
-                self.n_nodes,
-                self.dim_x,
-                self.dim_y,
-                conditioning=self.conditioning,
-                heterogeneity=self.heterogeneity,
-                noise_scale=self.noise_scale,
-            )
-        if self.family == "ridge_tuning":
-            return make_ridge_tuning(self.seed, self.n_nodes, self.dim_y, self.sigma_omega)
-        raise ValidationError(f"unknown problem family {self.family!r}")
+        make, keys = _lookup(_FAMILIES, "problem", "family", self.family)
+        values = _taken(self, keys)
+        for key, low in _PROBLEM_MINIMA.items():
+            if key in values and values[key] < low:
+                raise ValidationError(f"[problem] {key} must be >= {low}")
+        return make(*values.values())
 
 
 @dataclass
@@ -79,23 +116,16 @@ class TopologyConfig:
     path: str = ""
 
     def build(self, n: int) -> topo.MixingMatrix:
-        if self.kind == "fully_connected":
-            return topo.build_topology(topo.FullyConnected(), n)
-        if self.kind == "ring":
-            return topo.build_topology(
-                topo.Ring(self.self_weight, self.neighbor_weight), n
-            )
-        if self.kind == "adjusted_ring":
-            # Self weight 0.2 and 0.4 to each of the two ring neighbors.
-            return topo.build_topology(topo.Ring(0.2, 0.4), n)
-        if self.kind == "torus2d":
-            return topo.build_topology(topo.Torus2D(self.rows, self.cols), n)
-        if self.kind == "exponential":
-            return topo.build_topology(topo.ExponentialGraph(), n)
-        if self.kind == "custom":
-            with open(self.path) as fh:
-                return topo.load_mixing_matrix(fh.read())
-        raise ValidationError(f"unknown topology kind {self.kind!r}")
+        section = f"topology.{self.name}"
+        make, keys = _lookup(_KINDS, section, "kind", self.kind)
+        try:
+            kind = make(*_taken(self, keys).values())
+            W = kind if isinstance(kind, topo.MixingMatrix) else topo.build_topology(kind, n)
+        except topo.TopologyError as exc:
+            raise ValidationError(f"[{section}] {exc}") from exc
+        if W.n != n:
+            raise ValidationError(f"[{section}] the matrix has {W.n} nodes, the problem {n}")
+        return W
 
 
 @dataclass
@@ -123,9 +153,10 @@ class RunConfig:
 
     def check(self) -> None:
         """Raise a ValidationError for a variant or run-level value out of range."""
+        variants = [v.value for v in Variant]
         for v in self.variants:
-            if v not in _VARIANTS:
-                raise ValidationError(f"[run] unknown variant {v!r}")
+            if v not in variants:
+                raise ValidationError(f"[run] unknown variant {v!r}; variants are {variants}")
         if not self.variants:
             raise ValidationError("[run] variants must be non-empty")
         for key, value, low in (
@@ -136,10 +167,8 @@ class RunConfig:
         ):
             if not value >= low:  # NaN too
                 raise ValidationError(f"[run] {key} must be >= {low}")
-        if self.transient_metric not in _TRANSIENT_METRICS:
-            raise ValidationError(
-                f"[run] transient_metric must be one of {sorted(_TRANSIENT_METRICS)}"
-            )
+        if self.transient_metric not in PROBE_METRICS:
+            raise ValidationError(f"[run] transient_metric must be one of {list(PROBE_METRICS)}")
 
     def hyper(self, variant: str) -> HyperParams:
         return HyperParams(
@@ -167,9 +196,10 @@ class ExperimentConfig:
     ) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix], dict[str, HyperParams]]:
         """Build the problem, each topology at its node count and each variant's HyperParams, once.
 
-        ``parse_config`` checks keys, types and ranges; this checks the run's
-        ranges again, for fields set after parsing, and raises, as a
-        ValidationError, what a run would otherwise hit inside a cell.
+        ``parse_config`` checks keys, types and the run's ranges; this checks
+        the run's ranges again, for fields set after parsing, and the
+        problem's seed and sizes, and raises, as a ValidationError, what a
+        run would otherwise hit inside a cell.
         Returns the problem, the mixing matrices by topology name and the
         HyperParams by variant.
         """
@@ -183,49 +213,31 @@ class ExperimentConfig:
         return problem, mixing, hypers
 
 
-_PROBLEM_KEYS = {
-    "quadratic": {
-        "family", "seed", "n_nodes", "dim_x", "dim_y",
-        "conditioning", "heterogeneity", "noise_scale",
-    },
-    "ridge_tuning": {"family", "seed", "n_nodes", "dim_y", "sigma_omega"},
-}
-_TOPOLOGY_KEYS = {
-    "fully_connected": {"kind"},
-    "ring": {"kind", "self_weight", "neighbor_weight"},
-    "adjusted_ring": {"kind"},
-    "torus2d": {"kind", "rows", "cols"},
-    "exponential": {"kind"},
-    "custom": {"kind", "path"},
-}
-_RUN_KEYS = {
-    "variants", "alpha0", "c1", "c2", "c3", "tau", "decay_factor", "decay_period",
-    "theta", "delta", "t", "probe_every", "n_trials", "base_seed", "rel_tol",
-    "window", "transient_metric", "out_dir", "workers", "wall_limit_s",
-}
-_TRANSIENT_METRICS = {"grad_sq_norm", "phi_gap", "upper_loss", "consensus_error"}
-_VARIANTS = {"so", "fo", "centralized"}
+# The INI spelling of each RunConfig field: the horizon T is the key t.
+_RUN_KEYS = tuple("t" if f.name == "T" else f.name for f in fields(RunConfig))
 
 
-def _coerce(section: str, key: str, raw: str, target_type):
+def _coerce(section: str, key: str, raw: str, current):
+    """``raw`` as the type of the field's ``current`` value."""
+    if isinstance(current, list):
+        return [v.strip() for v in raw.split(",") if v.strip()]
+    # The one field whose default is None, theta, is a float when set.
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        return (float if current is None else type(current))(raw)
     except ValueError as exc:
         raise ValidationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _fill(obj, section: str, items: dict[str, str], skip=()):
+def _fill(obj, section: str, items: dict[str, str], keys) -> None:
+    """Set each of ``items`` on ``obj``; ``keys`` are the keys the section takes."""
+    unknown = set(items) - set(keys)
+    if unknown:
+        raise ValidationError(
+            f"[{section}] unknown key(s) {sorted(unknown)}; it takes {sorted(keys)}"
+        )
     for key, raw in items.items():
-        if key in skip:
-            continue
         attr = "T" if key == "t" else key
-        current = getattr(obj, attr)
-        # The one field whose default is None, theta, is a float when set.
-        setattr(obj, attr, _coerce(section, key, raw, float if current is None else type(current)))
+        setattr(obj, attr, _coerce(section, key, raw, getattr(obj, attr)))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -237,15 +249,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "problem" not in cp:
         raise ValidationError("missing [problem] section")
-    pitems = dict(cp["problem"])
-    family = pitems.get("family")
-    if family not in _PROBLEM_KEYS:
-        raise ValidationError(f"[problem] family must be one of {sorted(_PROBLEM_KEYS)}")
-    unknown = set(pitems) - _PROBLEM_KEYS[family]
-    if unknown:
-        raise ValidationError(f"[problem] unknown key(s) for family {family}: {sorted(unknown)}")
+    items = dict(cp["problem"])
+    family = items.pop("family", None)
     prob = ProblemConfig(family=family)
-    _fill(prob, "problem", pitems, skip=("family",))
+    _fill(prob, "problem", items, _lookup(_FAMILIES, "problem", "family", family)[1])
 
     topologies: list[TopologyConfig] = []
     run_items: dict[str, str] | None = None
@@ -256,20 +263,10 @@ def parse_config(text: str) -> ExperimentConfig:
             run_items = dict(cp["run"])
             continue
         if section.startswith("topology."):
-            name = section[len("topology."):]
             items = dict(cp[section])
-            kind = items.get("kind")
-            if kind not in _TOPOLOGY_KEYS:
-                raise ValidationError(
-                    f"[{section}] kind must be one of {sorted(_TOPOLOGY_KEYS)}"
-                )
-            unknown = set(items) - _TOPOLOGY_KEYS[kind]
-            if unknown:
-                raise ValidationError(
-                    f"[{section}] unknown key(s) for kind {kind}: {sorted(unknown)}"
-                )
-            tc = TopologyConfig(name=name, kind=kind)
-            _fill(tc, section, items, skip=("kind",))
+            kind = items.pop("kind", None)
+            tc = TopologyConfig(name=section[len("topology."):], kind=kind)
+            _fill(tc, section, items, _lookup(_KINDS, section, "kind", kind)[1])
             topologies.append(tc)
             continue
         raise ValidationError(f"unknown section [{section}]")
@@ -278,22 +275,21 @@ def parse_config(text: str) -> ExperimentConfig:
     if run_items is None:
         raise ValidationError("missing [run] section")
 
-    unknown = set(run_items) - _RUN_KEYS
-    if unknown:
-        raise ValidationError(f"[run] unknown key(s): {sorted(unknown)}")
     run = RunConfig()
-    _fill(run, "run", run_items, skip=("variants",))
-    if "variants" in run_items:
-        run.variants = [v.strip() for v in run_items["variants"].split(",") if v.strip()]
+    _fill(run, "run", run_items, _RUN_KEYS)
     run.check()
     return ExperimentConfig(problem=prob, topologies=topologies, run=run)
 
 
 def emit_config(config: ExperimentConfig) -> dict:
-    """JSON-friendly form; ``config_from_dict`` round-trips it."""
+    """JSON-friendly form with the keys each section takes; ``config_from_dict`` round-trips it."""
+    p = config.problem
     return {
-        "problem": dict(vars(config.problem)),
-        "topologies": [dict(vars(t)) for t in config.topologies],
+        "problem": {"family": p.family, **_taken(p, _FAMILIES[p.family][1])},
+        "topologies": [
+            {"name": t.name, "kind": t.kind, **_taken(t, _KINDS[t.kind][1])}
+            for t in config.topologies
+        ],
         "run": dict(vars(config.run)),
     }
 

@@ -404,9 +404,10 @@ def run(
         alike.setdefault((wm.tobytes(), h.variant is Variant.FIRST_ORDER, s), []).append(c)
     # The cells behind each position of the state's cell axis: second-order first.
     live = sorted(alike.values(), key=lambda cs: hypers[cs[0]].variant is Variant.FIRST_ORDER)
-    weights = np.stack([gossip[cs[0]] for cs in live])
+    # init checks every matrix against the problem's node count first.
     state = init(problem, [Ws[cs[0]] for cs in live], [hypers[cs[0]] for cs in live],
                  [seeds[cs[0]] for cs in live], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
+    weights = np.stack([gossip[cs[0]] for cs in live])
     records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
     # Probes not yet evaluated, as (state, live) at their probe time. A state

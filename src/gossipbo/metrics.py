@@ -20,7 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import problem as problem_mod
 
-CSV_HEADER = ["t", "grad_sq_norm", "phi_gap", "consensus_error", "upper_loss", "alpha"]
+# The metric columns of a probe, in CSV order; each can be a run's transient metric.
+PROBE_METRICS = ("grad_sq_norm", "phi_gap", "consensus_error", "upper_loss")
+CSV_HEADER = ["t", *PROBE_METRICS, "alpha"]
 
 
 class MetricsError(ValueError):
@@ -78,11 +80,17 @@ class RunRecord:
         if header != CSV_HEADER:
             raise MetricsError(f"unexpected CSV header: {header}")
         rec = RunRecord()
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            # Columns in CSV_HEADER order, which is ProbeRow's field order.
-            rec.add_probe(ProbeRow(int(row[0]), *map(float, row[1:6])))
+            if len(row) != len(CSV_HEADER):
+                raise MetricsError(f"line {line}: {len(row)} cells, expected {len(CSV_HEADER)}")
+            try:
+                # Columns in CSV_HEADER order, which is ProbeRow's field order.
+                probe_row = ProbeRow(int(row[0]), *map(float, row[1:]))
+            except ValueError as exc:
+                raise MetricsError(f"line {line}: {exc}") from exc
+            rec.add_probe(probe_row)
         return rec
 
 
@@ -223,7 +231,7 @@ class SummaryTable:
         return "".join(rows)
 
 
-SUMMARY_METRICS = ["grad_sq_norm", "phi_gap", "consensus_error", "upper_loss"]
+SUMMARY_METRICS = PROBE_METRICS
 
 
 def summarize(records: list[RunRecord]) -> SummaryTable:

@@ -32,7 +32,6 @@ variants are exact.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,31 +315,23 @@ def phi_value(problem: BilevelProblem, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuadraticBilevelSpec:
+class QuadraticBilevel(BilevelProblem):
     """Per-node quadratics; admits closed forms for y*, z*, and grad Phi.
 
     f_i(x, y) = 1/2 y'P_i y + y'(Q_i x + q_i) + 1/2 x'R_i x
     g_i(x, y) = 1/2 y'A_i y + y'(B_i x + c_i)
+
+    P (n, p, p) and R (n, d, d) are symmetric, A (n, p, p) is symmetric
+    positive definite at every node, Q and B are (n, p, d), q and c (n, p).
     """
 
-    P: np.ndarray  # (n, p, p), symmetric
-    Q: np.ndarray  # (n, p, d)
-    q: np.ndarray  # (n, p)
-    R: np.ndarray  # (n, d, d), symmetric
-    A: np.ndarray  # (n, p, p), symmetric, mean positive definite
-    B: np.ndarray  # (n, p, d)
-    c: np.ndarray  # (n, p)
-
-
-class QuadraticBilevel(BilevelProblem):
-    def __init__(self, spec: QuadraticBilevelSpec, noise_scale: float = 0.0):
-        n, p, d = spec.A.shape[0], spec.A.shape[1], spec.B.shape[2]
-        self.spec = spec
-        self.A_bar = spec.A.mean(axis=0)
-        self.B_bar = spec.B.mean(axis=0)
-        self.c_bar = spec.c.mean(axis=0)
-        if np.linalg.eigvalsh(spec.A).min() <= 0:
+    def __init__(self, P, Q, q, R, A, B, c, noise_scale: float = 0.0):
+        n, p, d = A.shape[0], A.shape[1], B.shape[2]
+        self.P, self.Q, self.q, self.R, self.A, self.B, self.c = P, Q, q, R, A, B, c
+        self.A_bar = A.mean(axis=0)
+        self.B_bar = B.mean(axis=0)
+        self.c_bar = c.mean(axis=0)
+        if np.linalg.eigvalsh(A).min() <= 0:
             raise ValueError("every A_i must be positive definite")
         super().__init__(n, d, p)
         self.sigma = noise_scale
@@ -349,33 +340,29 @@ class QuadraticBilevel(BilevelProblem):
 
     # deterministic ------------------------------------------------------
     def f_value(self, X, Y):
-        s = self.spec
-        return _quad(0.5 * Y, s.P, Y) + _dot(Y, _mv(s.Q, X) + s.q) + _quad(0.5 * X, s.R, X)
+        return (_quad(0.5 * Y, self.P, Y) + _dot(Y, _mv(self.Q, X) + self.q)
+                + _quad(0.5 * X, self.R, X))
 
     def g_value(self, X, Y):
-        s = self.spec
-        return _quad(0.5 * Y, s.A, Y) + _dot(Y, _mv(s.B, X) + s.c)
+        return _quad(0.5 * Y, self.A, Y) + _dot(Y, _mv(self.B, X) + self.c)
 
     def grad_x_f(self, X, Y):
-        s = self.spec
-        return _mtv(s.Q, Y) + _mv(s.R, X)
+        return _mtv(self.Q, Y) + _mv(self.R, X)
 
     def grad_y_f(self, X, Y):
-        s = self.spec
-        return _mv(s.P, Y) + _mv(s.Q, X) + s.q
+        return _mv(self.P, Y) + _mv(self.Q, X) + self.q
 
     def grad_x_g(self, X, Y):
-        return _mtv(self.spec.B, Y)
+        return _mtv(self.B, Y)
 
     def grad_y_g(self, X, Y):
-        s = self.spec
-        return _mv(s.A, Y) + _mv(s.B, X) + s.c
+        return _mv(self.A, Y) + _mv(self.B, X) + self.c
 
     def hess_yy_g(self, X, Y, V):
-        return _mv(self.spec.A, V)
+        return _mv(self.A, V)
 
     def cross_xy_g(self, X, Y, V):
-        return _mtv(self.spec.B, V)
+        return _mtv(self.B, V)
 
     # stochastic ---------------------------------------------------------
     # One f-sample is a pair of unit-variance direction noises, e_y (n, p)
@@ -517,16 +504,10 @@ def make_quadratic(
     Q = rng.standard_normal((p, d))[None, :, :] + heterogeneity * centered((p, d))
     R0 = rand_sym(d)
     R0 = R0 @ R0.T + np.eye(d)  # positive definite upper-level curvature
-    spec = QuadraticBilevelSpec(
-        P=P,
-        Q=Q,
-        q=np.tile(rng.standard_normal(p), (n_nodes, 1)),
-        R=np.tile(R0, (n_nodes, 1, 1)),
-        A=A,
-        B=B,
-        c=np.tile(rng.standard_normal(p), (n_nodes, 1)),
-    )
-    return QuadraticBilevel(spec, noise_scale=noise_scale)
+    q = np.tile(rng.standard_normal(p), (n_nodes, 1))
+    R = np.tile(R0, (n_nodes, 1, 1))
+    c = np.tile(rng.standard_normal(p), (n_nodes, 1))
+    return QuadraticBilevel(P, Q, q, R, A, B, c, noise_scale=noise_scale)
 
 
 def trivial_quadratic(dim: int = 1, n_nodes: int = 1) -> QuadraticBilevel:
@@ -534,11 +515,10 @@ def trivial_quadratic(dim: int = 1, n_nodes: int = 1) -> QuadraticBilevel:
     eye = np.tile(np.eye(dim), (n_nodes, 1, 1))
     zeros_m = np.zeros((n_nodes, dim, dim))
     zeros_v = np.zeros((n_nodes, dim))
-    spec = QuadraticBilevelSpec(
+    return QuadraticBilevel(
         P=eye.copy(), Q=zeros_m.copy(), q=zeros_v.copy(), R=zeros_m.copy(),
         A=eye.copy(), B=-eye.copy(), c=zeros_v.copy(),
     )
-    return QuadraticBilevel(spec)
 
 
 # ---------------------------------------------------------------------------

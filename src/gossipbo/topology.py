@@ -43,11 +43,8 @@ class MixingMatrix:
     rho: float
 
     @staticmethod
-    def from_weights(
-        weights: np.ndarray,
-        tol: float = STOCHASTIC_TOL,
-        require_connected: bool = False,
-    ) -> "MixingMatrix":
+    def from_weights(weights: np.ndarray, tol: float = STOCHASTIC_TOL) -> "MixingMatrix":
+        """Check that ``weights`` is doubly stochastic within ``tol`` and mixes (rho < 1)."""
         W = np.array(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise NonStochasticWeights(f"expected a square matrix, got shape {W.shape}")
@@ -64,8 +61,8 @@ class MixingMatrix:
                 f"(tolerance {tol:.1e})"
             )
         rho = float(np.linalg.norm(W - np.full((n, n), 1.0 / n), ord=2))
-        if require_connected and rho >= 1.0 - 1e-12:
-            raise SpectralGapDegenerate(f"rho = {rho:.12f} >= 1")
+        if rho >= 1.0 - 1e-12:
+            raise SpectralGapDegenerate(f"rho = {rho:.12f} >= 1: the weights do not mix")
         W.setflags(write=False)
         return MixingMatrix(n=n, weights=W, rho=rho)
 
@@ -159,7 +156,7 @@ def build_topology(kind: TopologyKind, n: int) -> MixingMatrix:
         W = _uniform_closed_neighborhood(n, nbrs)
     else:
         raise TypeError(f"unknown topology kind: {kind!r}")
-    return MixingMatrix.from_weights(W, require_connected=True)
+    return MixingMatrix.from_weights(W)
 
 
 def load_mixing_matrix(text: str) -> MixingMatrix:

@@ -609,6 +609,7 @@ def test_zero_delta_rejected_by_validate_and_run(tmp_path, capsys):
     ("sigma_omega", "nan"), ("sigma_omega", "inf"), ("sigma_omega", "-1"),
     ("noise_scale", "nan"), ("noise_scale", "-1"), ("heterogeneity", "-1"),
     ("conditioning", "nan"), ("conditioning", "inf"), ("n_nodes", "0"),
+    ("seed", "-1"), ("dim_x", "0"), ("dim_y", "0"),
 ])
 def test_nan_or_out_of_range_step_sizes_rejected_by_validate_and_run(tmp_path, capsys, key, value):
     # parse_config takes any number here; HyperParams or, for a [problem]
@@ -631,6 +632,67 @@ def test_nan_or_out_of_range_step_sizes_rejected_by_validate_and_run(tmp_path, c
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0.5 0.25 0.25\n0.25 0.5 0.25\n0.25 0.25 0.5\n", "3 nodes"),
+    ("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "do not mix"),
+], ids=["wrong-size", "disconnected"])
+def test_custom_matrix_that_cannot_run_rejected_by_validate_and_run(tmp_path, capsys, rows,
+                                                                      message):
+    # The problem has 4 nodes; the identity never mixes (rho = 1).
+    matrix = tmp_path / "mix.txt"
+    matrix.write_text(f"{rows.count(chr(10))}\n{rows}")
+    text = SMALL_QUADRATIC.replace("kind = fully_connected", f"kind = custom\npath = {matrix}")
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [topology.full]") and message in err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [topology.full]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n",
+    ",".join(CSV_HEADER) + "\n0,x,0.0,0.0,1.0,0.1\n",
+    ",".join(CSV_HEADER) + "\n0,1.0,0.0\n",
+], ids=["bad-header", "non-numeric-cell", "short-row"])
+def test_cli_transient_rejects_a_malformed_csv(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert cli.main(["transient", str(bad), str(bad)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+# A runnable INI value of every [problem] and [topology.*] key on 4 nodes; a
+# custom path is set per test.
+_RUNNABLE = {
+    "seed": "3", "n_nodes": "4", "dim_x": "2", "dim_y": "3", "conditioning": "4.0",
+    "heterogeneity": "0.1", "noise_scale": "0.1", "sigma_omega": "0.5",
+    "self_weight": "0.5", "neighbor_weight": "0.25", "rows": "2", "cols": "2",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TOPOLOGY_VALUES))
+@pytest.mark.parametrize("family", sorted(_PROBLEM_VALUES))
+def test_manifest_config_holds_the_keys_each_section_takes(tmp_path, family, kind):
+    # Every key of the family and the kind is set; the manifest records
+    # those and no key that another family or kind takes.
+    matrix = tmp_path / "mix.txt"
+    matrix.write_text("4\n" + "0.25 0.25 0.25 0.25\n" * 4)
+    values = {**_RUNNABLE, "path": str(matrix)}
+    text = _ini([
+        ("problem", {"family": family, **{k: values[k] for k in _PROBLEM_VALUES[family]}}),
+        ("topology.net", {"kind": kind, **{k: values[k] for k in _TOPOLOGY_VALUES[kind]}}),
+        ("run", {"t": 2, "probe_every": 1}),
+    ])
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, text), "--out", str(out)]) == cli.EXIT_OK
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(config["problem"]) == {"family", *_PROBLEM_VALUES[family]}
+    assert [set(t) for t in config["topologies"]] == [{"name", "kind", *_TOPOLOGY_VALUES[kind]}]
 
 
 @pytest.mark.parametrize("exc_type", [ProblemError, MetricsError], ids=lambda e: e.__name__)

@@ -50,7 +50,7 @@ def test_deterministic_directions_match_oracles(quad):
     x, y, z = X[0], Y[0], Z[0]
     d_x, d_y, d_z = directions(quad, X, Y, Z)
     for i in range(quad.n_nodes):
-        s = quad.spec
+        s = quad
         assert np.allclose(d_x[i], s.Q[i].T @ y + s.R[i] @ x - s.B[i].T @ z, atol=1e-12)
         assert np.allclose(d_y[i], s.A[i] @ y + s.B[i] @ x + s.c[i], atol=1e-12)
         assert np.allclose(

@@ -306,6 +306,14 @@ def test_run_needs_one_seed_per_cell(quad):
         init(quad, Ws, hyper(), seed=[1, 2, 3, 4])
 
 
+def test_run_checks_node_counts_before_it_stacks_the_matrices(quad):
+    # A 5-node matrix among 4-node ones is a ConfigMismatch from init, not
+    # a ValueError from stacking matrices of two sizes.
+    Ws = [build_topology(Ring(), 4), build_topology(Ring(), 5)]
+    with pytest.raises(ConfigMismatch, match="nodes"):
+        run(quad, Ws, hyper(), T=5, seed=0)
+
+
 def test_group_needs_one_schedule_and_mixes_estimators(quad):
     Ws = [build_topology(Ring(), 4)] * 2
     hps = [hyper(variant=Variant.FIRST_ORDER), hyper(variant=Variant.SECOND_ORDER)]

@@ -280,8 +280,8 @@ def test_singular_hessian_raises():
     prob = trivial_quadratic(dim=2, n_nodes=1)
     with pytest.raises(ValueError):
         # Zero lower curvature is rejected at construction.
-        prob.spec.A[:] = 0.0
-        type(prob)(prob.spec)
+        prob.A[:] = 0.0
+        type(prob)(prob.P, prob.Q, prob.q, prob.R, prob.A, prob.B, prob.c)
 
 
 def test_ridge_constants():

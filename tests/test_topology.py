@@ -12,6 +12,7 @@ from gossipbo.topology import (
     MixingMatrix,
     NonStochasticWeights,
     Ring,
+    SpectralGapDegenerate,
     Torus2D,
     build_topology,
     load_mixing_matrix,
@@ -118,6 +119,16 @@ def test_from_weights_rejects_non_stochastic():
         MixingMatrix.from_weights(np.array([[np.nan, 1.0], [1.0, 0.0]]))
     with pytest.raises(NonStochasticWeights):
         MixingMatrix.from_weights(np.ones((2, 3)))
+
+
+def test_from_weights_rejects_weights_that_do_not_mix():
+    # The identity is doubly stochastic but disconnected (rho = 1); a custom
+    # file is held to this as every named family is. Uniform averaging has rho = 0.
+    with pytest.raises(SpectralGapDegenerate):
+        MixingMatrix.from_weights(np.eye(4))
+    with pytest.raises(SpectralGapDegenerate):
+        load_mixing_matrix("4\n" + "\n".join(" ".join(map(str, row)) for row in np.eye(4)))
+    assert MixingMatrix.from_weights(np.full((4, 4), 0.25)).rho == 0.0
 
 
 def test_weights_are_read_only():
