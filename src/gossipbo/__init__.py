@@ -24,13 +24,12 @@ from .problem import (
     z_star,
 )
 from .topology import (
-    ExponentialGraph,
-    FullyConnected,
     MixingMatrix,
-    Ring,
-    Torus2D,
-    build_topology,
+    exponential,
+    fully_connected,
     load_mixing_matrix,
+    ring,
+    torus2d,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ from . import engine, metrics
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
 from .engine import HyperParams
 from .problem import BilevelProblem, ProblemError
-from .topology import MixingMatrix
+from .topology import MixingMatrix, fully_connected
 
 ENV_OUT_DIR = "GOSSIPBO_OUT"
 
@@ -69,8 +69,7 @@ def _run_cell(
     cell's ``wall_time_s`` is its share of the call's wall time, so the
     cell times add up to busy time.
     """
-    n = problem.n_nodes
-    weights = dict(mixing, centralized=MixingMatrix.from_weights(np.full((n, n), 1.0 / n)))
+    weights = dict(mixing, centralized=fully_connected(problem.n_nodes))
     cells = []
     for trial in range(config.run.n_trials):
         for tc in config.topologies:

@@ -44,7 +44,8 @@ class ValidationError(ConfigError):
     pass
 
 
-def _read_matrix(path: str) -> topo.MixingMatrix:
+def _read_matrix(n: int, path: str) -> topo.MixingMatrix:
+    """The matrix in ``path``; ``TopologyConfig.build`` checks that it has ``n`` nodes."""
     with open(path) as fh:
         return topo.load_mixing_matrix(fh.read())
 
@@ -58,15 +59,14 @@ _FAMILIES = {
     )),
     "ridge_tuning": (make_ridge_tuning, ("seed", "n_nodes", "dim_y", "sigma_omega")),
 }
-# A kind's constructor gives what build_topology lays out on the problem's
-# nodes or, for a custom file, the matrix itself.
+# A kind's constructor takes the problem's node count first.
 _KINDS = {
-    "fully_connected": (topo.FullyConnected, ()),
-    "ring": (topo.Ring, ("self_weight", "neighbor_weight")),
+    "fully_connected": (topo.fully_connected, ()),
+    "ring": (topo.ring, ("self_weight", "neighbor_weight")),
     # Self weight 0.2 and 0.4 to each of the two ring neighbors.
-    "adjusted_ring": (lambda: topo.Ring(0.2, 0.4), ()),
-    "torus2d": (topo.Torus2D, ("rows", "cols")),
-    "exponential": (topo.ExponentialGraph, ()),
+    "adjusted_ring": (lambda n: topo.ring(n, 0.2, 0.4), ()),
+    "torus2d": (topo.torus2d, ("rows", "cols")),
+    "exponential": (topo.exponential, ()),
     "custom": (_read_matrix, ("path",)),
 }
 # Lower bounds of the [problem] keys that seed or size an instance.
@@ -102,7 +102,10 @@ class ProblemConfig:
         for key, low in _PROBLEM_MINIMA.items():
             if key in values and values[key] < low:
                 raise ValidationError(f"[problem] {key} must be >= {low}")
-        return make(*values.values())
+        try:
+            return make(*values.values())
+        except ValueError as exc:
+            raise ValidationError(f"[problem] {exc}") from exc
 
 
 @dataclass
@@ -119,9 +122,8 @@ class TopologyConfig:
         section = f"topology.{self.name}"
         make, keys = _lookup(_KINDS, section, "kind", self.kind)
         try:
-            kind = make(*_taken(self, keys).values())
-            W = kind if isinstance(kind, topo.MixingMatrix) else topo.build_topology(kind, n)
-        except topo.TopologyError as exc:
+            W = make(n, *_taken(self, keys).values())
+        except ValueError as exc:  # a TopologyError, or a custom file that is not text
             raise ValidationError(f"[{section}] {exc}") from exc
         if W.n != n:
             raise ValidationError(f"[{section}] the matrix has {W.n} nodes, the problem {n}")
@@ -171,18 +173,21 @@ class RunConfig:
             raise ValidationError(f"[run] transient_metric must be one of {list(PROBE_METRICS)}")
 
     def hyper(self, variant: str) -> HyperParams:
-        return HyperParams(
-            alpha0=self.alpha0,
-            c1=self.c1,
-            c2=self.c2,
-            c3=self.c3,
-            tau=self.tau,
-            decay_factor=self.decay_factor,
-            decay_period=self.decay_period,
-            fixed_theta=self.theta,
-            delta=self.delta,
-            variant=Variant(variant),
-        )
+        try:
+            return HyperParams(
+                alpha0=self.alpha0,
+                c1=self.c1,
+                c2=self.c2,
+                c3=self.c3,
+                tau=self.tau,
+                decay_factor=self.decay_factor,
+                decay_period=self.decay_period,
+                fixed_theta=self.theta,
+                delta=self.delta,
+                variant=Variant(variant),
+            )
+        except ValueError as exc:
+            raise ValidationError(f"[run] {exc}") from exc
 
 
 @dataclass
@@ -197,20 +202,16 @@ class ExperimentConfig:
         """Build the problem, each topology at its node count and each variant's HyperParams, once.
 
         ``parse_config`` checks keys, types and the run's ranges; this checks
-        the run's ranges again, for fields set after parsing, and the
-        problem's seed and sizes, and raises, as a ValidationError, what a
-        run would otherwise hit inside a cell.
+        the run's ranges again, for fields set after parsing, and raises what
+        a run would otherwise hit inside a cell as a ValidationError that
+        names its section: ``[problem]``, ``[topology.<name>]`` or ``[run]``.
         Returns the problem, the mixing matrices by topology name and the
         HyperParams by variant.
         """
         self.run.check()
-        try:
-            problem = self.problem.build()
-            mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
-            hypers = {v: self.run.hyper(v) for v in self.run.variants}
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        return problem, mixing, hypers
+        problem = self.problem.build()
+        mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
+        return problem, mixing, {v: self.run.hyper(v) for v in self.run.variants}
 
 
 # The INI spelling of each RunConfig field: the horizon T is the key t.

@@ -1,16 +1,17 @@
 """Doubly-stochastic mixing matrices for named gossip graph families.
 
-A mixing matrix W holds the weights of one neighbor-averaging round:
-entry (i, j) is the weight of information flowing from node j to node i.
-All constructed matrices are doubly stochastic; the cached contraction
-factor ``rho`` is the largest singular value of W - 11^T/n, so 1 - rho
-is the spectral gap of the topology.
+Each family is one builder function of the node count and the family's
+parameters, which returns a checked ``MixingMatrix``. A mixing matrix W
+holds the weights of one neighbor-averaging round: entry (i, j) is the
+weight of information flowing from node j to node i. All constructed
+matrices are doubly stochastic; the cached contraction factor ``rho`` is
+the largest singular value of W - 11^T/n, so 1 - rho is the spectral gap
+of the topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -67,96 +68,62 @@ class MixingMatrix:
         return MixingMatrix(n=n, weights=W, rho=rho)
 
 
-@dataclass(frozen=True)
-class FullyConnected:
-    pass
-
-
-@dataclass(frozen=True)
-class Ring:
-    self_weight: float = 1.0 / 3.0
-    neighbor_weight: float = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class Torus2D:
-    rows: int
-    cols: int
-
-
-@dataclass(frozen=True)
-class ExponentialGraph:
-    """Node i is linked to i +/- 2^k (mod n) for every 2^k < n."""
-
-
-TopologyKind = Union[FullyConnected, Ring, Torus2D, ExponentialGraph]
-
-
-def _uniform_closed_neighborhood(n: int, neighbor_sets: list[set[int]]) -> np.ndarray:
-    # Uniform weights over {i} + neighbors; valid (doubly stochastic) because
-    # every family here is vertex-transitive, so degrees are equal.
-    W = np.zeros((n, n))
-    for i, nbrs in enumerate(neighbor_sets):
-        closed = set(nbrs) | {i}
-        w = 1.0 / len(closed)
-        for j in closed:
-            W[i, j] = w
-    return W
-
-
-def build_topology(kind: TopologyKind, n: int) -> MixingMatrix:
-    """Construct the mixing matrix of a named family on n nodes."""
+def _require_nodes(n: int, least: int = 1, family: str = "") -> None:
     if n < 1:
         raise IncompatibleSize("node count must be >= 1")
-    if isinstance(kind, FullyConnected):
-        W = np.full((n, n), 1.0 / n)
-    elif isinstance(kind, Ring):
-        if n < 3:
-            raise IncompatibleSize(f"ring requires n >= 3, got n={n}")
-        if abs(kind.self_weight + 2 * kind.neighbor_weight - 1.0) > STOCHASTIC_TOL:
-            raise NonStochasticWeights(
-                "ring weights must satisfy self + 2 * neighbor = 1"
-            )
-        if kind.self_weight < 0 or kind.neighbor_weight < 0:
-            raise NonStochasticWeights("ring weights must be nonnegative")
-        W = np.zeros((n, n))
-        idx = np.arange(n)
-        W[idx, idx] = kind.self_weight
-        W[idx, (idx + 1) % n] = kind.neighbor_weight
-        W[idx, (idx - 1) % n] = kind.neighbor_weight
-    elif isinstance(kind, Torus2D):
-        if kind.rows * kind.cols != n:
-            raise IncompatibleSize(
-                f"torus {kind.rows}x{kind.cols} holds {kind.rows * kind.cols} "
-                f"nodes, got n={n}"
-            )
-        r, c = kind.rows, kind.cols
-        nbrs: list[set[int]] = []
-        for i in range(n):
-            a, b = divmod(i, c)
-            nbrs.append(
-                {
-                    ((a + 1) % r) * c + b,
-                    ((a - 1) % r) * c + b,
-                    a * c + (b + 1) % c,
-                    a * c + (b - 1) % c,
-                }
-            )
-        W = _uniform_closed_neighborhood(n, nbrs)
-    elif isinstance(kind, ExponentialGraph):
-        if n < 2:
-            raise IncompatibleSize(f"exponential graph requires n >= 2, got n={n}")
-        offsets: set[int] = set()
-        k = 1
-        while k < n:
-            offsets.add(k)
-            offsets.add(n - k)
-            k *= 2
-        nbrs = [{(i + o) % n for o in offsets} for i in range(n)]
-        W = _uniform_closed_neighborhood(n, nbrs)
-    else:
-        raise TypeError(f"unknown topology kind: {kind!r}")
+    if n < least:
+        raise IncompatibleSize(f"{family} requires n >= {least}, got n={n}")
+
+
+def fully_connected(n: int) -> MixingMatrix:
+    """Uniform averaging over all n nodes (rho = 0)."""
+    _require_nodes(n)
+    return MixingMatrix.from_weights(np.full((n, n), 1.0 / n))
+
+
+def ring(
+    n: int, self_weight: float = 1.0 / 3.0, neighbor_weight: float = 1.0 / 3.0
+) -> MixingMatrix:
+    """Cycle on n >= 3 nodes: ``self_weight`` on i, ``neighbor_weight`` on i +/- 1."""
+    _require_nodes(n, 3, "ring")
+    if abs(self_weight + 2 * neighbor_weight - 1.0) > STOCHASTIC_TOL:
+        raise NonStochasticWeights("ring weights must satisfy self + 2 * neighbor = 1")
+    if self_weight < 0 or neighbor_weight < 0:
+        raise NonStochasticWeights("ring weights must be nonnegative")
+    W = np.zeros((n, n))
+    idx = np.arange(n)
+    W[idx, idx] = self_weight
+    W[idx, (idx + 1) % n] = neighbor_weight
+    W[idx, (idx - 1) % n] = neighbor_weight
     return MixingMatrix.from_weights(W)
+
+
+# The torus and the exponential graph weight each node's closed neighborhood
+# (itself and its neighbors) uniformly. That is doubly stochastic because
+# both are vertex-transitive, so every node has the same degree.
+
+
+def torus2d(n: int, rows: int, cols: int) -> MixingMatrix:
+    """rows x cols grid with wrap-around; node a * cols + b sits at row a, column b."""
+    _require_nodes(n)
+    if rows * cols != n:
+        raise IncompatibleSize(f"torus {rows}x{cols} holds {rows * cols} nodes, got n={n}")
+    a, b = np.divmod(np.arange(n), cols)
+    nbrs = [((a + 1) % rows) * cols + b, ((a - 1) % rows) * cols + b,
+            a * cols + (b + 1) % cols, a * cols + (b - 1) % cols]
+    A = np.eye(n, dtype=bool)
+    A[np.arange(n), nbrs] = True
+    return MixingMatrix.from_weights(A / A.sum(axis=1, keepdims=True))
+
+
+def exponential(n: int) -> MixingMatrix:
+    """Node i is linked to i +/- 2^k (mod n) for every 2^k < n."""
+    _require_nodes(n, 2, "exponential graph")
+    hops = 2 ** np.arange(int(n - 1).bit_length())
+    idx = np.arange(n)[:, None]
+    A = np.eye(n, dtype=bool)
+    A[idx, (idx + np.concatenate([hops, -hops])) % n] = True
+    return MixingMatrix.from_weights(A / A.sum(axis=1, keepdims=True))
 
 
 def load_mixing_matrix(text: str) -> MixingMatrix:
@@ -171,9 +138,12 @@ def load_mixing_matrix(text: str) -> MixingMatrix:
     if len(lines) != n + 1:
         raise NonStochasticWeights(f"expected {n} matrix rows, got {len(lines) - 1}")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=1):
         vals = ln.split()
         if len(vals) != n:
             raise NonStochasticWeights(f"expected {n} entries per row, got {len(vals)}")
-        rows.append([float(v) for v in vals])
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError as exc:
+            raise NonStochasticWeights(f"matrix row {i}: {exc}") from exc
     return MixingMatrix.from_weights(np.array(rows), tol=CUSTOM_STOCHASTIC_TOL)

@@ -17,19 +17,13 @@ import numpy as np
 import pytest
 
 import gossipbo as g
+from gossipbo import topology as topo
 from gossipbo.engine import HyperParams, Variant, init, run, step
 from gossipbo.problem import (
     hypergradient_exact,
     make_logcosh,
     make_quadratic,
     make_ridge_tuning,
-)
-from gossipbo.topology import (
-    ExponentialGraph,
-    FullyConnected,
-    Ring,
-    Torus2D,
-    build_topology,
 )
 
 # ---------------------------------------------------------------------------
@@ -97,20 +91,20 @@ def test_criterion_2_topology_contracts():
     built = {"fully_connected": [], "ring": [], "adjusted_ring": [],
              "torus2d": [], "exponential": []}
     for n in range(3, 37):
-        built["fully_connected"].append(build_topology(FullyConnected(), n))
-        built["ring"].append(build_topology(Ring(), n))
-        built["adjusted_ring"].append(build_topology(Ring(0.2, 0.4), n))
-        built["exponential"].append(build_topology(ExponentialGraph(), n))
+        built["fully_connected"].append(topo.fully_connected(n))
+        built["ring"].append(topo.ring(n))
+        built["adjusted_ring"].append(topo.ring(n, 0.2, 0.4))
+        built["exponential"].append(topo.exponential(n))
         for r in range(2, n):
             if n % r == 0 and n // r >= 2:
-                built["torus2d"].append(build_topology(Torus2D(r, n // r), n))
+                built["torus2d"].append(topo.torus2d(n, r, n // r))
     for family, mats in built.items():
         for W in mats:
             assert np.max(np.abs(W.weights.sum(axis=1) - 1.0)) <= tol
             assert np.max(np.abs(W.weights.sum(axis=0) - 1.0)) <= tol
     for W in built["fully_connected"]:
         assert W.rho <= tol
-    ar9 = build_topology(Ring(0.2, 0.4), 9)
+    ar9 = topo.ring(9, 0.2, 0.4)
     dev = ar9.weights - np.full((9, 9), 1.0 / 9.0)
     svd_rho = float(np.linalg.svd(dev, compute_uv=False)[0])
     assert abs(ar9.rho - svd_rho) < 1e-10
@@ -133,7 +127,7 @@ def test_criterion_2_topology_contracts():
 
 def test_criterion_3_fo_so_trajectory_agreement():
     prob = make_quadratic(55, n_nodes=4, d=2, p=3, conditioning=4.0, noise_scale=0.5)
-    W = build_topology(Ring(0.2, 0.4), 4)
+    W = topo.ring(4, 0.2, 0.4)
     common = dict(alpha0=0.02, fixed_theta=0.2)
     so = run(prob, W, HyperParams(variant=Variant.SECOND_ORDER, **common),
              T=2000, seed=77, probe_every=100)
@@ -186,7 +180,7 @@ def test_criterion_4_finite_difference_bias_bound():
 @pytest.mark.parametrize("variant", [Variant.SECOND_ORDER, Variant.FIRST_ORDER])
 def test_criterion_5_centralized_equivalence(variant):
     prob = make_quadratic(31, n_nodes=5, d=2, p=3, heterogeneity=0.0, noise_scale=0.4)
-    W = build_topology(FullyConnected(), 5)
+    W = topo.fully_connected(5)
     # The difference quotient is exact on quadratics; delta only scales
     # its rounding noise, so a moderate value keeps the FO run tight.
     hp_d = HyperParams(alpha0=0.02, fixed_theta=0.2, delta=1e-2, variant=variant)
@@ -210,7 +204,7 @@ def test_criterion_5_centralized_equivalence(variant):
 def test_criterion_6_deterministic_regime():
     prob = make_quadratic(7, n_nodes=4, d=3, p=3, conditioning=5.0,
                           heterogeneity=0.0, noise_scale=0.0)
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     hp = HyperParams(alpha0=0.05, fixed_theta=0.5, variant=Variant.SECOND_ORDER)
     rec = run(prob, W, hp, T=10_000, seed=0, probe_every=100)
     grad = rec.column("grad_sq_norm")
@@ -244,9 +238,9 @@ def ridge_sweep():
     value, compared against the per-trial centralized reference.
     """
     topos = {
-        "ring": build_topology(Ring(0.2, 0.4), 9),
-        "torus": build_topology(Torus2D(3, 3), 9),
-        "full": build_topology(FullyConnected(), 9),
+        "ring": topo.ring(9, 0.2, 0.4),
+        "torus": topo.torus2d(9, 3, 3),
+        "full": topo.fully_connected(9),
     }
     schedule = dict(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
     # One engine call per level: every trial's centralized reference and
@@ -316,10 +310,10 @@ def quadratic_heterogeneity_sweep():
     centralized reference.
     """
     topos = {
-        "ring": build_topology(Ring(0.2, 0.4), 9),
-        "torus": build_topology(Torus2D(3, 3), 9),
+        "ring": topo.ring(9, 0.2, 0.4),
+        "torus": topo.torus2d(9, 3, 3),
     }
-    full = build_topology(FullyConnected(), 9)
+    full = topo.fully_connected(9)
     schedule = dict(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
     # One engine call per level, as in ridge_sweep.
     cells = [(trial, name) for trial in range(N_TRIALS) for name in ("centralized", *topos)]
@@ -381,7 +375,7 @@ def test_criterion_7c_heterogeneity_ordering(quadratic_heterogeneity_sweep):
 
 def test_criterion_8_consensus_error_scaling():
     prob = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=2.0)
-    W = build_topology(Ring(0.2, 0.4), 9)
+    W = topo.ring(9, 0.2, 0.4)
     wins = 0
     for trial in range(10):
         seed = 1000 + trial
@@ -416,12 +410,12 @@ def test_criterion_9_csv_determinism():
     quad = make_quadratic(7, n_nodes=4, d=3, p=3, conditioning=5.0)
     ridge = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=0.5)
     cases = [
-        (quad, build_topology(Ring(), 4),
+        (quad, topo.ring(4),
          HyperParams(alpha0=0.05, fixed_theta=0.5, variant=Variant.SECOND_ORDER)),
-        (ridge, build_topology(Ring(0.2, 0.4), 9),
+        (ridge, topo.ring(9, 0.2, 0.4),
          HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8,
                      decay_period=1000, variant=Variant.SECOND_ORDER)),
-        (ridge, build_topology(FullyConnected(), 9),
+        (ridge, topo.fully_connected(9),
          HyperParams(alpha0=0.1, fixed_theta=0.2, variant=Variant.CENTRALIZED)),
     ]
     for prob, W, hp in cases:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gossipbo import cli
 from gossipbo import config as config_module
+from gossipbo import topology as topo
 from gossipbo.config import (
     ConfigError,
     ProblemConfig,
@@ -234,9 +235,7 @@ def test_invalid_transient_metric_rejected():
 
 
 def test_custom_topology_via_file(tmp_path):
-    from gossipbo.topology import Ring, build_topology
-
-    W = build_topology(Ring(0.2, 0.4), 9)
+    W = topo.ring(9, 0.2, 0.4)
     path = tmp_path / "mix.txt"
     path.write_text(
         "9\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in W.weights)
@@ -608,13 +607,13 @@ def test_zero_delta_rejected_by_validate_and_run(tmp_path, capsys):
     ("c2", "nan"), ("delta", "nan"),
     ("sigma_omega", "nan"), ("sigma_omega", "inf"), ("sigma_omega", "-1"),
     ("noise_scale", "nan"), ("noise_scale", "-1"), ("heterogeneity", "-1"),
-    ("conditioning", "nan"), ("conditioning", "inf"), ("n_nodes", "0"),
-    ("seed", "-1"), ("dim_x", "0"), ("dim_y", "0"),
+    ("conditioning", "nan"), ("conditioning", "inf"), ("conditioning", "0.5"), ("n_nodes", "0"),
+    ("seed", "-1"), ("dim_x", "0"), ("dim_y", "0"), ("alpha0", "-1"),
 ])
 def test_nan_or_out_of_range_step_sizes_rejected_by_validate_and_run(tmp_path, capsys, key, value):
     # parse_config takes any number here; HyperParams or, for a [problem]
-    # key, the problem's constructor is what rejects these. The quadratic
-    # keys go into the smoke config.
+    # key, the problem's constructor is what rejects these, and the message
+    # names the section. The quadratic keys go into the smoke config.
     text = GOOD_CONFIG
     if key in _PROBLEM_VALUES["quadratic"]:
         with open(SMOKE_CONFIG) as fh:
@@ -626,18 +625,19 @@ def test_nan_or_out_of_range_step_sizes_rejected_by_validate_and_run(tmp_path, c
     path = write_config(tmp_path, text)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error:" in err and key in err
+    assert err.startswith(f"config error: {header.strip()} ") and key in err
     out = tmp_path / "out"
     assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error:" in err and key in err
+    assert err.startswith(f"config error: {header.strip()} ") and key in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("rows, message", [
     ("0.5 0.25 0.25\n0.25 0.5 0.25\n0.25 0.25 0.5\n", "3 nodes"),
     ("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "do not mix"),
-], ids=["wrong-size", "disconnected"])
+    (".25 .25 .25 .25\n.25 x .25 .25\n.25 .25 .25 .25\n.25 .25 .25 .25\n", "matrix row 2"),
+], ids=["wrong-size", "disconnected", "non-numeric"])
 def test_custom_matrix_that_cannot_run_rejected_by_validate_and_run(tmp_path, capsys, rows,
                                                                       message):
     # The problem has 4 nodes; the identity never mixes (rho = 1).

@@ -22,7 +22,7 @@ from gossipbo.problem import (
     make_ridge_tuning,
     trivial_quadratic,
 )
-from gossipbo.topology import FullyConnected, Ring, build_topology
+from gossipbo import topology as topo
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_hyperparams_reject_nonpositive_delta(delta):
 
 
 def test_init_shapes_and_overrides(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     st0 = init(quad, W, hyper(), seed=0)
     assert st0.X.shape == (4, 2) and st0.Y.shape == (4, 3)
     assert st0.Z.shape == (4, 3) and st0.H.shape == (4, 2)
@@ -80,11 +80,11 @@ def test_init_shapes_and_overrides(quad):
     with pytest.raises(ConfigMismatch):
         init(quad, W, hyper(), seed=0, Y0=np.zeros((4, 2)))
     with pytest.raises(ConfigMismatch):
-        init(quad, build_topology(Ring(), 5), hyper(), seed=0)
+        init(quad, topo.ring(5), hyper(), seed=0)
 
 
 def test_step_advances_counter_and_keeps_shapes(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     st0 = init(quad, W, hyper(), seed=1)
     st1 = step(quad, W, hyper(), st0)
     assert st1.t == 1
@@ -95,7 +95,7 @@ def test_step_advances_counter_and_keeps_shapes(quad):
 def test_zero_steps_reduce_to_gossip(quad):
     # With all step sizes zero the update is one gossip round of X, Y, Z
     # while h stays fixed (it is a local moving average, not mixed).
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     rng = np.random.default_rng(5)
     X0, Y0 = rng.standard_normal((4, 2)), rng.standard_normal((4, 3))
     Z0, H0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
@@ -111,7 +111,7 @@ def test_zero_steps_reduce_to_gossip(quad):
 def test_mean_iterate_preserved_by_mixing(quad):
     # The gossip part of the update never moves the network mean; with a
     # zero upper step the X mean is exactly preserved.
-    W = build_topology(Ring(0.2, 0.4), 4)
+    W = topo.ring(4, 0.2, 0.4)
     rng = np.random.default_rng(6)
     X0 = rng.standard_normal((4, 2))
     hp = hyper(alpha0=0.0, fixed_theta=0.0)
@@ -122,13 +122,13 @@ def test_mean_iterate_preserved_by_mixing(quad):
 
 
 def test_run_probe_grid(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     rec = run(quad, W, hyper(), T=250, seed=4, probe_every=100)
     assert list(rec.ts) == [0, 100, 200, 250]
 
 
 def test_run_determinism(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     a = run(quad, W, hyper(), T=200, seed=7, probe_every=50)
     b = run(quad, W, hyper(), T=200, seed=7, probe_every=50)
     assert a.to_csv() == b.to_csv()
@@ -137,7 +137,7 @@ def test_run_determinism(quad):
 
 
 def test_variants_run_and_differ(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     so = run(quad, W, hyper(variant=Variant.SECOND_ORDER), T=100, seed=9)
     fo = run(quad, W, hyper(variant=Variant.FIRST_ORDER, delta=1e-6), T=100, seed=9)
     cen = run(quad, W, hyper(variant=Variant.CENTRALIZED), T=100, seed=9)
@@ -148,7 +148,7 @@ def test_variants_run_and_differ(quad):
 
 
 def test_centralized_has_zero_consensus_error(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     hp = hyper(variant=Variant.CENTRALIZED)
     st = init(quad, W, hp, seed=10)
     for _ in range(20):
@@ -162,7 +162,7 @@ def test_fully_connected_identical_data_matches_centralized():
     # node-identical data and common samples the decentralized iterates
     # coincide with the centralized recursion.
     prob = make_quadratic(12, n_nodes=4, d=2, p=3, heterogeneity=0.0, noise_scale=0.3)
-    W = build_topology(FullyConnected(), 4)
+    W = topo.fully_connected(4)
     hp_d = hyper(variant=Variant.SECOND_ORDER)
     hp_c = hyper(variant=Variant.CENTRALIZED)
     st_d = init(prob, W, hp_d, seed=11)
@@ -177,7 +177,7 @@ def test_fully_connected_identical_data_matches_centralized():
 
 def test_numerical_divergence_raised():
     prob = trivial_quadratic(dim=2, n_nodes=3)
-    W = build_topology(Ring(), 3)
+    W = topo.ring(3)
     hp = hyper(alpha0=1e9, fixed_theta=1.0)
     st = init(prob, W, hp, seed=12, Y0=np.full((3, 2), 1e6))
     with pytest.raises(NumericalDivergence) as exc_info:
@@ -188,7 +188,7 @@ def test_numerical_divergence_raised():
 
 def test_divergence_carries_probes_before_blow_up():
     prob = trivial_quadratic(dim=2, n_nodes=3)
-    W = build_topology(Ring(), 3)
+    W = topo.ring(3)
     hp = hyper(alpha0=1e3, fixed_theta=1.0)
     with pytest.raises(NumericalDivergence) as exc_info:
         run(prob, W, hp, T=100, seed=12, probe_every=1, Y0=np.full((3, 2), 1.0))
@@ -198,7 +198,7 @@ def test_divergence_carries_probes_before_blow_up():
 
 
 def test_run_rejects_bad_horizon(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     with pytest.raises(ValueError):
         run(quad, W, hyper(), T=0, seed=0)
     with pytest.raises(ValueError):
@@ -206,14 +206,14 @@ def test_run_rejects_bad_horizon(quad):
 
 
 def test_wall_limit_enforced(quad):
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     with pytest.raises(EngineError):
         run(quad, W, hyper(), T=5000, seed=0, probe_every=10, wall_limit_s=1e-9)
 
 
 def test_ridge_end_to_end_smoke():
     prob = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=0.5)
-    W = build_topology(Ring(0.2, 0.4), 9)
+    W = topo.ring(9, 0.2, 0.4)
     hp = HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8, decay_period=1000)
     rec = run(prob, W, hp, T=500, seed=100, probe_every=100)
     loss = rec.column("upper_loss")
@@ -225,7 +225,7 @@ def test_logcosh_runs_every_variant():
     # The log-cosh family is deterministic: its samples are None, and the
     # engine passes them through to the oracles like any other sample.
     prob = make_logcosh(1, 4, 2, 3)
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     recs = {v: run(prob, W, hyper(variant=v), T=5, seed=0) for v in Variant}
     for rec in recs.values():
         assert list(rec.ts) == [0, 5]
@@ -255,8 +255,7 @@ def test_group_matches_solo_runs(family):
     # fo apart -- give each cell the record of its one-matrix run, byte for byte.
     prob = family_instance(family)
     n = prob.n_nodes
-    topologies = [Ring(0.2, 0.4), Ring(), FullyConnected()]
-    Ws = [build_topology(t, n) for t in topologies]
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     kw = dict(T=60, seed=17, probe_every=7, X0=X0)
     groups = [
@@ -279,7 +278,7 @@ def test_trial_axis_matches_solo_runs(family):
     # gets the record of its one-matrix run with that seed, byte for byte.
     prob = family_instance(family)
     n = prob.n_nodes
-    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), Ring(), FullyConnected())]
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     kw = dict(T=60, probe_every=7, X0=X0)
     seeds = [17, 4, 99]
@@ -299,7 +298,7 @@ def test_trial_axis_matches_solo_runs(family):
 
 
 def test_run_needs_one_seed_per_cell(quad):
-    Ws = [build_topology(Ring(), 4)] * 3
+    Ws = [topo.ring(4)] * 3
     with pytest.raises(ConfigMismatch):
         run(quad, Ws, hyper(), T=5, seed=[1, 2])
     with pytest.raises(ConfigMismatch):
@@ -309,13 +308,13 @@ def test_run_needs_one_seed_per_cell(quad):
 def test_run_checks_node_counts_before_it_stacks_the_matrices(quad):
     # A 5-node matrix among 4-node ones is a ConfigMismatch from init, not
     # a ValueError from stacking matrices of two sizes.
-    Ws = [build_topology(Ring(), 4), build_topology(Ring(), 5)]
+    Ws = [topo.ring(4), topo.ring(5)]
     with pytest.raises(ConfigMismatch, match="nodes"):
         run(quad, Ws, hyper(), T=5, seed=0)
 
 
 def test_group_needs_one_schedule_and_mixes_estimators(quad):
-    Ws = [build_topology(Ring(), 4)] * 2
+    Ws = [topo.ring(4)] * 2
     hps = [hyper(variant=Variant.FIRST_ORDER), hyper(variant=Variant.SECOND_ORDER)]
     for W, hp, rec in zip(Ws, hps, run(quad, Ws, hps, T=5, seed=0)):
         assert rec.to_csv() == run(quad, W, hp, T=5, seed=0).to_csv()
@@ -344,7 +343,7 @@ def test_mixed_call_matches_solo_runs(family, seeds):
     # with three it has a cell axis that each estimator's block slices.
     prob = family_instance(family)
     n = prob.n_nodes
-    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), Ring(), FullyConnected())]
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     kw = dict(T=60, probe_every=7, X0=X0)
     cells = [(k, v, seed) for seed in seeds for k, v in MIXED_ORDER]
@@ -368,7 +367,7 @@ def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, monkeypatch):
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
     lazier, lazy_W, ring, full = (
-        build_topology(t, 4) for t in (Ring(0.9, 0.05), Ring(0.8, 0.1), Ring(), FullyConnected())
+        topo.ring(4, 0.9, 0.05), topo.ring(4, 0.8, 0.1), topo.ring(4), topo.fully_connected(4)
     )
     other = Variant.SECOND_ORDER if lazy is Variant.FIRST_ORDER else Variant.FIRST_ORDER
     cells = [(ring, other, 7), (lazier, lazy, 7), (full, other, 8), (lazy_W, lazy, 8),
@@ -423,7 +422,7 @@ def test_group_cells_diverge_on_their_own():
     # alone.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
-    Ws = [build_topology(t, 4) for t in (Ring(0.9, 0.05), Ring(), FullyConnected())]
+    Ws = [topo.ring(4, 0.9, 0.05), topo.ring(4), topo.fully_connected(4)]
     Ws.append(Ws[-1])
     variants = [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]
     seen = {}
@@ -454,7 +453,7 @@ def test_step_gives_one_verdict_per_cell(quad):
     # Three cells in one (3, n, .) state: a NaN in cell 1's y and a huge h in
     # cell 2 (which the upper step carries into x) fail those cells only,
     # each under the first iterate that left the finite range.
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     st = init(quad, [W] * 3, hyper(), seed=0)
     assert st.X.shape == (3, 4, 2) and st.Y.shape == (3, 4, 3)
     st.Y[1, 2, 0] = np.nan
@@ -477,7 +476,7 @@ def test_step_verdict_names_exactly_the_cell_out_of_range(quad, where, value):
     # As with NaN: an infinite y entry, or a z entry whose gossiped value
     # (a third of it on the ring) is past the limit either way, fails
     # exactly its cell, under that iterate.
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     st = init(quad, [W] * 3, hyper(), seed=[0, 1, 2])
     getattr(st, where)[1, 2, 0] = value
     # inf - inf in an infinite cell's noisy gradient is NaN, also caught.
@@ -522,7 +521,7 @@ def test_block_edges_match_step_by_step(family, seeds, T):
     # cell what stepping it alone, one draw per step, gives.
     prob = family_instance(family)
     n = prob.n_nodes
-    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), FullyConnected())]
+    Ws = [topo.ring(n, 0.2, 0.4), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     cells = [(W, v, seed) for seed in seeds for W in Ws
              for v in (Variant.SECOND_ORDER, Variant.FIRST_ORDER)]
@@ -538,8 +537,7 @@ def test_cell_diverging_mid_block_matches_step_by_step():
     # leave the pending block and every other cell goes on as if alone.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
-    lazier, ring, full = (build_topology(t, 4) for t in (Ring(0.9, 0.05), Ring(),
-                                                          FullyConnected()))
+    lazier, ring, full = topo.ring(4, 0.9, 0.05), topo.ring(4), topo.fully_connected(4)
     cells = [(ring, Variant.SECOND_ORDER, 8), (lazier, Variant.SECOND_ORDER, 7),
              (full, Variant.CENTRALIZED, 8), (ring, Variant.FIRST_ORDER, 7),
              (lazier, Variant.FIRST_ORDER, 9)]
@@ -563,7 +561,7 @@ def test_alike_cells_are_computed_once(monkeypatch):
     # member gets its solo record, as an object of its own.
     prob = family_instance("ridge")
     n = prob.n_nodes
-    full, ring = build_topology(FullyConnected(), n), build_topology(Ring(0.2, 0.4), n)
+    full, ring = topo.fully_connected(n), topo.ring(n, 0.2, 0.4)
     so, cen = Variant.SECOND_ORDER, Variant.CENTRALIZED
     cells = [(full, so, 17), (ring, cen, 17), (full, so, 4), (full, cen, 4),
              (ring, so, 4), (ring, so, 4)]
@@ -589,7 +587,7 @@ def test_alike_cells_are_computed_once(monkeypatch):
 def test_alike_cells_diverge_each_with_its_own_error():
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
-    lazier, ring = build_topology(Ring(0.9, 0.05), 4), build_topology(Ring(), 4)
+    lazier, ring = topo.ring(4, 0.9, 0.05), topo.ring(4)
     Ws = [lazier, ring, lazier]
     hp = hyper(alpha0=0.3)
     outcomes = run(prob, Ws, hp, T=120, seed=7, probe_every=3)
@@ -612,7 +610,7 @@ def test_batched_probes_match_step_by_step(family, seeds, probe_every, monkeypat
     # probe at each probe time gives.
     prob = family_instance(family)
     n = prob.n_nodes
-    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), FullyConnected())]
+    Ws = [topo.ring(n, 0.2, 0.4), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     cells = [(W, v, seed) for seed in seeds for W in Ws
              for v in (Variant.SECOND_ORDER, Variant.FIRST_ORDER)]
@@ -640,7 +638,7 @@ def test_pending_probes_stay_within_the_budget(monkeypatch):
     # evaluated alone.
     prob = family_instance("quadratic")
     n = prob.n_nodes
-    Ws = [build_topology(t, n) for t in (Ring(0.2, 0.4), Ring(), FullyConnected())]
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     hp = hyper(fixed_theta=0.2)
     T, probe_every = 300, 2
     calls = []
@@ -674,7 +672,7 @@ def test_cell_diverging_with_probes_pending_matches_step_by_step(monkeypatch):
     # other cell goes on as if alone.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
-    lazier, ring = build_topology(Ring(0.9, 0.05), 4), build_topology(Ring(), 4)
+    lazier, ring = topo.ring(4, 0.9, 0.05), topo.ring(4)
     cells = [(ring, Variant.SECOND_ORDER), (lazier, Variant.SECOND_ORDER),
              (ring, Variant.FIRST_ORDER)]
     hps = [hyper(alpha0=0.3, variant=v) for _, v in cells]
@@ -744,7 +742,8 @@ def test_probe_error_in_a_batch_is_the_first_failing_probes(kind, monkeypatch):
     # (24 node rows per probe: probes 0-20 make the first batch). The run
     # raises what the probe at t = 30 raises on its own, not the batch's error.
     prob = family_instance("quadratic")
-    Ws = [build_topology(t, prob.n_nodes) for t in (Ring(0.2, 0.4), Ring(), Ring(0.5, 0.25))]
+    n = prob.n_nodes
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.ring(n, 0.5, 0.25)]
     hp = hyper(fixed_theta=0.2)
     T, fail_from = 60, 30
     states, _ = probed_steps(prob, Ws, hp, T, 11, 1)
@@ -775,7 +774,7 @@ def test_guard_filter_gives_the_exact_verdict(quad, value):
     # step's verdicts and messages are those of the exact per-cell check,
     # including for 6e11, which is within the limit but fails the quick
     # sum-of-squares test, and 1e200, whose square overflows.
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     hp = hyper(alpha0=0.0, fixed_theta=0.0)
     st = init(quad, [W] * 3, hp, seed=[0, 1, 2])
     st.H[1, 2, 0] = value

@@ -26,7 +26,7 @@ from gossipbo import cli
 from gossipbo.config import parse_config
 from gossipbo.engine import HyperParams, Variant, run
 from gossipbo.problem import make_logcosh
-from gossipbo.topology import Ring, build_topology
+from gossipbo import topology as topo
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -42,7 +42,7 @@ def outputs(source: str, work: str) -> dict[str, str]:
     """The CSVs that ``source`` gives, by file name; ``work`` is an empty scratch directory."""
     if source == "logcosh":
         problem = make_logcosh(5, n_nodes=4, d=2, p=3, coupling=0.4, lam=1.2)
-        W = build_topology(Ring(0.2, 0.4), 4)
+        W = topo.ring(4, 0.2, 0.4)
         return {
             f"logcosh_{v.value}.csv": run(
                 problem, W, HyperParams(alpha0=0.05, fixed_theta=0.2, variant=v),

@@ -32,7 +32,7 @@ from gossipbo.problem import (
     make_ridge_tuning,
     trivial_quadratic,
 )
-from gossipbo.topology import Ring, build_topology
+from gossipbo import topology as topo
 
 
 class FakeState:
@@ -68,7 +68,7 @@ def test_consensus_error_translation_invariant(seed):
 def test_consensus_error_gossip_contraction():
     # Pure gossip (zero steps): error after k rounds <= rho^{2k} * initial.
     prob = make_ridge_tuning(1, n_nodes=6, dim_p=3, sigma_omega=0.5)
-    W = build_topology(Ring(0.2, 0.4), 6)
+    W = topo.ring(6, 0.2, 0.4)
     hp = HyperParams(alpha0=0.0, fixed_theta=0.0, variant=Variant.SECOND_ORDER)
     rng = np.random.default_rng(2)
     st0 = init(
@@ -87,11 +87,9 @@ def test_consensus_error_gossip_contraction():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_probe_reports_gap_and_rejects_nonfinite():
     # The infinite iterate is fed on purpose; NumPy warns on the way to the error.
-    from gossipbo.topology import FullyConnected
-
     prob = trivial_quadratic(dim=1, n_nodes=2)
     hp = HyperParams(alpha0=0.1)
-    state = init(prob, build_topology(FullyConnected(), 2), hp, seed=0)
+    state = init(prob, topo.fully_connected(2), hp, seed=0)
     row = probe(prob, state, alpha=0.1)
     assert row.t == 0 and row.alpha == 0.1
     assert math.isfinite(row.upper_loss)
@@ -114,7 +112,7 @@ def test_probe_solves_the_lower_problem_once(family, monkeypatch):
         prob = make_logcosh(3, n_nodes=3, d=2, p=5)
     rng = np.random.default_rng(0)
     X0 = 0.1 + np.abs(rng.standard_normal((3, prob.dim_x)))
-    state = init(prob, build_topology(Ring(), 3), HyperParams(alpha0=0.1), seed=0,
+    state = init(prob, topo.ring(3), HyperParams(alpha0=0.1), seed=0,
                  X0=X0, Y0=rng.standard_normal((3, prob.dim_y)))
     phi_star = prob.phi_star()  # a constant of the instance, derived on its first call
     calls = []
@@ -153,7 +151,7 @@ def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
         prob = make_logcosh(3, n_nodes=3, d=2, p=5)
     rng = np.random.default_rng(1)
     K = 64
-    state = init(prob, [build_topology(Ring(), 3)] * K, HyperParams(alpha0=0.1), seed=0)
+    state = init(prob, [topo.ring(3)] * K, HyperParams(alpha0=0.1), seed=0)
     state = replace(
         state,
         t=7,

@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipbo import topology as topo
 from gossipbo.topology import (
-    ExponentialGraph,
-    FullyConnected,
     IncompatibleSize,
     MixingMatrix,
     NonStochasticWeights,
-    Ring,
     SpectralGapDegenerate,
-    Torus2D,
-    build_topology,
     load_mixing_matrix,
 )
 
@@ -27,19 +23,18 @@ def torus_shapes(n):
 
 
 def families_for(n):
-    kinds = [FullyConnected()]
+    mixing = [topo.fully_connected(n)]
     if n >= 2:
-        kinds.append(ExponentialGraph())
+        mixing.append(topo.exponential(n))
     if n >= 3:
-        kinds += [Ring(), Ring(0.2, 0.4)]
-    kinds += [Torus2D(r, c) for (r, c) in torus_shapes(n)]
-    return kinds
+        mixing += [topo.ring(n), topo.ring(n, 0.2, 0.4)]
+    mixing += [topo.torus2d(n, r, c) for (r, c) in torus_shapes(n)]
+    return mixing
 
 
 @pytest.mark.parametrize("n", range(3, 37))
 def test_all_families_doubly_stochastic(n):
-    for kind in families_for(n):
-        W = build_topology(kind, n)
+    for W in families_for(n):
         assert np.max(np.abs(W.weights.sum(axis=1) - 1.0)) <= TOL
         assert np.max(np.abs(W.weights.sum(axis=0) - 1.0)) <= TOL
         assert np.all(W.weights >= 0.0)
@@ -47,29 +42,64 @@ def test_all_families_doubly_stochastic(n):
 
 def test_fully_connected_rho_zero():
     for n in (3, 9, 20):
-        assert build_topology(FullyConnected(), n).rho <= TOL
+        assert topo.fully_connected(n).rho <= TOL
 
 
 def test_adjusted_ring_rho_matches_circulant_eigenvalue():
     # Circulant with symbol 0.2 + 0.8 cos(2 pi k / n); the largest
     # nontrivial singular value is at k = 1.
-    W = build_topology(Ring(0.2, 0.4), 9)
+    W = topo.ring(9, 0.2, 0.4)
     expected = 0.2 + 0.8 * np.cos(2.0 * np.pi / 9.0)
     assert abs(W.rho - expected) < 1e-10
 
 
 def test_rho_matches_dense_svd_oracle():
     for n in (5, 9, 12):
-        for kind in (Ring(), Ring(0.2, 0.4), ExponentialGraph()):
-            W = build_topology(kind, n)
+        for W in (topo.ring(n), topo.ring(n, 0.2, 0.4), topo.exponential(n)):
             dev = W.weights - np.full((n, n), 1.0 / n)
             assert abs(W.rho - np.linalg.svd(dev, compute_uv=False)[0]) < 1e-12
+
+
+def _closed_neighborhood_reference(n, neighbors):
+    # One node at a time: weight 1 / |closed neighborhood| on node i and on
+    # each of neighbors(i), which may repeat a node or name i itself.
+    W = np.zeros((n, n))
+    for i in range(n):
+        closed = set(neighbors(i)) | {i}
+        for j in closed:
+            W[i, j] = 1.0 / len(closed)
+    return W
+
+
+def _torus_neighbors(rows, cols):
+    def neighbors(i):
+        a, b = divmod(i, cols)
+        return [((a + 1) % rows) * cols + b, ((a - 1) % rows) * cols + b,
+                a * cols + (b + 1) % cols, a * cols + (b - 1) % cols]
+    return neighbors
+
+
+def _exponential_neighbors(n):
+    hops = [2**k for k in range(n) if 2**k < n]
+    return lambda i: [(i + h) % n for h in hops] + [(i - h) % n for h in hops]
+
+
+def test_torus_and_exponential_match_a_per_node_reference_bit_for_bit():
+    for n in range(1, 65):
+        for rows in (r for r in range(1, n + 1) if n % r == 0):
+            cols = n // rows
+            reference = _closed_neighborhood_reference(n, _torus_neighbors(rows, cols))
+            W = topo.torus2d(n, rows, cols)
+            assert W.weights.tobytes() == reference.tobytes(), (rows, cols)
+        if n >= 2:
+            reference = _closed_neighborhood_reference(n, _exponential_neighbors(n))
+            assert topo.exponential(n).weights.tobytes() == reference.tobytes(), n
 
 
 def test_torus_3x3_rho():
     # Uniform closed-neighborhood weights 1/5; eigenvalues are
     # (1 + 2 cos(2 pi a/3) + 2 cos(2 pi b/3)) / 5.
-    W = build_topology(Torus2D(3, 3), 9)
+    W = topo.torus2d(9, 3, 3)
     assert abs(W.rho - 0.4) < 1e-12
 
 
@@ -78,8 +108,7 @@ def test_torus_3x3_rho():
 def test_gossip_contraction(n, seed):
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n, 4))
-    for kind in (Ring(), Ring(0.2, 0.4), ExponentialGraph(), FullyConnected()):
-        W = build_topology(kind, n)
+    for W in (topo.ring(n), topo.ring(n, 0.2, 0.4), topo.exponential(n), topo.fully_connected(n)):
         mean = U.mean(axis=0)
         mixed = W.weights @ U
         lhs = np.linalg.norm(mixed - mean)
@@ -92,24 +121,24 @@ def test_gossip_contraction(n, seed):
 def test_mix_preserves_column_means(n, seed):
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n, 3))
-    W = build_topology(Ring(), n)
+    W = topo.ring(n)
     assert np.allclose((W.weights @ U).mean(axis=0), U.mean(axis=0), atol=1e-12)
 
 
 def test_ring_rejects_bad_weights():
     with pytest.raises(NonStochasticWeights):
-        build_topology(Ring(self_weight=0.5, neighbor_weight=0.5), 5)
+        topo.ring(5, self_weight=0.5, neighbor_weight=0.5)
     with pytest.raises(NonStochasticWeights):
-        build_topology(Ring(self_weight=1.5, neighbor_weight=-0.25), 5)
+        topo.ring(5, self_weight=1.5, neighbor_weight=-0.25)
 
 
 def test_size_contracts():
     with pytest.raises(IncompatibleSize):
-        build_topology(Ring(), 2)
+        topo.ring(2)
     with pytest.raises(IncompatibleSize):
-        build_topology(Ring(0.2, 0.4), 2)
+        topo.ring(2, 0.2, 0.4)
     with pytest.raises(IncompatibleSize):
-        build_topology(Torus2D(3, 3), 8)
+        topo.torus2d(8, 3, 3)
 
 
 def test_from_weights_rejects_non_stochastic():
@@ -132,13 +161,13 @@ def test_from_weights_rejects_weights_that_do_not_mix():
 
 
 def test_weights_are_read_only():
-    W = build_topology(Ring(), 4)
+    W = topo.ring(4)
     with pytest.raises(ValueError):
         W.weights[0, 0] = 0.9
 
 
 def test_load_mixing_matrix_roundtrip():
-    W = build_topology(Ring(0.2, 0.4), 5)
+    W = topo.ring(5, 0.2, 0.4)
     text = "5\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in W.weights)
     W2 = load_mixing_matrix(text)
     assert np.allclose(W2.weights, W.weights, atol=1e-15)
@@ -154,3 +183,5 @@ def test_load_mixing_matrix_rejects_malformed():
         load_mixing_matrix("2\n1 0\n")
     with pytest.raises(NonStochasticWeights):
         load_mixing_matrix("2\n0.7 0.3\n0.4 0.6\n")
+    with pytest.raises(NonStochasticWeights, match="matrix row 2"):
+        load_mixing_matrix("2\n0.5 0.5\n0.5 x\n")
