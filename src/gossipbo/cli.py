@@ -14,13 +14,17 @@ written; a diverged cell's probes up to the blow-up go to
 makes before it creates the output directory; it checks the run-level
 ranges again, for fields set in code, and builds the problem, the
 topologies and each variant's HyperParams once. ``base_seed`` must be
->= 0, and ``--trials`` >= 1. GOSSIPBO_OUT sets the default output
-directory.
+>= 0, ``--trials`` >= 1, the step sizes finite, torus ``rows`` and
+``cols`` >= 1, and no variant may be listed twice. GOSSIPBO_OUT sets the
+default output directory.
 
 The sweep runs in this process as one engine call: every trial's so and
 fo cells of every topology with its centralized cell, on one problem
 instance and one set of mixing matrices, which also give the ``upper_loss``
-baseline and the manifest's spectral gaps. A cell's CSV is the one its own
+baseline and the manifest's spectral gaps. The centralized cell runs on
+the fully connected matrix and writes ``centralized_trial<k>.csv``; every
+other cell, a topology named ``centralized`` too, writes
+``<topology>_<variant>_trial<k>.csv``. A cell's CSV is the one its own
 run would give; its manifest entry holds its share of the call's wall
 time, and ``wall_limit_s`` bounds the whole sweep. The ``[run] workers``
 key is accepted and validated but changes nothing.
@@ -62,57 +66,53 @@ def _run_cell(
     """Execute every cell of the sweep as one engine call.
 
     A cell is (trial, topology name, variant); the centralized variant is
-    topology-independent, so it runs once per trial under the
-    pseudo-topology name "centralized". Returns one result per cell. A
-    diverged cell keeps its probes and leaves the batch while the others go
-    on; an error that ends the engine call is recorded on every cell. Each
-    cell's ``wall_time_s`` is its share of the call's wall time, so the
-    cell times add up to busy time.
+    topology-independent, so it runs once per trial on the fully connected
+    matrix, under the pseudo-topology name "centralized", which a topology
+    may also take. Returns one result per cell. A diverged cell keeps its
+    probes and leaves the batch while the others go on; an error that ends
+    the engine call is recorded on every cell. Each cell's ``wall_time_s``
+    is its share of the call's wall time, so the cell times add up to busy time.
     """
-    weights = dict(mixing, centralized=fully_connected(problem.n_nodes))
+    central = fully_connected(problem.n_nodes)
     cells = []
     for trial in range(config.run.n_trials):
         for tc in config.topologies:
             cells += [(trial, tc.name, v) for v in config.run.variants if v != "centralized"]
         if "centralized" in config.run.variants:
             cells.append((trial, "centralized", "centralized"))
+    seeds = [config.run.base_seed + trial for trial, _, _ in cells]
+    error = None
     start = time.monotonic()
-    results = [
-        dict(topology=topo_name, variant=variant, trial=trial, seed=config.run.base_seed + trial,
-             diverged_at=None, error=None, partial_csv=None, record=None)
-        for trial, topo_name, variant in cells
-    ]
     try:
         outcomes = engine.run(
             problem,
-            [weights[topo_name] for _, topo_name, _ in cells],
-            [hypers[variant] for _, _, variant in cells],
+            [central if v == "centralized" else mixing[name] for _, name, v in cells],
+            [hypers[v] for _, _, v in cells],
             T=config.run.T,
-            seed=[r["seed"] for r in results],
+            seed=seeds,
             probe_every=config.run.probe_every,
             wall_limit_s=config.run.wall_limit_s,
         )
     except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
-        for result in results:
-            result["error"] = str(exc)
-    else:
-        for result, outcome in zip(results, outcomes):
-            if isinstance(outcome, engine.NumericalDivergence):
-                result["diverged_at"] = outcome.iteration
-                result["error"] = str(outcome)
-                result["record"] = outcome.record
-                name = _cell_filename(result["topology"], result["variant"], result["trial"])
-                result["partial_csv"] = f"{name.removesuffix('.csv')}_partial.csv"
-            else:
-                result["record"] = outcome
+        error, outcomes = str(exc), [None] * len(cells)
     share = (time.monotonic() - start) / len(cells)
-    for result in results:
-        result["wall_time_s"] = share
+    results = []
+    for (trial, name, variant), seed, outcome in zip(cells, seeds, outcomes):
+        diverged = isinstance(outcome, engine.NumericalDivergence)
+        partial = _cell_filename(name, variant, trial).removesuffix(".csv") + "_partial.csv"
+        results.append(dict(
+            topology=name, variant=variant, trial=trial, seed=seed,
+            diverged_at=outcome.iteration if diverged else None,
+            error=str(outcome) if diverged else error,
+            partial_csv=partial if diverged else None,
+            record=outcome.record if diverged else outcome,
+            wall_time_s=share,
+        ))
     return results
 
 
 def _cell_filename(topo_name: str, variant: str, trial: int) -> str:
-    if topo_name == "centralized":
+    if variant == "centralized":
         return f"centralized_trial{trial}.csv"
     return f"{topo_name}_{variant}_trial{trial}.csv"
 
@@ -151,11 +151,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
     # Loss-based metrics are measured above the known optimal value when
     # the problem family provides one, so the relative tolerance compares
     # optimality gaps rather than raw losses.
-    baseline = 0.0
-    if config.run.transient_metric in ("upper_loss",):
-        phi_star = problem.phi_star()
-        if phi_star is not None:
-            baseline = phi_star
+    phi_star = problem.phi_star() if config.run.transient_metric == "upper_loss" else None
+    baseline = 0.0 if phi_star is None else phi_star
     transients = []
     for (topo_name, variant, trial), rec in records.items():
         if variant == "centralized":

@@ -84,6 +84,10 @@ def _taken(obj, keys) -> dict:
     return {k: getattr(obj, k) for k in keys}
 
 
+# The RunConfig fields that HyperParams takes under the same name.
+_SCHEDULE_KEYS = ("alpha0", "c1", "c2", "c3", "tau", "decay_factor", "decay_period", "delta")
+
+
 @dataclass
 class ProblemConfig:
     family: str
@@ -134,14 +138,14 @@ class TopologyConfig:
 class RunConfig:
     variants: list[str] = field(default_factory=lambda: ["so"])
     alpha0: float = 0.1
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    tau: float = 1.0
-    decay_factor: float = 1.0
-    decay_period: int = 1000
+    c1: float = HyperParams.c1
+    c2: float = HyperParams.c2
+    c3: float = HyperParams.c3
+    tau: float = HyperParams.tau
+    decay_factor: float = HyperParams.decay_factor
+    decay_period: int = HyperParams.decay_period
     theta: float | None = None  # None means theta_t = c3 * alpha_t
-    delta: float = 1e-3
+    delta: float = HyperParams.delta
     T: int = 1000
     probe_every: int = 100
     n_trials: int = 1
@@ -156,9 +160,11 @@ class RunConfig:
     def check(self) -> None:
         """Raise a ValidationError for a variant or run-level value out of range."""
         variants = [v.value for v in Variant]
-        for v in self.variants:
+        for i, v in enumerate(self.variants):
             if v not in variants:
                 raise ValidationError(f"[run] unknown variant {v!r}; variants are {variants}")
+            if v in self.variants[:i]:
+                raise ValidationError(f"[run] variant {v!r} is listed twice")
         if not self.variants:
             raise ValidationError("[run] variants must be non-empty")
         for key, value, low in (
@@ -175,16 +181,7 @@ class RunConfig:
     def hyper(self, variant: str) -> HyperParams:
         try:
             return HyperParams(
-                alpha0=self.alpha0,
-                c1=self.c1,
-                c2=self.c2,
-                c3=self.c3,
-                tau=self.tau,
-                decay_factor=self.decay_factor,
-                decay_period=self.decay_period,
-                fixed_theta=self.theta,
-                delta=self.delta,
-                variant=Variant(variant),
+                **_taken(self, _SCHEDULE_KEYS), fixed_theta=self.theta, variant=Variant(variant)
             )
         except ValueError as exc:
             raise ValidationError(f"[run] {exc}") from exc

@@ -118,18 +118,18 @@ class HyperParams:
 
     def __post_init__(self):
         # Negated comparisons, so that NaN fails them too.
-        if not self.alpha0 >= 0:
-            raise ValueError("alpha0 must be >= 0")
+        if not 0 <= self.alpha0 < np.inf:
+            raise ValueError("alpha0 must be finite and >= 0")
         if not (0 < self.decay_factor <= 1):
             raise ValueError("decay_factor must be in (0, 1]")
         if self.decay_period < 1:
             raise ValueError("decay_period must be >= 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if not all(c > 0 for c in (self.c1, self.c2, self.c3)):
-            raise ValueError("c1, c2, c3 must be > 0")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be finite and > 0")
+        if not all(0 < c < np.inf for c in (self.c1, self.c2, self.c3)):
+            raise ValueError("c1, c2, c3 must be finite and > 0")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be finite and > 0")
         if self.fixed_theta is not None and not 0 <= self.fixed_theta <= 1:
             raise ValueError("fixed_theta must be in [0, 1]")
 
@@ -173,6 +173,17 @@ class SwarmState:
         return self.Y.mean(axis=-2)
 
 
+def _cells(W, hyper, seed) -> tuple[list, list, list]:
+    """The call's matrices, hypers and seeds as aligned lists; a single one serves every cell."""
+    Ws = [W] if isinstance(W, MixingMatrix) else list(W)
+    hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
+    if not Ws or len(hypers) != len(Ws) or len(seeds) != len(Ws):
+        raise ConfigMismatch(f"{len(Ws)} cells but {len(hypers)} hypers and {len(seeds)} seeds: "
+                             "a call needs one or more cells and one hyper and seed each")
+    return Ws, hypers, seeds
+
+
 def init(
     problem: BilevelProblem,
     W: "MixingMatrix | list[MixingMatrix]",
@@ -188,14 +199,14 @@ def init(
     One mixing matrix and one seed give an (n, .) state; a list of C
     matrices gives a (C, n, .) state whose cells all start from the same
     (n, .) overrides, with one hyper and one seed for every cell or a list
-    of C each. A hyper sets only whether its cell is first-order.
+    of C each. A hyper sets only whether its cell is first-order, and the
+    second-order cells must come first, as ``step`` serves them in that order.
     """
     single = isinstance(W, MixingMatrix)
-    Ws = [W] if single else list(W)
-    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
-    hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
-    if len(seeds) != len(Ws) or len(hypers) != len(Ws):
-        raise ConfigMismatch(f"{len(Ws)} cells but {len(seeds)} seeds and {len(hypers)} hypers")
+    Ws, hypers, seeds = _cells(W, hyper, seed)
+    fo = [h.variant is Variant.FIRST_ORDER for h in hypers]
+    if fo != sorted(fo):
+        raise ConfigMismatch("every second-order cell must come before the first-order ones")
     distinct = list(dict.fromkeys(seeds))
     for w in Ws:
         if problem.n_nodes != w.n:
@@ -221,7 +232,7 @@ def init(
         H=pick(H0, (n, d)),
         rngs=tuple(map(np.random.default_rng, distinct)),
         stream=np.array([distinct.index(s) for s in seeds]).reshape(lead),
-        fo=np.array([h.variant is Variant.FIRST_ORDER for h in hypers]).reshape(lead),
+        fo=np.array(fo).reshape(lead),
     )
 
 
@@ -388,11 +399,7 @@ def run(
         raise ValueError("T must be >= 1")
     if probe_every < 1:
         raise ValueError("probe_every must be >= 1")
-    Ws = [W] if isinstance(W, MixingMatrix) else list(W)
-    hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
-    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
-    if not Ws or {len(hypers), len(seeds)} != {len(Ws)}:
-        raise ConfigMismatch("run needs one or more cells and one hyper and seed each")
+    Ws, hypers, seeds = _cells(W, hyper, seed)
     shared = hypers[0]
     if any(replace(h, variant=shared.variant) != shared for h in hypers):
         raise ConfigMismatch("cells of one run must agree on every hyper but the variant")
@@ -404,23 +411,21 @@ def run(
         alike.setdefault((wm.tobytes(), h.variant is Variant.FIRST_ORDER, s), []).append(c)
     # The cells behind each position of the state's cell axis: second-order first.
     live = sorted(alike.values(), key=lambda cs: hypers[cs[0]].variant is Variant.FIRST_ORDER)
+    first = [cs[0] for cs in live]  # the cell computed for each position
     # init checks every matrix against the problem's node count first.
-    state = init(problem, [Ws[cs[0]] for cs in live], [hypers[cs[0]] for cs in live],
-                 [seeds[cs[0]] for cs in live], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
-    weights = np.stack([gossip[cs[0]] for cs in live])
+    state = init(problem, [Ws[c] for c in first], [hypers[c] for c in first],
+                 [seeds[c] for c in first], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
+    weights = np.stack([gossip[c] for c in first])
     records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
     # Probes not yet evaluated, as (state, live) at their probe time. A state
     # holds its arrays by reference, which is safe: ``step`` writes into none.
     pending: list[tuple[SwarmState, list]] = []
-    pending_rows = 0
 
     def flush():
         """Evaluate the pending probes as one call and file each row in its cells' records."""
-        nonlocal pending_rows
         batch = pending[:]
         pending.clear()
-        pending_rows = 0
         if not batch:
             return
         snaps = [snap for snap, _ in batch]
@@ -446,12 +451,10 @@ def run(
                     records[c].add_probe(row)
 
     def probe_live():
-        nonlocal pending_rows
-        rows = len(live) * problem.n_nodes
-        if pending_rows + rows > PROBE_NODE_ROWS:
+        probes = len(live) + sum(len(cells) for _, cells in pending)
+        if probes * problem.n_nodes > PROBE_NODE_ROWS:
             flush()
         pending.append((state, live))
-        pending_rows += rows
 
     probe_live()
     start = time.monotonic()

@@ -265,9 +265,7 @@ def lower_solve(
     return y
 
 
-def z_star(
-    problem: BilevelProblem, x: np.ndarray, tol: float = LOWER_SOLVE_TOL, *, y=None
-) -> np.ndarray:
+def z_star(problem: BilevelProblem, x: np.ndarray, *, y=None) -> np.ndarray:
     """Solve (mean lower Hessian at y*(x)) z = mean grad_y f(x, y*(x)) at each point x.
 
     ``y`` is y*(x) when the caller has already solved for it. One stacked
@@ -275,7 +273,7 @@ def z_star(
     """
     x = np.asarray(x, dtype=float)
     if y is None:
-        y = lower_solve(problem, x, tol=tol)
+        y = lower_solve(problem, x)
     H = dense_lower_hessian(problem, x, y)
     rhs = _mean_over_nodes(problem.grad_y_f(_rows(problem, x), _rows(problem, y)))
     try:
@@ -283,7 +281,7 @@ def z_star(
     except np.linalg.LinAlgError as exc:
         raise SingularHessian("lower Hessian is singular") from exc
     residual = np.linalg.norm(_mv(H, z) - rhs, axis=-1)
-    bad = residual > tol * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
+    bad = residual > LOWER_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
     if not np.all(np.isfinite(z)) or np.any(bad):
         raise SingularHessian(f"linear system residual {np.max(residual):.3e}")
     return z

@@ -106,6 +106,8 @@ def ring(
 def torus2d(n: int, rows: int, cols: int) -> MixingMatrix:
     """rows x cols grid with wrap-around; node a * cols + b sits at row a, column b."""
     _require_nodes(n)
+    if rows < 1 or cols < 1:
+        raise IncompatibleSize(f"torus rows and cols must be >= 1, got rows={rows}, cols={cols}")
     if rows * cols != n:
         raise IncompatibleSize(f"torus {rows}x{cols} holds {rows * cols} nodes, got n={n}")
     a, b = np.divmod(np.arange(n), cols)

@@ -858,3 +858,60 @@ def test_manifest_cell_times_share_their_group(tmp_path):
     # Each cell holds its share of the call's time, so the cell times add
     # up to the busy time of one serial sweep, not to a multiple of it.
     assert sum(c["wall_time_s"] for c in cells) <= elapsed
+
+
+@pytest.mark.parametrize("rows, cols", [(-2, -2), (-4, -1)])
+def test_torus_shape_below_one_rejected_by_validate_and_run(tmp_path, capsys, rows, cols):
+    # Both products are the problem's 4 nodes; the error names the section,
+    # rows and cols, and no traceback or output directory follows.
+    text = GOOD_CONFIG.replace("n_nodes = 9", "n_nodes = 4")
+    text = text.replace("rows = 3", f"rows = {rows}").replace("cols = 3", f"cols = {cols}")
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [topology.torus] ") and "rows" in err and "cols" in err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [topology.torus] ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha0", "tau", "c1", "delta"])
+def test_infinite_step_sizes_rejected_by_validate_and_run(tmp_path, capsys, key):
+    # Otherwise every cell would diverge at iteration 1.
+    text = re.sub(rf"^{key} = .*\n", "", GOOD_CONFIG, flags=re.M)
+    path = write_config(tmp_path, text.replace("[run]\n", f"[run]\n{key} = inf\n"))
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run] ") and key in err and "finite" in err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [run] ")
+    assert not out.exists()
+
+
+def test_variant_listed_twice_rejected(tmp_path, capsys):
+    # Otherwise the manifest lists each of its cells twice over one CSV.
+    text = GOOD_CONFIG.replace("variants = so, centralized", "variants = so, so, centralized")
+    with pytest.raises(ValidationError, match="'so'"):
+        parse_config(text)
+    assert cli.main(["validate", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+    assert "'so' is listed twice" in capsys.readouterr().err
+
+
+def test_topology_named_centralized_keeps_its_own_cells(tmp_path):
+    # A ring named "centralized" gossips with its own weights and writes
+    # its own files, next to the centralized cell's.
+    named, renamed = tmp_path / "named", tmp_path / "renamed"
+    text = SMALL_QUADRATIC.replace("[topology.ring]", "[topology.centralized]")
+    assert cli.run_experiment(parse_config(SMALL_QUADRATIC), str(named)) == cli.EXIT_OK
+    assert cli.run_experiment(parse_config(text), str(renamed)) == cli.EXIT_OK
+    for ours, theirs in [("centralized_so", "ring_so"), ("centralized_fo", "ring_fo"),
+                         ("centralized", "centralized")]:
+        for trial in range(2):
+            mine = (renamed / f"{ours}_trial{trial}.csv").read_bytes()
+            assert mine == (named / f"{theirs}_trial{trial}.csv").read_bytes()
+    manifest = json.loads((renamed / "manifest.json").read_text())
+    assert len(manifest["cells"]) == 10
+    assert len({(c["topology"], c["variant"], c["trial"]) for c in manifest["cells"]}) == 10
+    assert manifest["topologies"]["centralized"]["rho"] == topo.ring(4).rho

@@ -83,6 +83,16 @@ def test_init_shapes_and_overrides(quad):
         init(quad, topo.ring(5), hyper(), seed=0)
 
 
+def test_init_rejects_a_first_order_cell_before_a_second_order_one(quad):
+    # step serves the leading cells with the second-order estimator, so a
+    # first-order cell ahead of a second-order one would swap their estimators.
+    Ws = [topo.ring(4)] * 2
+    so, fo = hyper(variant=Variant.SECOND_ORDER), hyper(variant=Variant.FIRST_ORDER)
+    with pytest.raises(ConfigMismatch, match="second-order"):
+        init(quad, Ws, [fo, so], seed=0)
+    assert init(quad, Ws, [so, fo], seed=0).fo.tolist() == [False, True]
+
+
 def test_step_advances_counter_and_keeps_shapes(quad):
     W = topo.ring(4)
     st0 = init(quad, W, hyper(), seed=1)

@@ -141,6 +141,14 @@ def test_size_contracts():
         topo.torus2d(8, 3, 3)
 
 
+@pytest.mark.parametrize("rows, cols", [(-2, -2), (-4, -1)])
+def test_torus_rejects_a_shape_below_one(rows, cols):
+    # Each product is 4, yet neither is a grid: without the check the first
+    # indexed past the matrix and the second built the 4-node ring.
+    with pytest.raises(IncompatibleSize, match=rf"rows={rows}, cols={cols}"):
+        topo.torus2d(4, rows, cols)
+
+
 def test_from_weights_rejects_non_stochastic():
     with pytest.raises(NonStochasticWeights):
         MixingMatrix.from_weights(np.array([[0.5, 0.6], [0.5, 0.4]]))
