@@ -187,6 +187,30 @@ class RunConfig:
             raise ValidationError(f"[run] {exc}") from exc
 
 
+def _check_topology_names(topologies: list[TopologyConfig]) -> None:
+    """Raise a ValidationError for a topology name that cannot start a file name.
+
+    A topology's name starts the name of every file its cells write, so it
+    must be one path component: not empty, ``.`` or ``..``, and without a
+    ``/`` or ``\\``. Two names that differ only in case would write the same
+    files on a case-insensitive file system.
+    """
+    seen: dict[str, str] = {}
+    for tc in topologies:
+        section = f"topology.{tc.name}"
+        if tc.name in ("", ".", "..") or "/" in tc.name or "\\" in tc.name:
+            raise ValidationError(
+                f"[{section}] a topology name must be one path component: "
+                "not empty, '.' or '..', and without '/' or '\\'"
+            )
+        other = seen.setdefault(tc.name.casefold(), tc.name)
+        if other != tc.name:
+            raise ValidationError(
+                f"[{section}] differs only in case from [topology.{other}]; "
+                "both would write the same files on a case-insensitive file system"
+            )
+
+
 @dataclass
 class ExperimentConfig:
     problem: ProblemConfig
@@ -206,6 +230,7 @@ class ExperimentConfig:
         HyperParams by variant.
         """
         self.run.check()
+        _check_topology_names(self.topologies)
         problem = self.problem.build()
         mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
         return problem, mixing, {v: self.run.hyper(v) for v in self.run.variants}
@@ -273,6 +298,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if run_items is None:
         raise ValidationError("missing [run] section")
 
+    _check_topology_names(topologies)
     run = RunConfig()
     _fill(run, "run", run_items, _RUN_KEYS)
     run.check()

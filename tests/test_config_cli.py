@@ -481,6 +481,53 @@ def test_negative_base_seed_rejected_by_validate_and_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("replaced, name, reason", [
+    *[("ring", name, "one path component")
+      for name in ["", ".", "..", "a/b", "a\\b", "../escape", "/abs"]],
+    *[("torus", name, "differs only in case from [topology.ring]")
+      for name in ["Ring", "RING", "rIng"]],
+])
+def test_topology_name_that_cannot_start_a_file_name_rejected_by_validate_and_run(
+    tmp_path, capsys, replaced, name, reason
+):
+    # The name starts the file name of every cell of the topology: a
+    # separator points into a directory the run never makes, and
+    # ring_so_trial0.csv and Ring_so_trial0.csv are one file on a
+    # case-insensitive file system.
+    section = f"[topology.{name}]"
+    text = GOOD_CONFIG.replace(f"[topology.{replaced}]", section)
+    with pytest.raises(ValidationError, match=re.escape(section)):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {section}" in err and reason in err and "Traceback" not in err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--trials", "1"]) == cli.EXIT_CONFIG
+    assert section in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", [["ring", "a/b"], ["ring", "RING"], ["", "torus"]])
+def test_topology_names_set_in_code_rejected_before_output(tmp_path, names):
+    config = parse_config(GOOD_CONFIG)
+    for tc, name in zip(config.topologies, names):
+        tc.name = name
+    with pytest.raises(ValidationError, match="\\[topology\\."):
+        config.build()
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError):
+        cli.run_experiment(config, str(out))
+    assert not out.exists()
+
+
+def test_topology_names_with_dots_and_case_that_stay_distinct_are_accepted():
+    text = GOOD_CONFIG.replace("[topology.ring]", "[topology.Ring.v2]").replace(
+        "[topology.torus]", "[topology...torus]"
+    )
+    assert [t.name for t in parse_config(text).topologies] == ["Ring.v2", "..torus"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_trials_below_one_rejected_by_run(tmp_path, capsys, trials):
     out = tmp_path / "out"

@@ -383,15 +383,16 @@ def test_ridge_stochastic_gradient_unbiased_in_sample_mean(seed):
     rng = np.random.default_rng(seed)
     X = rows(prob, np.array([0.2]))
     Y = rows(prob, rng.standard_normal(prob.dim_y))
-    grads = np.zeros(prob.dim_y)
     k = 4000
-    for _ in range(k):
-        zeta = prob.draw_g_sample(rng)
-        grads += prob.sgrad_y_g(X, Y, zeta)[0]
-    grads /= k
-    # Loose CLT-scale agreement with the population gradient (whose norm
-    # is an order of magnitude larger than this bound).
-    assert np.linalg.norm(grads - prob.grad_y_g(X, Y)[0]) < 4.0
+    grads = np.array([prob.sgrad_y_g(X, Y, prob.draw_g_sample(rng))[0] for _ in range(k)])
+    err = grads.mean(axis=0) - prob.grad_y_g(X, Y)[0]
+    se = grads.std(axis=0, ddof=1) / np.sqrt(k)
+    # Each coordinate's sample-mean error over its own standard error is
+    # about standard normal at k = 4000, and P(|Z| > 5) = 5.7e-7. Over 4
+    # coordinates and 25 examples, an unbiased sampler fails a Tier-1 run
+    # with probability about 6e-5. A bias of 5.0 on one coordinate is about
+    # 6 standard errors (se is 0.66 to 0.99 here).
+    assert np.max(np.abs(err) / se) < 5.0
 
 
 def test_quadratic_stochastic_noise_is_zero_mean(quad):

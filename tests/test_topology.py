@@ -60,6 +60,53 @@ def test_rho_matches_dense_svd_oracle():
             assert abs(W.rho - np.linalg.svd(dev, compute_uv=False)[0]) < 1e-12
 
 
+def _svd_rho(W):
+    n = W.n
+    return np.linalg.svd(W.weights - np.full((n, n), 1.0 / n), compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("n", (9, 36, 100))
+def test_rho_from_the_eigenproblem_matches_the_svd_on_every_builtin_family(n):
+    # rho is the square root of the top eigenvalue of M^T M; the oracle is
+    # the top singular value of M from a dense SVD.
+    factor_pairs = [(r, n // r) for r in range(1, n + 1) if n % r == 0]
+    mixing = [topo.fully_connected(n), topo.exponential(n), topo.ring(n),
+              topo.ring(n, 0.2, 0.4), topo.ring(n, 0.5, 0.25)]
+    mixing += [topo.torus2d(n, r, c) for r, c in factor_pairs]
+    for W in mixing:
+        assert abs(W.rho - _svd_rho(W)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rho_from_the_eigenproblem_matches_the_svd_on_non_symmetric_custom_matrices(seed):
+    # A convex mixture of the identity, the n-cycle and a few random
+    # permutations is doubly stochastic and, with positive weight on the
+    # first two, mixes (rho < 1); it is not symmetric, so the eigenvalues of
+    # M itself are not its singular values.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 41))
+    perms = [np.arange(n), np.roll(np.arange(n), 1)]
+    perms += [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+    weights = rng.dirichlet(np.ones(len(perms)))
+    W = sum(w * np.eye(n)[p] for w, p in zip(weights, perms))
+    assert not np.allclose(W, W.T)
+    text = f"{n}\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in W)
+    custom = load_mixing_matrix(text)
+    assert np.array_equal(custom.weights, W)
+    assert abs(custom.rho - _svd_rho(custom)) < 1e-12
+
+
+def test_rho_without_a_gap_to_close_is_exactly_zero_and_the_identity_still_does_not_mix():
+    # M = 0 for uniform weights and for one node: the clamp before the
+    # square root keeps rho at 0.0, never NaN.
+    for n in (1, 2, 9, 36, 100):
+        assert topo.fully_connected(n).rho == 0.0
+    assert MixingMatrix.from_weights(np.ones((1, 1))).rho == 0.0
+    assert load_mixing_matrix("1\n1.0").rho == 0.0
+    with pytest.raises(SpectralGapDegenerate):
+        MixingMatrix.from_weights(np.eye(4))
+
+
 def _closed_neighborhood_reference(n, neighbors):
     # One node at a time: weight 1 / |closed neighborhood| on node i and on
     # each of neighbors(i), which may repeat a node or name i itself.
