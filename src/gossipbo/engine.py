@@ -421,9 +421,10 @@ def run(
     # Probes not yet evaluated, as (state, live) at their probe time. A state
     # holds its arrays by reference, which is safe: ``step`` writes into none.
     pending: list[tuple[SwarmState, list]] = []
+    evaluated, owners = [], []  # the evaluated (ts, rows) blocks; the cells of each row
 
     def flush():
-        """Evaluate the pending probes as one call and file each row in its cells' records."""
+        """Evaluate the pending probes as one call; ``run`` files the rows when it ends."""
         batch = pending[:]
         pending.clear()
         if not batch:
@@ -444,11 +445,8 @@ def run(
             for s in snaps:
                 metrics_mod.probe(problem, s, alpha=shared.alpha(s.t))
             raise
-        rows = iter(rows)
-        for _, cells in batch:
-            for cs, row in zip(cells, rows):
-                for c in cs:
-                    records[c].add_probe(row)
+        evaluated.append((stacked.t, rows))
+        owners.extend(cs for _, cells in batch for cs in cells)
 
     def probe_live():
         probes = len(live) + sum(len(cells) for _, cells in pending)
@@ -487,6 +485,14 @@ def run(
                     )
     finally:
         flush()  # on an error too: a pending probe's error came first
+    # Each cell's rows, in time order, go to its record as one slice.
+    ts, rows = (np.concatenate(parts) for parts in zip(*evaluated))
+    filed: dict[int, list[int]] = {}
+    for j, cs in enumerate(owners):
+        for c in cs:
+            filed.setdefault(c, []).append(j)
+    for c, mine in filed.items():
+        records[c].add_probe(ts[mine], rows[mine])
     if not isinstance(W, MixingMatrix):
         return outcomes
     if isinstance(outcomes[0], NumericalDivergence):

@@ -1,11 +1,11 @@
 """Run metrics: hypergradient norm, consensus error, transient cutoffs.
 
-Metrics are evaluated at the row-mean (network-average) iterate, for every
-cell of a (K, n, .) state in one batched probe. The transient cutoff
-compares a decentralized run against a centralized reference on a shared
-probe grid: it is the first probe from which the smoothed decentralized
-curve stays within a relative tolerance of the smoothed centralized one for
-the rest of the horizon.
+A probe evaluates every cell of a (K, n, .) state at its row-mean
+(network-average) iterate in one batched call: one row of ``COLUMNS`` per
+cell. A ``RunRecord`` is a table of such rows, an integer ``t`` column and
+one float array. The transient cutoff is the first probe from which the
+smoothed curve of a decentralized run stays within a relative tolerance of
+a centralized reference's, on a shared probe grid, to the horizon.
 """
 
 from __future__ import annotations
@@ -13,16 +13,20 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import problem as problem_mod
 
-# The metric columns of a probe, in CSV order; each can be a run's transient metric.
-PROBE_METRICS = ("grad_sq_norm", "phi_gap", "consensus_error", "upper_loss")
-CSV_HEADER = ["t", *PROBE_METRICS, "alpha"]
+# The float columns of a probe row, in CSV order after t. All but the step
+# size alpha are metrics: summarized across seeds, and each can be a run's
+# transient metric. A new column is an entry here and its value in ``probe``.
+COLUMNS = ("grad_sq_norm", "phi_gap", "consensus_error", "upper_loss", "alpha")
+PROBE_METRICS = COLUMNS[:-1]
+CSV_HEADER = ["t", *COLUMNS]
+SUMMARY_HEADER = ["t", *(f"{m}_{stat}" for m in PROBE_METRICS for stat in ("mean", "stderr"))]
 
 
 class MetricsError(ValueError):
@@ -37,61 +41,80 @@ class EmptyInput(MetricsError):
     pass
 
 
-@dataclass(frozen=True)
-class ProbeRow:
-    t: int
-    grad_sq_norm: float
-    phi_gap: float  # nan when Phi* is unknown
-    consensus_error: float
-    upper_loss: float
-    alpha: float
+class _Table:
+    """Rows of an integer t, strictly increasing, and a float under each later ``header`` name,
+    filed in blocks joined on the first read after a write; every array is read-only."""
 
+    header: list[str]
 
-@dataclass
-class RunRecord:
-    probes: list[ProbeRow] = field(default_factory=list)
+    def __init__(self, ts=(), values=()) -> None:
+        self._blocks = [(np.empty(0, dtype=np.int64), np.empty((0, len(self.header) - 1)))]
+        if len(ts):
+            self.add_probe(ts, values)
 
-    def add_probe(self, row: ProbeRow) -> None:
-        if self.probes and row.t <= self.probes[-1].t:
+    def add_probe(self, ts, values) -> None:
+        """File one row (an int and a row of floats) or a block (ts and one row each)."""
+        ts = np.array(ts, dtype=np.int64, ndmin=1)
+        values = np.array(values, dtype=float, ndmin=2)
+        if values.shape != (len(ts), len(self.header) - 1):
+            raise MetricsError(f"{values.shape} values for {len(ts)} rows of {self.header}")
+        if (ts[:1] <= self._blocks[-1][0][-1:]).any() or (ts[1:] <= ts[:-1]).any():
             raise MetricsError("probe iterations must be strictly increasing")
-        self.probes.append(row)
+        if len(ts):
+            ts.flags.writeable = values.flags.writeable = False
+            self._blocks.append((ts, values))
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        if len(self._blocks) > 1:
+            ts, values = (np.concatenate(parts) for parts in zip(*self._blocks))
+            ts.flags.writeable = values.flags.writeable = False
+            self._blocks = [(ts, values)]
+        return self._blocks[0]
 
     @property
     def ts(self) -> np.ndarray:
-        return np.array([p.t for p in self.probes], dtype=int)
+        return self._table()[0].view()
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in self.probes], dtype=float)
+        if name not in self.header[1:]:
+            raise MetricsError(f"no column {name!r} in {self.header[1:]}")
+        return self._table()[1][:, self.header.index(name) - 1]
 
     def to_csv(self) -> str:
-        # The shortest repr of each float needs no quoting.
-        rows = [",".join(CSV_HEADER) + "\n"]
-        for p in self.probes:
-            rows.append(
-                f"{p.t},{float(p.grad_sq_norm)!r},{float(p.phi_gap)!r},"
-                f"{float(p.consensus_error)!r},{float(p.upper_loss)!r},{float(p.alpha)!r}\n"
-            )
-        return "".join(rows)
+        """t as an int and every other cell as its float repr, which needs no quoting."""
+        ts, values = self._table()
+        lines = [",".join(self.header)]
+        lines += [f"{t},{','.join(map(repr, v))}" for t, v in zip(ts.tolist(), values.tolist())]
+        return "\n".join(lines) + "\n"
+
+
+class RunRecord(_Table):
+    """A run's probes: t and a row of ``COLUMNS`` each, in CSV_HEADER order."""
+
+    header = CSV_HEADER
 
     @staticmethod
     def from_csv(text: str) -> "RunRecord":
+        """Parse ``to_csv``'s layout; a bad header, line or cell raises MetricsError."""
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise MetricsError(f"unexpected CSV header: {header}")
-        rec = RunRecord()
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise MetricsError(f"line {line}: {len(row)} cells, expected {len(CSV_HEADER)}")
-            try:
-                # Columns in CSV_HEADER order, which is ProbeRow's field order.
-                probe_row = ProbeRow(int(row[0]), *map(float, row[1:]))
-            except ValueError as exc:
-                raise MetricsError(f"line {line}: {exc}") from exc
-            rec.add_probe(probe_row)
-        return rec
+        ts, rows = [], []
+        try:
+            if (header := next(reader, None)) != CSV_HEADER:
+                raise MetricsError(f"unexpected CSV header: {header}")
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise MetricsError(
+                        f"line {line}: {len(row)} cells, expected {len(CSV_HEADER)}")
+                try:
+                    ts.append(np.int64(row[0]))
+                    rows.append([float(v) for v in row[1:]])
+                except (ValueError, OverflowError) as exc:
+                    raise MetricsError(f"line {line}: {exc}") from exc
+        except csv.Error as exc:  # a field past csv.field_size_limit(), for one
+            raise MetricsError(f"line {reader.line_num}: {exc}") from exc
+        return RunRecord(ts, rows)
 
 
 def consensus_error(state):
@@ -104,8 +127,9 @@ def consensus_error(state):
     return total / state.X.shape[-2]
 
 
-def probe(problem, state, alpha: float | np.ndarray):
-    """Metrics at each cell's row-mean iterate: a ProbeRow, or a list for a (K, n, .) state.
+def probe(problem, state, alpha: float | np.ndarray) -> np.ndarray:
+    """Each cell's row of ``COLUMNS`` at its row-mean iterate: (K, len(COLUMNS)) for a (K, n, .)
+    state, one row for an (n, .) one.
 
     One batched lower solve serves every cell, and y*(x_bar) then serves
     z*, grad Phi and Phi alike. Row k is cell k's own (n, .) probe, bit for bit.
@@ -119,20 +143,16 @@ def probe(problem, state, alpha: float | np.ndarray):
     lead = x_bar.shape[:-1]
     # Phi(x_bar) and the upper loss at (x_bar, y_bar) from one call.
     phi, upper = problem.mean_f_value(x_bar, np.stack([y_star, y_bar]))
-    gap = np.full(lead, math.nan) if phi_star is None else phi - phi_star
-    consensus = np.asarray(consensus_error(state))
-    # A matmul per cell, as g @ g rounds; np.sum(g * g, axis=-1) rounds differently.
-    grad_sq = problem_mod._dot(g, g)
-    ts = np.broadcast_to(state.t, lead).ravel().tolist()
-    for name, v in (("grad_sq_norm", grad_sq), ("consensus_error", consensus),
-                    ("upper_loss", upper)):
-        finite = np.isfinite(v).ravel()
+    # A matmul per cell for grad_sq_norm, as g @ g rounds; np.sum(g * g, axis=-1) does not.
+    values = dict(grad_sq_norm=problem_mod._dot(g, g), consensus_error=consensus_error(state),
+                  phi_gap=math.nan if phi_star is None else phi - phi_star,
+                  upper_loss=upper, alpha=alpha)
+    for name in ("grad_sq_norm", "consensus_error", "upper_loss"):
+        finite = np.isfinite(values[name]).ravel()
         if not finite.all():
-            raise MetricsError(f"non-finite probe value for {name} at t={ts[finite.argmin()]}")
-    columns = np.stack([grad_sq, gap, consensus, upper], axis=-1).reshape(-1, 4)
-    alphas = np.broadcast_to(alpha, lead).ravel().tolist()
-    rows = [ProbeRow(t, *values, a) for t, values, a in zip(ts, columns.tolist(), alphas)]
-    return rows if lead else rows[0]
+            t = np.broadcast_to(state.t, lead).ravel()[finite.argmin()]
+            raise MetricsError(f"non-finite probe value for {name} at t={t}")
+    return np.stack([np.broadcast_to(values[name], lead) for name in COLUMNS], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -202,36 +222,15 @@ def transient_cutoff(
     # Smallest index from which every later probe satisfies the bound.
     failed = np.flatnonzero(~ok)
     idx = int(failed[-1]) + 1 if failed.size else 0
-    if idx == len(ok):
-        return TransientEstimate(
-            cutoff_iteration=int(td[-1]), rel_tol=rel_tol, window=window, matched=False
-        )
-    return TransientEstimate(
-        cutoff_iteration=int(td[idx]), rel_tol=rel_tol, window=window, matched=True
-    )
+    matched = idx < len(ok)
+    return TransientEstimate(cutoff_iteration=int(td[idx if matched else -1]), rel_tol=rel_tol,
+                             window=window, matched=matched)
 
 
-@dataclass
-class SummaryTable:
-    ts: np.ndarray
-    mean: dict[str, np.ndarray]
-    stderr: dict[str, np.ndarray]
-    n_records: int
+class SummaryTable(_Table):
+    """t, then each metric's across-seed mean and standard error, one row per probe."""
 
-    def to_csv(self) -> str:
-        """t, then each metric's mean and standard error, one row per probe."""
-        header = ["t"]
-        columns = [self.ts.tolist()]
-        for name in SUMMARY_METRICS:
-            header += [f"{name}_mean", f"{name}_stderr"]
-            columns += [self.mean[name].tolist(), self.stderr[name].tolist()]
-        rows = [",".join(header) + "\n"]
-        for t, *values in zip(*columns):
-            rows.append(f"{int(t)},{','.join(map(repr, values))}\n")
-        return "".join(rows)
-
-
-SUMMARY_METRICS = PROBE_METRICS
+    header = SUMMARY_HEADER
 
 
 def summarize(records: list[RunRecord]) -> SummaryTable:
@@ -239,16 +238,10 @@ def summarize(records: list[RunRecord]) -> SummaryTable:
     if not records:
         raise EmptyInput("no records to summarize")
     ts = records[0].ts
-    for rec in records[1:]:
-        if len(rec.ts) != len(ts) or np.any(rec.ts != ts):
-            raise GridMismatch("records are not probed on a common grid")
-    k = len(records)
-    mean, stderr = {}, {}
-    for name in SUMMARY_METRICS:
-        stacked = np.stack([rec.column(name) for rec in records])
-        mean[name] = stacked.mean(axis=0)
-        if k > 1:
-            stderr[name] = stacked.std(axis=0, ddof=1) / np.sqrt(k)
-        else:
-            stderr[name] = np.zeros(len(ts))
-    return SummaryTable(ts=ts, mean=mean, stderr=stderr, n_records=k)
+    if any(not np.array_equal(rec.ts, ts) for rec in records[1:]):
+        raise GridMismatch("records are not probed on a common grid")
+    stacked = np.stack([rec._table()[1][:, : len(PROBE_METRICS)] for rec in records])
+    mean, k = stacked.mean(axis=0), len(records)
+    stderr = stacked.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros_like(mean)
+    # Each metric's mean, then its standard error: SUMMARY_HEADER's order.
+    return SummaryTable(ts, np.stack([mean, stderr], axis=-1).reshape(len(ts), -1))

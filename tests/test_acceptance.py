@@ -271,7 +271,8 @@ def ridge_sweep():
                 )
                 results[(label, trial, name)] = {
                     "cutoff": est.cutoff_iteration,
-                    "final_loss": rec.probes[-1].upper_loss,
+                    "matched": est.matched,
+                    "final_loss": rec.column("upper_loss")[-1],
                 }
     return results
 
@@ -287,15 +288,29 @@ def test_criterion_7a_final_losses_agree(ridge_sweep):
             assert spread < 0.10, f"{label} trial {trial}: spread {spread:.3f}"
 
 
+def ordered(a, b, strict=False):
+    """a >= b (a > b if strict) on two cutoffs, a win only when b is matched.
+
+    An unmatched cutoff reads the horizon and says only that the true
+    cutoff lies past it: a lower bound, which makes a on the left of an
+    ordering no smaller, but b on the right unknown.
+    """
+    holds = a["cutoff"] > b["cutoff"] if strict else a["cutoff"] >= b["cutoff"]
+    return b["matched"] and holds
+
+
 def test_criterion_7b_topology_ordering(ridge_sweep):
     for label in ("mild", "severe"):
+        cut = {(t, name): ridge_sweep[(label, t, name)]
+               for t in range(N_TRIALS) for name in SWEEP_TOPOLOGIES}
         wins = sum(
-            ridge_sweep[(label, t, "ring")]["cutoff"]
-            >= ridge_sweep[(label, t, "torus")]["cutoff"]
-            >= ridge_sweep[(label, t, "full")]["cutoff"]
+            ordered(cut[(t, "ring")], cut[(t, "torus")])
+            and ordered(cut[(t, "torus")], cut[(t, "full")])
             for t in range(N_TRIALS)
         )
-        assert wins >= 8, f"{label}: ring >= torus >= full in only {wins}/{N_TRIALS}"
+        censored = sum(not c["matched"] for c in cut.values())
+        assert wins >= 8, (f"{label}: ring >= torus >= full in only {wins}/{N_TRIALS} "
+                           f"({censored} of {len(cut)} cutoffs censored)")
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +359,8 @@ def quadratic_heterogeneity_sweep():
             for name in topos:
                 est = g.transient_cutoff(recs[(trial, name)], cen, rel_tol=0.2, window=5,
                                          metric="grad_sq_norm")
-                level["cutoff"][(trial, name)] = est.cutoff_iteration
+                level["cutoff"][(trial, name)] = {"cutoff": est.cutoff_iteration,
+                                                  "matched": est.matched}
         results[label] = level
     return results
 
@@ -362,10 +378,13 @@ def test_criterion_7c_heterogeneity_ordering(quadratic_heterogeneity_sweep):
         assert np.all(np.abs(a - b) <= 1e-6 * np.abs(a)), f"trial {t}: centralized curves differ"
     for name in ("ring", "torus"):
         wins = sum(
-            severe["cutoff"][(t, name)] > mild["cutoff"][(t, name)]
+            ordered(severe["cutoff"][(t, name)], mild["cutoff"][(t, name)], strict=True)
             for t in range(N_TRIALS)
         )
-        assert wins >= 8, f"{name}: severe > mild in only {wins}/{N_TRIALS}"
+        censored = {label: sum(not level["cutoff"][(t, name)]["matched"] for t in range(N_TRIALS))
+                    for label, level in (("mild", mild), ("severe", severe))}
+        assert wins >= 8, (f"{name}: severe > mild in only {wins}/{N_TRIALS} "
+                           f"(censored cutoffs: {censored})")
 
 
 # ---------------------------------------------------------------------------

@@ -705,7 +705,11 @@ def test_custom_matrix_that_cannot_run_rejected_by_validate_and_run(tmp_path, ca
     "a,b\n1,2\n",
     ",".join(CSV_HEADER) + "\n0,x,0.0,0.0,1.0,0.1\n",
     ",".join(CSV_HEADER) + "\n0,1.0,0.0\n",
-], ids=["bad-header", "non-numeric-cell", "short-row"])
+    # Past csv.field_size_limit(), so csv.reader itself raises.
+    ",".join(CSV_HEADER) + "\n0," + "1" * 200_000 + ",0.0,0.0,1.0,0.1\n",
+    # Past the int64 range of a record's t column.
+    ",".join(CSV_HEADER) + "\n" + "9" * 30 + ",1.0,0.0,0.0,1.0,0.1\n",
+], ids=["bad-header", "non-numeric-cell", "short-row", "oversized-field", "t-past-int64"])
 def test_cli_transient_rejects_a_malformed_csv(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

@@ -502,18 +502,29 @@ def test_step_verdict_names_exactly_the_cell_out_of_range(quad, where, value):
 
 def stepwise(prob, W, hp, T, seed, probe_every, X0=None):
     """A cell's CSV from bare ``step`` calls, each drawing its own one-step
-    sample, with the divergence (iteration, message) or None."""
+    sample, with the divergence (iteration, message) or None. The probes
+    filed one by one give the CSV of their rows filed as one block."""
     st = init(prob, W, hp, seed=seed, X0=X0)
     rec = RunRecord()
-    rec.add_probe(probe(prob, st, alpha=hp.alpha(0)))
+    ts, rows = [], []
+
+    def probe_now():
+        ts.append(st.t)
+        rows.append(probe(prob, st, alpha=hp.alpha(st.t)))
+        rec.add_probe(ts[-1], rows[-1])
+
+    probe_now()
+    divergence = None
     for t in range(T):
         try:
             st = step(prob, W, hp, st)
         except NumericalDivergence as exc:
-            return rec.to_csv(), (exc.iteration, str(exc))
+            divergence = (exc.iteration, str(exc))
+            break
         if (t + 1) % probe_every == 0 or t + 1 == T:
-            rec.add_probe(probe(prob, st, alpha=hp.alpha(st.t)))
-    return rec.to_csv(), None
+            probe_now()
+    assert RunRecord(ts, rows).to_csv() == rec.to_csv()
+    return rec.to_csv(), divergence
 
 
 def outcome_of(out):

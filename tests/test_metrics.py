@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from gossipbo.engine import HyperParams, Variant, init, step
 from gossipbo.metrics import (
+    COLUMNS,
     CSV_HEADER,
-    SUMMARY_METRICS,
+    PROBE_METRICS,
     EmptyInput,
     GridMismatch,
     MetricsError,
-    ProbeRow,
     RunRecord,
     SummaryTable,
     consensus_error,
@@ -90,9 +90,9 @@ def test_probe_reports_gap_and_rejects_nonfinite():
     prob = trivial_quadratic(dim=1, n_nodes=2)
     hp = HyperParams(alpha0=0.1)
     state = init(prob, topo.fully_connected(2), hp, seed=0)
-    row = probe(prob, state, alpha=0.1)
-    assert row.t == 0 and row.alpha == 0.1
-    assert math.isfinite(row.upper_loss)
+    row = RunRecord([state.t], [probe(prob, state, alpha=0.1)])
+    assert row.ts[0] == 0 and row.column("alpha")[0] == 0.1
+    assert math.isfinite(row.column("upper_loss")[0])
     state.X[:] = np.inf
     with pytest.raises((MetricsError, ProblemError)):
         probe(prob, state, alpha=0.1)
@@ -123,23 +123,24 @@ def test_probe_solves_the_lower_problem_once(family, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(problem_mod, "lower_solve", counted)
-    row = probe(prob, state, alpha=0.1)
+    row = dict(zip(COLUMNS, probe(prob, state, alpha=0.1)))
     assert len(calls) == 1
     monkeypatch.undo()
     x_bar = state.x_bar()
     g = problem_mod.hypergradient_exact(prob, x_bar)
-    assert row.grad_sq_norm == float(g @ g)
+    assert row["grad_sq_norm"] == float(g @ g)
     if phi_star is None:
-        assert math.isnan(row.phi_gap)
+        assert math.isnan(row["phi_gap"])
     else:
-        assert row.phi_gap == problem_mod.phi_value(prob, x_bar) - phi_star
+        assert row["phi_gap"] == problem_mod.phi_value(prob, x_bar) - phi_star
 
 
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
 def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
     # One probe of a (K, n, .) state makes one lower solve for all K cells,
-    # and row k is the probe of cell k's own (n, .) state, bit for bit.
-    from dataclasses import astuple, replace
+    # and row k is the probe of cell k's own (n, .) state, bit for bit. The
+    # rows filed as one block give the CSV of a record filed probe by probe.
+    from dataclasses import replace
 
     from gossipbo import problem as problem_mod
 
@@ -154,7 +155,7 @@ def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
     state = init(prob, [topo.ring(3)] * K, HyperParams(alpha0=0.1), seed=0)
     state = replace(
         state,
-        t=7,
+        t=7 + np.arange(K),
         X=0.1 + np.abs(rng.standard_normal(state.X.shape)),
         Y=rng.standard_normal(state.Y.shape),
         Z=rng.standard_normal(state.Z.shape),
@@ -171,15 +172,20 @@ def test_batched_probe_rows_are_the_cells_own(family, monkeypatch):
     rows = probe(prob, state, alpha=0.1)
     assert len(calls) == 1 and calls[0].shape == (K, prob.dim_x)
     assert len(rows) == K
+    one_by_one = RunRecord()
     for k, row in enumerate(rows):
-        own = probe(prob, replace(state, X=state.X[k], Y=state.Y[k], Z=state.Z[k]), alpha=0.1)
-        assert [repr(v) for v in astuple(row)] == [repr(v) for v in astuple(own)], k
+        own = probe(prob, replace(state, t=state.t[k], X=state.X[k], Y=state.Y[k],
+                                  Z=state.Z[k]), alpha=0.1)
+        one_by_one.add_probe(state.t[k], own)
+        assert [repr(v) for v in row.tolist()] == [repr(v) for v in own.tolist()], k
         # Both against the definitions, computed one cell at a time.
+        row = dict(zip(COLUMNS, row))
         g = problem_mod.hypergradient_exact(prob, state.X[k].mean(axis=0))
-        assert row.grad_sq_norm == float(g @ g), k
+        assert row["grad_sq_norm"] == float(g @ g), k
         spread = sum(float(np.sum((M[k] - M[k].mean(axis=0)) ** 2))
                      for M in (state.X, state.Y, state.Z))
-        assert row.consensus_error == spread / prob.n_nodes, k
+        assert row["consensus_error"] == spread / prob.n_nodes, k
+    assert RunRecord(state.t, rows).to_csv() == one_by_one.to_csv()
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=64),
@@ -259,7 +265,7 @@ def test_record_csv_matches_the_csv_writer_reference():
     rows = []
     for t in range(0, 400, 20):
         row = [t] + [float(v) for v in rng.choice(_SPECIAL_FLOATS, 5)]
-        rec.add_probe(ProbeRow(*row))
+        rec.add_probe(row[0], row[1:])
         rows.append(row)
     assert rec.to_csv() == _csv_reference(CSV_HEADER, rows)
     assert RunRecord.from_csv(rec.to_csv()).to_csv() == rec.to_csv()
@@ -268,35 +274,55 @@ def test_record_csv_matches_the_csv_writer_reference():
 def test_summary_csv_matches_the_csv_writer_reference():
     rng = np.random.default_rng(8)
     ts = np.arange(0, 300, 30)
-    mean = {name: rng.choice(_SPECIAL_FLOATS, len(ts)) for name in SUMMARY_METRICS}
-    stderr = {name: rng.choice(_SPECIAL_FLOATS, len(ts)) for name in SUMMARY_METRICS}
+    mean = {name: rng.choice(_SPECIAL_FLOATS, len(ts)) for name in PROBE_METRICS}
+    stderr = {name: rng.choice(_SPECIAL_FLOATS, len(ts)) for name in PROBE_METRICS}
     header = ["t"]
-    for name in SUMMARY_METRICS:
+    for name in PROBE_METRICS:
         header += [f"{name}_mean", f"{name}_stderr"]
     rows = [
-        [t] + [v for name in SUMMARY_METRICS for v in (mean[name][k], stderr[name][k])]
+        [t] + [v for name in PROBE_METRICS for v in (mean[name][k], stderr[name][k])]
         for k, t in enumerate(ts)
     ]
-    table = SummaryTable(ts=ts, mean=mean, stderr=stderr, n_records=3)
+    table = SummaryTable(ts, [row[1:] for row in rows])
     assert table.to_csv() == _csv_reference(header, rows)
 
 
 def make_record(ts, values, metric="grad_sq_norm"):
     rec = RunRecord()
     for t, v in zip(ts, values):
-        kwargs = dict(
-            t=int(t), grad_sq_norm=1.0, phi_gap=0.0,
-            consensus_error=0.0, upper_loss=1.0, alpha=0.1,
-        )
-        kwargs[metric] = float(v)
-        rec.add_probe(ProbeRow(**kwargs))
+        row = dict(grad_sq_norm=1.0, phi_gap=0.0, consensus_error=0.0, upper_loss=1.0, alpha=0.1)
+        row[metric] = float(v)
+        rec.add_probe(int(t), [row[name] for name in COLUMNS])
     return rec
 
 
 def test_record_requires_increasing_iterations():
     rec = make_record([0, 10], [1.0, 1.0])
     with pytest.raises(MetricsError):
-        rec.add_probe(ProbeRow(10, 1.0, 0.0, 0.0, 1.0, 0.1))
+        rec.add_probe(10, [1.0, 0.0, 0.0, 1.0, 0.1])
+    # Across blocks and within one block alike; a refused block files nothing.
+    for ts in ([10, 20], [20, 30, 30], [30, 20]):
+        with pytest.raises(MetricsError, match="strictly increasing"):
+            rec.add_probe(ts, [[1.0, 0.0, 0.0, 1.0, 0.1]] * len(ts))
+    assert rec.ts.tolist() == [0, 10]
+    with pytest.raises(MetricsError, match="strictly increasing"):
+        RunRecord([0, 0], [[1.0, 0.0, 0.0, 1.0, 0.1]] * 2)
+
+
+def test_record_reads_cannot_change_the_record():
+    rec = make_record([0, 100, 200], [9.0, 4.0, 1.0])
+    block = np.ones((2, len(COLUMNS)))
+    rec.add_probe([300, 400], block)
+    block[:] = 7.0  # the record holds its own copy
+    text = rec.to_csv()
+    for read in (rec.ts, rec.column("grad_sq_norm"), rec.column("alpha")):
+        with pytest.raises(ValueError):
+            read[0] = 5
+        with pytest.raises(ValueError):
+            read.flags.writeable = True
+    assert rec.to_csv() == text
+    with pytest.raises(MetricsError, match="no column"):
+        rec.column("t")
 
 
 def test_csv_roundtrip_is_byte_identical():
@@ -386,12 +412,11 @@ def test_transient_cutoff_grid_mismatch():
 def test_summarize_single_and_duplicated_records():
     rec = make_record([0, 100], [2.0, 1.0])
     table = summarize([rec])
-    assert np.array_equal(table.mean["grad_sq_norm"], [2.0, 1.0])
-    assert np.array_equal(table.stderr["grad_sq_norm"], [0.0, 0.0])
+    assert np.array_equal(table.column("grad_sq_norm_mean"), [2.0, 1.0])
+    assert np.array_equal(table.column("grad_sq_norm_stderr"), [0.0, 0.0])
     table3 = summarize([rec, rec, rec])
-    assert np.array_equal(table3.mean["grad_sq_norm"], [2.0, 1.0])
-    assert np.allclose(table3.stderr["grad_sq_norm"], 0.0)
-    assert table3.n_records == 3
+    assert np.array_equal(table3.column("grad_sq_norm_mean"), [2.0, 1.0])
+    assert np.allclose(table3.column("grad_sq_norm_stderr"), 0.0)
 
 
 def test_summarize_permutation_invariant():
@@ -400,8 +425,8 @@ def test_summarize_permutation_invariant():
     c = make_record([0, 100], [6.0, 5.0])
     t1 = summarize([a, b, c])
     t2 = summarize([c, a, b])
-    assert np.allclose(t1.mean["grad_sq_norm"], t2.mean["grad_sq_norm"])
-    assert np.allclose(t1.stderr["grad_sq_norm"], t2.stderr["grad_sq_norm"])
+    assert np.allclose(t1.column("grad_sq_norm_mean"), t2.column("grad_sq_norm_mean"))
+    assert np.allclose(t1.column("grad_sq_norm_stderr"), t2.column("grad_sq_norm_stderr"))
 
 
 def test_summarize_validates_input():
