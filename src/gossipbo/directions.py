@@ -45,8 +45,8 @@ def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float, sample) -> HvpPair:
     The squared bias is bounded by (1/3) L^2 delta^2 |z|^4 with L the
     Hessian-Lipschitz constant of the lower loss.
     """
-    if delta <= 0:
-        raise DegenerateDelta(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:  # NaN too
+        raise DegenerateDelta(f"delta must be finite and positive, got {delta}")
     dZ = delta * Z
     Y_pm = np.stack([Y + dZ, Y - dZ])
     gy = problem.sgrad_y_g(X[None], Y_pm, sample)

@@ -122,7 +122,7 @@ class HyperParams:
             raise ValueError("alpha0 must be finite and >= 0")
         if not (0 < self.decay_factor <= 1):
             raise ValueError("decay_factor must be in (0, 1]")
-        if self.decay_period < 1:
+        if not self.decay_period >= 1:
             raise ValueError("decay_period must be >= 1")
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be finite and > 0")
@@ -395,9 +395,9 @@ def run(
     call, or an error from a probe ends the call for every cell, and an
     earlier probe's error wins.
     """
-    if T < 1:
+    if not T >= 1:  # NaN too
         raise ValueError("T must be >= 1")
-    if probe_every < 1:
+    if not probe_every >= 1:
         raise ValueError("probe_every must be >= 1")
     Ws, hypers, seeds = _cells(W, hyper, seed)
     shared = hypers[0]

@@ -207,7 +207,7 @@ def transient_cutoff(
     optimal value of a loss metric makes the relative comparison
     scale-free near convergence.
     """
-    if window < 1:
+    if not window >= 1:  # NaN too
         raise MetricsError(f"window must be >= 1, got {window}")
     if not rel_tol >= 0:  # NaN too
         raise MetricsError(f"rel_tol must be >= 0, got {rel_tol}")

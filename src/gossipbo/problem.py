@@ -20,13 +20,14 @@ only through vector products. Dense matrices appear only inside the
 verification helpers, which assemble the p x p lower Hessian from one
 product call on a stack of basis vectors at desk scale.
 
-Stochastic oracles take an explicit sample drawn from one caller-owned
-numpy Generator: each variate of a sample is one (n, .) block whose row i
-is node i's draw, in a fixed order per family. ``draw_block`` draws the
-samples of k steps at once, bit for bit what k rounds of the per-step draws
-give. The draws depend on neither the variant nor the topology, so runs
-are reproducible and common-random-number comparisons across algorithm
-variants are exact.
+Each derivative is one oracle with an optional sample: with none it is the
+exact oracle the verification helpers use, with one the sampled oracle the
+engine steps with. A sample is drawn from one caller-owned numpy
+Generator: each variate is one (n, .) block whose row i is node i's draw,
+in a fixed order per family. ``draw_block`` draws the samples of k steps
+at once, bit for bit what k rounds of the per-step draws give. The draws
+depend on neither the variant nor the topology, so runs are reproducible
+and common-random-number comparisons across algorithm variants are exact.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ class BilevelProblem(abc.ABC):
 
     Every oracle takes the swarm's points stacked by node -- X (..., n, dim_x),
     Y (..., n, dim_y), V (..., n, dim_y) -- and returns row i for node i of
-    every leading index; values come back as an (..., n) array. A sample is
-    (n, .) and broadcasts over the leading axes. ``draw_f_sample(rng)`` and
+    every leading index; values come back as an (..., n) array. Each
+    derivative oracle takes an optional sample last, ``xi`` for f and
+    ``zeta`` for g: exact with none, sampled with one. A sample is (n, .)
+    and broadcasts over the leading axes. ``draw_f_sample(rng)`` and
     ``draw_g_sample(rng)`` draw one sample for every node from the run's
     generator, each variate as one (n, .) block whose row i belongs to node i.
     ``draw_block(rng, k)`` draws the (xi, zeta) samples of k steps, each
@@ -82,31 +85,31 @@ class BilevelProblem(abc.ABC):
     @abc.abstractmethod
     def g_value(self, X, Y) -> np.ndarray: ...
 
-    # -- deterministic first-order oracles ------------------------------
+    # -- first-order oracles: exact with no sample, sampled with one -----
     @abc.abstractmethod
-    def grad_x_f(self, X, Y) -> np.ndarray: ...
+    def grad_x_f(self, X, Y, xi=None) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def grad_y_f(self, X, Y) -> np.ndarray: ...
+    def grad_y_f(self, X, Y, xi=None) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def grad_x_g(self, X, Y) -> np.ndarray: ...
+    def grad_x_g(self, X, Y, zeta=None) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def grad_y_g(self, X, Y) -> np.ndarray: ...
+    def grad_y_g(self, X, Y, zeta=None) -> np.ndarray: ...
 
-    # -- deterministic second-order vector products ---------------------
+    # -- second-order vector products, likewise -------------------------
     @abc.abstractmethod
-    def hess_yy_g(self, X, Y, V) -> np.ndarray:
+    def hess_yy_g(self, X, Y, V, zeta=None) -> np.ndarray:
         """Row i is (d^2 g_i / dy dy) v_i, a dim_y vector."""
 
     @abc.abstractmethod
-    def cross_xy_g(self, X, Y, V) -> np.ndarray:
+    def cross_xy_g(self, X, Y, V, zeta=None) -> np.ndarray:
         """Row i is (d^2 g_i / dx dy) v_i, a dim_x vector."""
 
-    # -- stochastic oracles ---------------------------------------------
+    # -- samples ----------------------------------------------------------
     # Defaults make a deterministic family a valid sigma = 0 stochastic
-    # one: every sample is None and every sampled oracle is the exact one.
+    # one: every sample is None.
     def draw_f_sample(self, rng: np.random.Generator):
         return None
 
@@ -120,23 +123,26 @@ class BilevelProblem(abc.ABC):
             for samples in zip(*rounds)
         )
 
+    # The engine steps through these forwards, since the benchmark's tracer
+    # times a step's oracle work by their names. They go when the tracer
+    # wraps the oracles above (ROADMAP items 1 and 9).
     def sgrad_x_f(self, X, Y, xi) -> np.ndarray:
-        return self.grad_x_f(X, Y)
+        return self.grad_x_f(X, Y, xi)
 
     def sgrad_y_f(self, X, Y, xi) -> np.ndarray:
-        return self.grad_y_f(X, Y)
+        return self.grad_y_f(X, Y, xi)
 
     def sgrad_x_g(self, X, Y, zeta) -> np.ndarray:
-        return self.grad_x_g(X, Y)
+        return self.grad_x_g(X, Y, zeta)
 
     def sgrad_y_g(self, X, Y, zeta) -> np.ndarray:
-        return self.grad_y_g(X, Y)
+        return self.grad_y_g(X, Y, zeta)
 
     def shess_yy_g(self, X, Y, V, zeta) -> np.ndarray:
-        return self.hess_yy_g(X, Y, V)
+        return self.hess_yy_g(X, Y, V, zeta)
 
     def scross_xy_g(self, X, Y, V, zeta) -> np.ndarray:
-        return self.cross_xy_g(X, Y, V)
+        return self.cross_xy_g(X, Y, V, zeta)
 
     # -- analytic ground truth (when available) -------------------------
     def y_star(self, x: np.ndarray) -> np.ndarray | None:  # at each point of x (..., d)
@@ -257,7 +263,8 @@ def lower_solve(
         y = np.array([_newton(problem, xk, tol, max_iter) for xk in points])
         y = y.reshape(x.shape[:-1] + (problem.dim_y,))
     residual = np.linalg.norm(_mean_grad_y_g(problem, x, y), axis=-1)
-    bad = residual > tol * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+    # Negated, so that a NaN residual fails too.
+    bad = ~(residual <= tol * np.maximum(1.0, np.linalg.norm(y, axis=-1)))
     if np.any(bad):
         raise LowerSolveDiverged(
             f"lower-level residual {np.max(residual[bad]):.3e} above tolerance {tol:.1e}"
@@ -336,7 +343,6 @@ class QuadraticBilevel(BilevelProblem):
         self._a1, self._a2, self._a3 = 0.5, 0.4, 0.4
         self._phi_star = None
 
-    # deterministic ------------------------------------------------------
     def f_value(self, X, Y):
         return (_quad(0.5 * Y, self.P, Y) + _dot(Y, _mv(self.Q, X) + self.q)
                 + _quad(0.5 * X, self.R, X))
@@ -344,31 +350,60 @@ class QuadraticBilevel(BilevelProblem):
     def g_value(self, X, Y):
         return _quad(0.5 * Y, self.A, Y) + _dot(Y, _mv(self.B, X) + self.c)
 
-    def grad_x_f(self, X, Y):
-        return _mtv(self.Q, Y) + _mv(self.R, X)
-
-    def grad_y_f(self, X, Y):
-        return _mv(self.P, Y) + _mv(self.Q, X) + self.q
-
-    def grad_x_g(self, X, Y):
-        return _mtv(self.B, Y)
-
-    def grad_y_g(self, X, Y):
-        return _mv(self.A, Y) + _mv(self.B, X) + self.c
-
-    def hess_yy_g(self, X, Y, V):
-        return _mv(self.A, V)
-
-    def cross_xy_g(self, X, Y, V):
-        return _mtv(self.B, V)
-
-    # stochastic ---------------------------------------------------------
+    # A sampled oracle is the exact one plus sigma times the sample's noise.
     # One f-sample is a pair of unit-variance direction noises, e_y (n, p)
     # then e_x (n, d); one g-sample additionally carries scalar
     # Hessian/Jacobian noises s, s2 (n,), so perturbed-point gradients of
     # the same sample stay consistent. The cross terms go through the
     # truncated identity J = np.eye(p, d) (``_coordinates``); its unit
     # spectral norm keeps the Hessian-product noise within sigma^2 |z|^2.
+    def grad_x_f(self, X, Y, xi=None):
+        grad = _mtv(self.Q, Y) + _mv(self.R, X)
+        if xi is None:
+            return grad
+        return grad + self.sigma * self._a1 * xi[1] / np.sqrt(self.dim_x)
+
+    def grad_y_f(self, X, Y, xi=None):
+        grad = _mv(self.P, Y) + _mv(self.Q, X) + self.q
+        if xi is None:
+            return grad
+        return grad + self.sigma * self._a1 * xi[0] / np.sqrt(self.dim_y)
+
+    def grad_x_g(self, X, Y, zeta=None):
+        grad = _mtv(self.B, Y)
+        if zeta is None:
+            return grad
+        e_y, e_x, s, s2 = zeta
+        noise = (
+            self._a1 * e_x / np.sqrt(self.dim_x)
+            + self._a3 * s2[..., None] * _coordinates(Y, self.dim_x)
+        )
+        return grad + self.sigma * noise
+
+    def grad_y_g(self, X, Y, zeta=None):
+        grad = _mv(self.A, Y) + _mv(self.B, X) + self.c
+        if zeta is None:
+            return grad
+        e_y, e_x, s, s2 = zeta
+        noise = (
+            self._a1 * e_y / np.sqrt(self.dim_y)
+            + self._a2 * s[..., None] * Y
+            + self._a3 * s2[..., None] * _coordinates(X, self.dim_y)
+        )
+        return grad + self.sigma * noise
+
+    def hess_yy_g(self, X, Y, V, zeta=None):
+        hv = _mv(self.A, V)
+        if zeta is None:
+            return hv
+        return hv + self.sigma * self._a2 * zeta[2][..., None] * V
+
+    def cross_xy_g(self, X, Y, V, zeta=None):
+        cv = _mtv(self.B, V)
+        if zeta is None:
+            return cv
+        return cv + self.sigma * self._a3 * zeta[3][..., None] * _coordinates(V, self.dim_x)
+
     def draw_f_sample(self, rng):
         n, p, d = self.n_nodes, self.dim_y, self.dim_x
         return rng.standard_normal((n, p)), rng.standard_normal((n, d))
@@ -392,40 +427,6 @@ class QuadraticBilevel(BilevelProblem):
             (e_yf.reshape(k, n, p), e_xf.reshape(k, n, d)),
             (e_yg.reshape(k, n, p), e_xg.reshape(k, n, d), s, s2),
         )
-
-    def sgrad_x_f(self, X, Y, xi):
-        e_y, e_x = xi
-        return self.grad_x_f(X, Y) + self.sigma * self._a1 * e_x / np.sqrt(self.dim_x)
-
-    def sgrad_y_f(self, X, Y, xi):
-        e_y, e_x = xi
-        return self.grad_y_f(X, Y) + self.sigma * self._a1 * e_y / np.sqrt(self.dim_y)
-
-    def sgrad_y_g(self, X, Y, zeta):
-        e_y, e_x, s, s2 = zeta
-        noise = (
-            self._a1 * e_y / np.sqrt(self.dim_y)
-            + self._a2 * s[..., None] * Y
-            + self._a3 * s2[..., None] * _coordinates(X, self.dim_y)
-        )
-        return self.grad_y_g(X, Y) + self.sigma * noise
-
-    def sgrad_x_g(self, X, Y, zeta):
-        e_y, e_x, s, s2 = zeta
-        noise = (
-            self._a1 * e_x / np.sqrt(self.dim_x)
-            + self._a3 * s2[..., None] * _coordinates(Y, self.dim_x)
-        )
-        return self.grad_x_g(X, Y) + self.sigma * noise
-
-    def shess_yy_g(self, X, Y, V, zeta):
-        s = zeta[2]
-        return self.hess_yy_g(X, Y, V) + self.sigma * self._a2 * s[..., None] * V
-
-    def scross_xy_g(self, X, Y, V, zeta):
-        s2 = zeta[3]
-        coupled = _coordinates(V, self.dim_x)
-        return self.cross_xy_g(X, Y, V) + self.sigma * self._a3 * s2[..., None] * coupled
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -542,7 +543,9 @@ class RidgeTuning(BilevelProblem):
         self.feat_var = FEATURE_VAR
         super().__init__(n, 1, p)
 
-    # deterministic (population expectations; noise-free metrics) --------
+    # Values and exact oracles are population expectations. With a sample,
+    # the y-derivatives take its streamed pairs, features (n, p) then labels
+    # (n,); the x-derivatives do not involve the data and ignore it.
     def f_value(self, X, Y):
         diff = Y - self.omega
         return _dot(self.feat_var * diff, diff) + 1.0
@@ -550,27 +553,31 @@ class RidgeTuning(BilevelProblem):
     def g_value(self, X, Y):
         return self.f_value(X, Y) + np.abs(X[..., 0]) * _dot(Y, Y)
 
-    def grad_x_f(self, X, Y):
+    def grad_x_f(self, X, Y, xi=None):
         return np.zeros(np.shape(X))
 
-    def grad_y_f(self, X, Y):
-        return 2.0 * self.feat_var * (Y - self.omega)
+    def grad_y_f(self, X, Y, xi=None):
+        if xi is None:
+            return 2.0 * self.feat_var * (Y - self.omega)
+        feats, label = xi
+        return 2.0 * (_dot(feats, Y) - label)[..., None] * feats
 
-    def grad_x_g(self, X, Y):
+    def grad_x_g(self, X, Y, zeta=None):
         return np.sign(X) * _dot(Y, Y)[..., None]
 
-    def grad_y_g(self, X, Y):
-        return 2.0 * self.feat_var * (Y - self.omega) + 2.0 * np.abs(X) * Y
+    def grad_y_g(self, X, Y, zeta=None):
+        return self.grad_y_f(X, Y, zeta) + 2.0 * np.abs(X) * Y
 
-    def hess_yy_g(self, X, Y, V):
-        return 2.0 * (self.feat_var + np.abs(X)) * V
+    def hess_yy_g(self, X, Y, V, zeta=None):
+        if zeta is None:
+            return 2.0 * (self.feat_var + np.abs(X)) * V
+        feats, _ = zeta
+        return 2.0 * _dot(feats, V)[..., None] * feats + 2.0 * np.abs(X) * V
 
-    def cross_xy_g(self, X, Y, V):
+    def cross_xy_g(self, X, Y, V, zeta=None):
         return 2.0 * np.sign(X) * _dot(Y, V)[..., None]
 
-    # stochastic (fresh streaming sample per call; the x-derivatives do not
-    # involve the data, so their sampled oracles are the exact defaults) --
-    # One sample is feats (n, p), then the label noise (n,).
+    # A sample draws the features, then the label noise.
     def draw_f_sample(self, rng):
         n = self.n_nodes
         feats = rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, (n, self.dim_y))
@@ -593,17 +600,6 @@ class RidgeTuning(BilevelProblem):
         feats -= b
         labels = _dot(feats, self.omega) + noise
         return (feats[:, 0], labels[:, 0]), (feats[:, 1], labels[:, 1])
-
-    def sgrad_y_f(self, X, Y, xi):
-        feats, label = xi
-        return 2.0 * (_dot(feats, Y) - label)[..., None] * feats
-
-    def sgrad_y_g(self, X, Y, zeta):
-        return self.sgrad_y_f(X, Y, zeta) + 2.0 * np.abs(X) * Y
-
-    def shess_yy_g(self, X, Y, V, zeta):
-        feats, _ = zeta
-        return 2.0 * _dot(feats, V)[..., None] * feats + 2.0 * np.abs(X) * V
 
     # analytic -----------------------------------------------------------
     def y_star(self, x):
@@ -666,22 +662,23 @@ class LogCoshBilevel(BilevelProblem):
             + _dot(Y, _mv(self.B, X))
         )
 
-    def grad_x_f(self, X, Y):
+    # Deterministic: each oracle takes a sample and ignores it.
+    def grad_x_f(self, X, Y, xi=None):
         return X.astype(float)
 
-    def grad_y_f(self, X, Y):
+    def grad_y_f(self, X, Y, xi=None):
         return Y - self.r
 
-    def grad_x_g(self, X, Y):
+    def grad_x_g(self, X, Y, zeta=None):
         return _mtv(self.B, Y)
 
-    def grad_y_g(self, X, Y):
+    def grad_y_g(self, X, Y, zeta=None):
         return Y + self.lam * np.tanh(Y) + _mv(self.B, X)
 
-    def hess_yy_g(self, X, Y, V):
+    def hess_yy_g(self, X, Y, V, zeta=None):
         return V + self.lam * (1.0 - np.tanh(Y) ** 2) * V
 
-    def cross_xy_g(self, X, Y, V):
+    def cross_xy_g(self, X, Y, V, zeta=None):
         return _mtv(self.B, V)
 
 

@@ -137,10 +137,9 @@ def test_ridge_fo_products(quad):
 
 def test_degenerate_delta_rejected(quad):
     X, Y, Z = random_point(quad, 5)
-    with pytest.raises(DegenerateDelta):
-        hvp_fo(quad, X, Y, Z, 0.0, None)
-    with pytest.raises(DegenerateDelta):
-        hvp_fo(quad, X, Y, Z, -1e-3, None)
+    for delta in (0.0, -1e-3, np.nan, np.inf, -np.inf):
+        with pytest.raises(DegenerateDelta):
+            hvp_fo(quad, X, Y, Z, delta, None)
 
 
 @pytest.mark.parametrize("per_cell", [True, False], ids=["per-cell-sample", "shared-sample"])

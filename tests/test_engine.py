@@ -56,6 +56,8 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, decay_period=0)
     with pytest.raises(ValueError):
+        HyperParams(alpha0=0.1, decay_factor=0.8, decay_period=np.nan)
+    with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, tau=0.0)
     with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, c2=-1.0)
@@ -212,7 +214,11 @@ def test_run_rejects_bad_horizon(quad):
     with pytest.raises(ValueError):
         run(quad, W, hyper(), T=0, seed=0)
     with pytest.raises(ValueError):
+        run(quad, W, hyper(), T=np.nan, seed=0)
+    with pytest.raises(ValueError):
         run(quad, W, hyper(), T=10, seed=0, probe_every=0)
+    with pytest.raises(ValueError):
+        run(quad, W, hyper(), T=10, seed=0, probe_every=np.nan)
 
 
 def test_wall_limit_enforced(quad):

@@ -386,7 +386,7 @@ def test_transient_cutoff_monotone_in_rel_tol(seed):
     assert all(a >= b for a, b in zip(cuts, cuts[1:]))
 
 
-@pytest.mark.parametrize("window", [0, -1])
+@pytest.mark.parametrize("window", [0, -1, math.nan])
 def test_transient_cutoff_rejects_window_below_one(window):
     # A window of no probes smooths every value to NaN, which never matches.
     rec = make_record([0, 100, 200], [9.0, 4.0, 1.0])

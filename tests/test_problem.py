@@ -99,12 +99,15 @@ def test_second_order_products_match_gradient_differences(family, request):
         assert np.allclose(prob.cross_xy_g(X, Y, V)[i], cv, atol=1e-5)
 
 
-ORACLE_ARGS = {
-    "f_value": "XY", "g_value": "XY", "grad_x_f": "XY", "grad_y_f": "XY",
-    "grad_x_g": "XY", "grad_y_g": "XY", "hess_yy_g": "XYV", "cross_xy_g": "XYV",
-    "sgrad_x_f": "XYf", "sgrad_y_f": "XYf", "sgrad_x_g": "XYg", "sgrad_y_g": "XYg",
-    "shess_yy_g": "XYVg", "scross_xy_g": "XYVg",
-}
+# Each derivative oracle with no sample and with one, then its s* forward.
+ORACLE_ARGS = (
+    ("f_value", "XY"), ("g_value", "XY"), ("grad_x_f", "XY"), ("grad_y_f", "XY"),
+    ("grad_x_g", "XY"), ("grad_y_g", "XY"), ("hess_yy_g", "XYV"), ("cross_xy_g", "XYV"),
+    ("grad_x_f", "XYf"), ("grad_y_f", "XYf"), ("grad_x_g", "XYg"), ("grad_y_g", "XYg"),
+    ("hess_yy_g", "XYVg"), ("cross_xy_g", "XYVg"),
+    ("sgrad_x_f", "XYf"), ("sgrad_y_f", "XYf"), ("sgrad_x_g", "XYg"), ("sgrad_y_g", "XYg"),
+    ("shess_yy_g", "XYVg"), ("scross_xy_g", "XYVg"),
+)
 
 
 @pytest.mark.parametrize("family", ["quad", "ridge", "logcosh"])
@@ -131,13 +134,13 @@ def test_batched_row_is_its_own_node(family, request):
             return tuple(node_everywhere(part, i) for part in a)
         return np.repeat(a[i : i + 1], n, axis=0)
 
-    for name, keys in ORACLE_ARGS.items():
+    for name, keys in ORACLE_ARGS:
         oracle = getattr(prob, name)
         full = oracle(*(args[k] for k in keys))
         assert full.shape[0] == n
         for i in range(n):
             own = oracle(*(node_everywhere(args[k], i) for k in keys))
-            assert np.array_equal(own[i], full[i]), (name, i)
+            assert np.array_equal(own[i], full[i]), (name, keys, i)
 
     # A leading cell axis: points stacked as (C, n, .), the sample shared by
     # every cell as the engine broadcasts it. Row (c, i) is row i of the
@@ -151,10 +154,10 @@ def test_batched_row_is_its_own_node(family, request):
     def cell(k, c):
         return stacked[k][c] if k in "XYV" else stacked[k]
 
-    calls = {name: (getattr(prob, name), keys) for name, keys in ORACLE_ARGS.items()}
-    calls["hvp_so"] = (lambda X, Y, V, g: hvp_so(prob, X, Y, V, g), "XYVg")
-    calls["hvp_fo"] = (lambda X, Y, V, g: hvp_fo(prob, X, Y, V, 1e-3, g), "XYVg")
-    for name, (oracle, keys) in calls.items():
+    calls = [(name, getattr(prob, name), keys) for name, keys in ORACLE_ARGS]
+    calls.append(("hvp_so", lambda X, Y, V, g: hvp_so(prob, X, Y, V, g), "XYVg"))
+    calls.append(("hvp_fo", lambda X, Y, V, g: hvp_fo(prob, X, Y, V, 1e-3, g), "XYVg"))
+    for name, oracle, keys in calls:
         full = oracle(*(stacked[k] for k in keys))
         for c in range(cells):
             own = oracle(*(cell(k, c) for k in keys))
@@ -164,7 +167,7 @@ def test_batched_row_is_its_own_node(family, request):
                 assert np.array_equal(full.p_j[c], own.p_j), (name, c)
             else:
                 assert full.shape[:2] == (cells, n), name
-                assert np.array_equal(full[c], own), (name, c)
+                assert np.array_equal(full[c], own), (name, keys, c)
 
 
 def test_trivial_instance_ground_truth():
@@ -459,7 +462,14 @@ def test_make_quadratic_validates_args():
         make_quadratic(0, 2, 2, 3, conditioning=0.5)
 
 
-def test_lower_solve_diverged_propagates():
+def test_lower_solve_diverged_propagates(quad, ridge, logcosh):
     prob = make_logcosh(3, n_nodes=2, d=2, p=3)
     with pytest.raises(LowerSolveDiverged):
         lower_solve(prob, np.array([0.1, 0.1]), tol=1e-10, max_iter=0)
+    # A NaN point: closed form and Newton alike return a NaN y*.
+    for prob in (quad, ridge, logcosh):
+        nan = np.full(prob.dim_x, np.nan)
+        with pytest.raises(LowerSolveDiverged):
+            lower_solve(prob, nan)
+        with pytest.raises(LowerSolveDiverged):
+            phi_value(prob, nan)
