@@ -5,13 +5,12 @@ upper-level and one lower-level sample, forms its direction estimates
 from the iteration-t snapshot of all nodes, applies a local gradient
 step, and gossips the result with its neighbors. The swarm is held as
 stacked (n, .) arrays and every oracle is called once per step for all
-nodes. Each seed owns one random generator; each step draws the f-sample
-and then the g-sample of every node from it, each variate as one (n, .)
-block, and the draws do not depend on the variant or the topology. The
-moving-average hypergradient estimate h is updated locally and is not
-gossiped. The centralized variant runs the same recursion with exact
-uniform averaging in place of the gossip matrix, which keeps a single
-shared iterate and averages the per-node directions.
+nodes. Each seed owns one random generator, from which every step draws
+the f-sample and then the g-sample of every node, whatever the variant or
+the topology. The moving-average hypergradient estimate h is updated
+locally and is not gossiped. The centralized variant runs the same
+recursion with exact uniform averaging in place of the gossip matrix,
+which keeps a single shared iterate and averages the per-node directions.
 
 A cell is one (mixing matrix, variant, seed). One engine call advances C
 cells that share step sizes, for instance every cell of a sweep, as
@@ -39,6 +38,7 @@ probe raises, as if raised at its probe time.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -237,14 +237,9 @@ def init(
 
 
 def _draw_block(problem, state: SwarmState, k: int):
-    """The next k steps' (xi, zeta), each variate with a leading step axis.
-
-    One generator gives (k, n, .) variates that broadcast over the cells;
-    several give (k, C, n, .), cell c taking its own generator's rows.
-    """
+    """The next k steps' (xi, zeta), every cell with its own rows: cell c takes
+    its seed's generator's, as (k, C, n, .) variates, or (k, n, .) for an (n, .) state."""
     blocks = [problem.draw_block(rng, k) for rng in state.rngs]
-    if len(blocks) == 1:
-        return blocks[0]
     return tuple(
         None if parts[0] is None
         else tuple(np.take(np.stack(v, axis=1), state.stream, axis=1) for v in zip(*parts))
@@ -252,9 +247,14 @@ def _draw_block(problem, state: SwarmState, k: int):
     )
 
 
+def _take(sample, index):
+    """``sample`` with every variate indexed by ``index``; None stays None."""
+    return None if sample is None else tuple(a[index] for a in sample)
+
+
 def _index(block, index):
     """``block`` with every variate of its samples indexed by ``index``."""
-    return tuple(None if part is None else tuple(a[index] for a in part) for part in block)
+    return tuple(_take(part, index) for part in block)
 
 
 def _hvp(problem, hyper, state, zeta):
@@ -265,11 +265,8 @@ def _hvp(problem, hyper, state, zeta):
         return hvp_so(problem, X, Y, Z, zeta)
     if k == 0:
         return hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
-    # A sample has a cell axis only when it comes from several generators.
-    split = zeta is not None and len(state.rngs) > 1
-    so = hvp_so(problem, X[:k], Y[:k], Z[:k], tuple(a[:k] for a in zeta) if split else zeta)
-    fo = hvp_fo(problem, X[k:], Y[k:], Z[k:], hyper.delta,
-                tuple(a[k:] for a in zeta) if split else zeta)
+    so = hvp_so(problem, X[:k], Y[:k], Z[:k], _take(zeta, slice(k)))
+    fo = hvp_fo(problem, X[k:], Y[k:], Z[k:], hyper.delta, _take(zeta, slice(k, None)))
     return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
 
 
@@ -373,8 +370,9 @@ def run(
     variant, so a cell's record is the one its own one-matrix run gives,
     bit for bit. Cells alike in gossip weights, estimator and seed are
     advanced as one, and each gets that one's probes in its own record.
-    Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T;
-    ``step`` runs once per iteration on its slice.
+    Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T, and
+    every cell takes its own seed's rows, whether the call has one seed or
+    many; ``step`` runs once per iteration on its slice.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
     each over the live cells. They are evaluated in batches: the pending
@@ -384,21 +382,21 @@ def run(
     time gives, bit for bit, and a failing batch is evaluated again probe
     time by probe time, so the error raised is the one the first failing
     probe raises, as at its probe time; the call may have stepped up to one
-    batch further. Identical
-    inputs give a bit-identical record. With one matrix, ``run`` returns
-    the RunRecord, and a ``NumericalDivergence`` leaves with the probes
-    taken before the blow-up as ``record``. With a list, it returns a list
-    aligned with ``W`` whose slots hold each cell's RunRecord or its
-    ``NumericalDivergence``: a diverged cell leaves the batch, and its
-    columns the pending block, while the others go on; its pending probes
-    still reach its record. The wall-clock limit, which bounds the whole
-    call, or an error from a probe ends the call for every cell, and an
-    earlier probe's error wins.
+    batch further. Identical inputs give a bit-identical record. With one
+    matrix, ``run`` returns the RunRecord, and a ``NumericalDivergence``
+    leaves with the probes taken before the blow-up as ``record``. With a
+    list, it returns a list aligned with ``W`` whose slots hold each cell's
+    RunRecord or its ``NumericalDivergence``: a diverged cell leaves the
+    batch, and its columns the pending block, while the others go on; its
+    pending probes still reach its record. The wall-clock limit (0: none),
+    which bounds the whole call, or an error from a probe ends the call for
+    every cell, and an earlier probe's error wins.
     """
-    if not T >= 1:  # NaN too
-        raise ValueError("T must be >= 1")
-    if not probe_every >= 1:
-        raise ValueError("probe_every must be >= 1")
+    for name, value in (("T", T), ("probe_every", probe_every)):
+        if not hasattr(value, "__index__") or operator.index(value) < 1:  # floats fail, NaN too
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not wall_limit_s >= 0:  # NaN too
+        raise ValueError(f"wall_limit_s must be >= 0, got {wall_limit_s!r}")
     Ws, hypers, seeds = _cells(W, hyper, seed)
     shared = hypers[0]
     if any(replace(h, variant=shared.variant) != shared for h in hypers):
@@ -471,8 +469,7 @@ def run(
                 live = [live[k] for k in keep]
                 if not live:
                     break
-                if len(state.rngs) > 1:  # the block has a cell axis
-                    block = _index(block, (slice(None), keep))
+                block = _index(block, (slice(None), keep))
                 weights, state = weights[keep], replace(
                     exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
                     H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],

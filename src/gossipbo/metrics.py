@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,8 +208,8 @@ def transient_cutoff(
     optimal value of a loss metric makes the relative comparison
     scale-free near convergence.
     """
-    if not window >= 1:  # NaN too
-        raise MetricsError(f"window must be >= 1, got {window}")
+    if not hasattr(window, "__index__") or operator.index(window) < 1:  # floats fail, NaN too
+        raise MetricsError(f"window must be an integer >= 1, got {window!r}")
     if not rel_tol >= 0:  # NaN too
         raise MetricsError(f"rel_tol must be >= 0, got {rel_tol}")
     td, tc = decentralized.ts, centralized.ts

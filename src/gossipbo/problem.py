@@ -22,12 +22,12 @@ product call on a stack of basis vectors at desk scale.
 
 Each derivative is one oracle with an optional sample: with none it is the
 exact oracle the verification helpers use, with one the sampled oracle the
-engine steps with. A sample is drawn from one caller-owned numpy
-Generator: each variate is one (n, .) block whose row i is node i's draw,
-in a fixed order per family. ``draw_block`` draws the samples of k steps
-at once, bit for bit what k rounds of the per-step draws give. The draws
-depend on neither the variant nor the topology, so runs are reproducible
-and common-random-number comparisons across algorithm variants are exact.
+engine steps with. ``draw_block`` is a family's one draw: it draws the
+samples of k steps from one caller-owned numpy Generator, each step the
+f-sample and then the g-sample, each variate with row i for node i, in a
+fixed order per family that only ``draw_block`` writes. The draws depend
+on neither the variant nor the topology, so runs are reproducible and
+common-random-number comparisons across algorithm variants are exact.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ class BilevelProblem(abc.ABC):
     Y (..., n, dim_y), V (..., n, dim_y) -- and returns row i for node i of
     every leading index; values come back as an (..., n) array. Each
     derivative oracle takes an optional sample last, ``xi`` for f and
-    ``zeta`` for g: exact with none, sampled with one. A sample is (n, .)
-    and broadcasts over the leading axes. ``draw_f_sample(rng)`` and
-    ``draw_g_sample(rng)`` draw one sample for every node from the run's
-    generator, each variate as one (n, .) block whose row i belongs to node i.
-    ``draw_block(rng, k)`` draws the (xi, zeta) samples of k steps, each
-    variate as a (k, n, .) block; row j of it, and the generator's state
-    afterwards, are what k rounds of ``draw_f_sample`` then ``draw_g_sample``
-    give, bit for bit. The engine draws only through ``draw_block``.
+    ``zeta`` for g: exact with none, sampled with one. A sample is (n, .),
+    or carries the points' leading axes, and broadcasts over them.
+    ``draw_block(rng, k)`` is the one draw: it returns the (xi, zeta)
+    samples of k steps from the run's generator, each variate as a
+    (k, n, .) block whose row j is step j's sample and whose node axis has
+    row i for node i. Each step draws its f-sample and then its g-sample.
+    A deterministic family inherits ``(None, None)``.
     """
 
     def __init__(self, n_nodes: int, dim_x: int, dim_y: int):
@@ -108,20 +107,19 @@ class BilevelProblem(abc.ABC):
         """Row i is (d^2 g_i / dx dy) v_i, a dim_x vector."""
 
     # -- samples ----------------------------------------------------------
-    # Defaults make a deterministic family a valid sigma = 0 stochastic
+    # The default makes a deterministic family a valid sigma = 0 stochastic
     # one: every sample is None.
+    def draw_block(self, rng: np.random.Generator, k: int):
+        return None, None
+
+    # The benchmark's tracer looks these two names up on every family; they
+    # go with the tracer edit of ROADMAP items 1 and 9. They raise, so that
+    # no caller gets None where it used to get a sample.
     def draw_f_sample(self, rng: np.random.Generator):
-        return None
+        raise NotImplementedError("draw samples with draw_block(rng, k)")
 
     def draw_g_sample(self, rng: np.random.Generator):
-        return None
-
-    def draw_block(self, rng: np.random.Generator, k: int):
-        rounds = [(self.draw_f_sample(rng), self.draw_g_sample(rng)) for _ in range(k)]
-        return tuple(
-            None if samples[0] is None else tuple(map(np.stack, zip(*samples)))
-            for samples in zip(*rounds)
-        )
+        raise NotImplementedError("draw samples with draw_block(rng, k)")
 
     # The engine steps through these forwards, since the benchmark's tracer
     # times a step's oracle work by their names. They go when the tracer
@@ -404,22 +402,9 @@ class QuadraticBilevel(BilevelProblem):
             return cv
         return cv + self.sigma * self._a3 * zeta[3][..., None] * _coordinates(V, self.dim_x)
 
-    def draw_f_sample(self, rng):
-        n, p, d = self.n_nodes, self.dim_y, self.dim_x
-        return rng.standard_normal((n, p)), rng.standard_normal((n, d))
-
-    def draw_g_sample(self, rng):
-        n, p, d = self.n_nodes, self.dim_y, self.dim_x
-        return (
-            rng.standard_normal((n, p)),
-            rng.standard_normal((n, d)),
-            rng.standard_normal(n),
-            rng.standard_normal(n),
-        )
-
     def draw_block(self, rng, k):
-        # A Generator fills normals in order, so one (k, .) fill holds each
-        # step's six variates back to back, as the per-step draws take them.
+        # One (k, .) fill of normals: each step's f-sample, e_y (n, p) then
+        # e_x (n, d), then its g-sample, e_y, e_x, s (n,) and s2 (n,).
         n, p, d = self.n_nodes, self.dim_y, self.dim_x
         raw = rng.standard_normal((k, n * (2 * p + 2 * d + 2)))
         e_yf, e_xf, e_yg, e_xg, s, s2 = np.split(raw, np.cumsum([n * p, n * d] * 2 + [n]), axis=1)
@@ -577,17 +562,9 @@ class RidgeTuning(BilevelProblem):
     def cross_xy_g(self, X, Y, V, zeta=None):
         return 2.0 * np.sign(X) * _dot(Y, V)[..., None]
 
-    # A sample draws the features, then the label noise.
-    def draw_f_sample(self, rng):
-        n = self.n_nodes
-        feats = rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, (n, self.dim_y))
-        noise = rng.standard_normal(n)
-        return feats, _dot(feats, self.omega) + noise
-
-    # f and g are losses on the same stream of (features, label) pairs.
-    draw_g_sample = draw_f_sample
-
     def draw_block(self, rng, k):
+        # f and g are losses on the same stream of (features, label) pairs:
+        # each sample draws its features (n, p), then its label noise (n,).
         # rng.uniform(-b, b) is -b + (b - -b) * rng.random(); scaling and then
         # shifting in place rounds the same.
         n, p, b = self.n_nodes, self.dim_y, FEATURE_HALF_WIDTH
@@ -685,6 +662,14 @@ class LogCoshBilevel(BilevelProblem):
 def make_logcosh(
     seed: int, n_nodes: int, d: int, p: int, coupling: float = 0.3, lam: float = 1.0
 ) -> LogCoshBilevel:
+    # Negated comparisons, so that NaN fails them too. lam >= 0 keeps the
+    # lower level strongly convex, as the class assumes.
+    if not (n_nodes >= 1 and d >= 1 and p >= 1):
+        raise ValueError("n_nodes, d and p must be >= 1")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
+    if not abs(coupling) < np.inf:
+        raise ValueError("coupling must be finite")
     rng = np.random.default_rng(seed)
     B = coupling * rng.standard_normal((n_nodes, p, d))
     r = rng.standard_normal((n_nodes, p))

@@ -38,6 +38,12 @@ def random_point(prob, seed):
     )
 
 
+def one_g_sample(prob, rng):
+    """One step's g-sample: the zeta of a one-step block."""
+    _, zeta = prob.draw_block(rng, 1)
+    return None if zeta is None else tuple(a[0] for a in zeta)
+
+
 def directions(prob, X, Y, Z):
     """Exact directions of every node: d_x, d_y and d_z by row."""
     d_x = prob.grad_x_f(X, Y) - prob.cross_xy_g(X, Y, Z)
@@ -73,7 +79,7 @@ def test_deterministic_directions_vanish_at_stationarity(quad):
 def test_hvp_so_matches_dense_products(quad):
     X, Y, Z = random_point(quad, 1)
     rng = np.random.default_rng(0)
-    zeta = quad.draw_g_sample(rng)
+    zeta = one_g_sample(quad, rng)
     pair = hvp_so(quad, X, Y, Z, zeta)
     assert np.allclose(pair.p_h, quad.shess_yy_g(X, Y, Z, zeta), atol=1e-14)
     assert np.allclose(pair.p_j, quad.scross_xy_g(X, Y, Z, zeta), atol=1e-14)
@@ -90,7 +96,7 @@ def test_fo_equals_so_on_quadratics_with_common_sample(seed, delta):
         rng.standard_normal(prob.dim_y),
         rng.standard_normal(prob.dim_y),
     )
-    zeta = prob.draw_g_sample(rng)
+    zeta = one_g_sample(prob, rng)
     so = hvp_so(prob, X, Y, Z, zeta)
     fo = hvp_fo(prob, X, Y, Z, delta, zeta)
     # Exact on quadratics up to rounding of the divided difference.
@@ -118,7 +124,7 @@ def test_fo_uses_same_sample_for_both_sides():
     prob = make_quadratic(5, n_nodes=1, d=2, p=3, noise_scale=1.0)
     rng = np.random.default_rng(4)
     X, Y, Z = rows(prob, rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3))
-    zeta = prob.draw_g_sample(rng)
+    zeta = one_g_sample(prob, rng)
     pair = hvp_fo(prob, X, Y, Z, 1e-7, zeta)
     assert np.all(np.isfinite(pair.p_h))
     assert np.linalg.norm(pair.p_h) < 1e3  # no 1/delta blow-up
@@ -128,7 +134,7 @@ def test_ridge_fo_products(quad):
     prob = make_ridge_tuning(2, n_nodes=3, dim_p=5, sigma_omega=0.5)
     rng = np.random.default_rng(1)
     X, Y, Z = rows(prob, np.array([0.6]), rng.standard_normal(5), rng.standard_normal(5))
-    zeta = prob.draw_g_sample(rng)
+    zeta = one_g_sample(prob, rng)
     so = hvp_so(prob, X, Y, Z, zeta)
     fo = hvp_fo(prob, X, Y, Z, 1e-6, zeta)
     assert np.allclose(fo.p_h[0], so.p_h[0], atol=1e-6)
@@ -158,7 +164,7 @@ def test_fo_stacked_pair_equals_four_calls(family, per_cell):
     rng = np.random.default_rng(7)
     X = rng.standard_normal((C, n, prob.dim_x))
     Y, Z = (rng.standard_normal((C, n, prob.dim_y)) for _ in range(2))
-    samples = [prob.draw_g_sample(np.random.default_rng(s)) for s in range(C if per_cell else 1)]
+    samples = [one_g_sample(prob, np.random.default_rng(s)) for s in range(C if per_cell else 1)]
     zeta = None if samples[0] is None else tuple(
         np.stack(v) if per_cell else v[0] for v in zip(*samples)
     )

@@ -210,15 +210,18 @@ def test_divergence_carries_probes_before_blow_up():
 
 
 def test_run_rejects_bad_horizon(quad):
+    # T and probe_every are whole counts: a fraction would probe on another
+    # grid than asked. A NaN or negative wall-clock limit would disable it.
     W = topo.ring(4)
-    with pytest.raises(ValueError):
-        run(quad, W, hyper(), T=0, seed=0)
-    with pytest.raises(ValueError):
-        run(quad, W, hyper(), T=np.nan, seed=0)
-    with pytest.raises(ValueError):
-        run(quad, W, hyper(), T=10, seed=0, probe_every=0)
-    with pytest.raises(ValueError):
-        run(quad, W, hyper(), T=10, seed=0, probe_every=np.nan)
+    for T in (0, np.nan, 10.0, np.inf):
+        with pytest.raises(ValueError, match="T must"):
+            run(quad, W, hyper(), T=T, seed=0)
+    for probe_every in (0, np.nan, 2.5):
+        with pytest.raises(ValueError, match="probe_every must"):
+            run(quad, W, hyper(), T=10, seed=0, probe_every=probe_every)
+    for wall_limit_s in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="wall_limit_s must"):
+            run(quad, W, hyper(), T=10, seed=0, wall_limit_s=wall_limit_s)
 
 
 def test_wall_limit_enforced(quad):
@@ -354,9 +357,10 @@ MIXED_ORDER = [
 def test_mixed_call_matches_solo_runs(family, seeds):
     # so, fo and centralized cells of every trial in one call, in no
     # particular order: each cell's record is that of its
-    # one-matrix run, byte for byte. With one seed the sample broadcasts
-    # over the cells (eight of them, as many as the quadratic has nodes);
-    # with three it has a cell axis that each estimator's block slices.
+    # one-matrix run, byte for byte. Every cell takes its own seed's sample
+    # rows, so the sample has a cell axis that each estimator's block slices,
+    # with one seed (eight cells, as many as the quadratic has nodes) as
+    # with three.
     prob = family_instance(family)
     n = prob.n_nodes
     Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
@@ -371,23 +375,26 @@ def test_mixed_call_matches_solo_runs(family, seeds):
         assert rec.to_csv() == solo.to_csv(), (family, v, k, seed)
 
 
+@pytest.mark.parametrize("seeds", [(7, 8), (7, 7)], ids=["two-seeds", "one-seed"])
 @pytest.mark.parametrize("lazy", [Variant.FIRST_ORDER, Variant.SECOND_ORDER])
-def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, monkeypatch):
+def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, seeds, monkeypatch):
     # At alpha0 = 0.3 the two lazy rings diverge under either estimator, at
     # iterations 82 and 105 (test_group_cells_diverge_on_their_own runs the
     # first). Here only the ``lazy`` estimator runs on them: those cells
     # leave the call one at a time while the other estimator's cells go on.
     # After each drop the second-order estimator gets exactly the live so
     # and centralized cells and the first-order one the live fo cells, and
-    # every cell is its solo run.
+    # every cell is its solo run, whether the cells draw from two
+    # generators or all from one.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
     lazier, lazy_W, ring, full = (
         topo.ring(4, 0.9, 0.05), topo.ring(4, 0.8, 0.1), topo.ring(4), topo.fully_connected(4)
     )
     other = Variant.SECOND_ORDER if lazy is Variant.FIRST_ORDER else Variant.FIRST_ORDER
-    cells = [(ring, other, 7), (lazier, lazy, 7), (full, other, 8), (lazy_W, lazy, 8),
-             (full, Variant.CENTRALIZED, 7), (ring, lazy, 8)]
+    a, b = seeds
+    cells = [(ring, other, a), (lazier, lazy, a), (full, other, b), (lazy_W, lazy, b),
+             (full, Variant.CENTRALIZED, a), (ring, lazy, b)]
     hps = [hyper(alpha0=0.3, variant=v) for _, v, _ in cells]
     kw = dict(T=200, probe_every=3)
     sizes = {"so": [], "fo": []}
@@ -420,11 +427,14 @@ def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, monkeypatch):
     assert diverged == {1, 3}
     assert ends[1] < ends[3]  # two drops
     # A cell takes part in every step before the iteration it diverged at.
+    # Cells alike in weights, estimator and seed are computed as one: with
+    # one seed, the fully connected so cell and the centralized cell.
+    computed = [(engine._weights(W, hp).tobytes(), v is Variant.FIRST_ORDER, seed)
+                for (W, v, seed), hp in zip(cells, hps)]
     for name in sizes:
         fo = name == "fo"
         live = [
-            sum(1 for (_, v, _), end in zip(cells, ends)
-                if (v is Variant.FIRST_ORDER) == fo and s < end)
+            len({key for key, end in zip(computed, ends) if key[1] == fo and s < end})
             for s in range(max(ends))
         ]
         assert sizes[name] == [k for k in live if k], name

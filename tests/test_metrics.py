@@ -386,9 +386,10 @@ def test_transient_cutoff_monotone_in_rel_tol(seed):
     assert all(a >= b for a, b in zip(cuts, cuts[1:]))
 
 
-@pytest.mark.parametrize("window", [0, -1, math.nan])
-def test_transient_cutoff_rejects_window_below_one(window):
-    # A window of no probes smooths every value to NaN, which never matches.
+@pytest.mark.parametrize("window", [0, -1, math.nan, 2.5])
+def test_transient_cutoff_rejects_a_window_that_is_no_count_of_probes(window):
+    # A window of no probes smooths every value to NaN, which never matches;
+    # a fractional one is no count of probes to take the median over.
     rec = make_record([0, 100, 200], [9.0, 4.0, 1.0])
     with pytest.raises(MetricsError, match="window"):
         transient_cutoff(rec, rec, rel_tol=0.1, window=window)

@@ -11,6 +11,7 @@ from gossipbo.problem import (
     FEATURE_VAR,
     LowerSolveDiverged,
     SingularHessian,
+    _dot,
     dense_lower_hessian,
     hypergradient_exact,
     lower_solve,
@@ -40,6 +41,36 @@ def rows(prob, v):
 
 def mean_grad_y_g(prob, x, y):
     return prob.grad_y_g(rows(prob, x), rows(prob, y)).mean(axis=0)
+
+
+def one_step(prob, rng):
+    """One step's (xi, zeta): step 0 of a one-step block."""
+    return tuple(None if s is None else tuple(a[0] for a in s) for s in prob.draw_block(rng, 1))
+
+
+def step_draws(family, prob, rng):
+    """One step's (xi, zeta) drawn variate by variate, in the family's order:
+    the f-sample, then the g-sample, each variate one (n, .) block whose
+    row i is node i's draw. Labels are formed with ``_dot``, as
+    ``draw_block`` forms them, so that the bytes agree."""
+    n, p, d = prob.n_nodes, prob.dim_y, prob.dim_x
+    if family == "quad":
+        xi = (rng.standard_normal((n, p)), rng.standard_normal((n, d)))
+        zeta = (
+            rng.standard_normal((n, p)),
+            rng.standard_normal((n, d)),
+            rng.standard_normal(n),
+            rng.standard_normal(n),
+        )
+        return xi, zeta
+    if family == "ridge":
+        def pair():
+            feats = rng.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, (n, p))
+            noise = rng.standard_normal(n)
+            return feats, _dot(feats, prob.omega) + noise
+
+        return pair(), pair()
+    return None, None
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +154,8 @@ def test_batched_row_is_its_own_node(family, request):
         "X": rng.standard_normal((n, prob.dim_x)),
         "Y": rng.standard_normal((n, prob.dim_y)),
         "V": rng.standard_normal((n, prob.dim_y)),
-        "f": prob.draw_f_sample(sample_rng),
-        "g": prob.draw_g_sample(sample_rng),
     }
+    args["f"], args["g"] = one_step(prob, sample_rng)
 
     def node_everywhere(a, i):
         if a is None:
@@ -142,9 +172,9 @@ def test_batched_row_is_its_own_node(family, request):
             own = oracle(*(node_everywhere(args[k], i) for k in keys))
             assert np.array_equal(own[i], full[i]), (name, keys, i)
 
-    # A leading cell axis: points stacked as (C, n, .), the sample shared by
-    # every cell as the engine broadcasts it. Row (c, i) is row i of the
-    # (n, .) call on cell c alone, bit for bit.
+    # A leading cell axis: points stacked as (C, n, .), one (n, .) sample
+    # broadcast over every cell. Row (c, i) is row i of the (n, .) call on
+    # cell c alone, bit for bit.
     cells = 3
     stacked = dict(args)
     for k in "XYV":
@@ -325,27 +355,12 @@ def test_ridge_y_star_and_phi_star(ridge):
 
 @pytest.mark.parametrize("family", ["quad", "ridge"])
 def test_samples_are_node_blocks_in_a_fixed_order(family, request):
-    # One generator per run: the f-sample and then the g-sample, each
-    # variate one (n, .) block whose row i is node i's draw.
+    # One generator per run: a step draws the f-sample and then the
+    # g-sample, each variate one (n, .) block whose row i is node i's draw.
     prob = request.getfixturevalue(family)
-    n, p, d = prob.n_nodes, prob.dim_y, prob.dim_x
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    xi, zeta = prob.draw_f_sample(rng), prob.draw_g_sample(rng)
-    if family == "quad":
-        expected_f = (ref.standard_normal((n, p)), ref.standard_normal((n, d)))
-        expected_g = (
-            ref.standard_normal((n, p)),
-            ref.standard_normal((n, d)),
-            ref.standard_normal(n),
-            ref.standard_normal(n),
-        )
-    else:
-        def pair():
-            feats = ref.uniform(-FEATURE_HALF_WIDTH, FEATURE_HALF_WIDTH, (n, p))
-            noise = ref.standard_normal(n)
-            return feats, np.sum(feats * prob.omega, axis=1) + noise
-
-        expected_f, expected_g = pair(), pair()
+    xi, zeta = one_step(prob, rng)
+    expected_f, expected_g = step_draws(family, prob, ref)
     assert len(xi + zeta) == len(expected_f + expected_g)
     for got, want in zip(xi + zeta, expected_f + expected_g):
         assert got.shape == want.shape
@@ -362,7 +377,7 @@ def test_draw_block_is_k_rounds_of_step_draws(family, k, request):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         xi, zeta = prob.draw_block(rng, k)
         for j in range(k):
-            for block, one in ((xi, prob.draw_f_sample(ref)), (zeta, prob.draw_g_sample(ref))):
+            for block, one in zip((xi, zeta), step_draws(family, prob, ref)):
                 if one is None:
                     assert block is None
                     continue
@@ -387,7 +402,8 @@ def test_ridge_stochastic_gradient_unbiased_in_sample_mean(seed):
     X = rows(prob, np.array([0.2]))
     Y = rows(prob, rng.standard_normal(prob.dim_y))
     k = 4000
-    grads = np.array([prob.sgrad_y_g(X, Y, prob.draw_g_sample(rng))[0] for _ in range(k)])
+    _, zeta = prob.draw_block(rng, k)
+    grads = np.array([prob.sgrad_y_g(X, Y, tuple(a[j] for a in zeta))[0] for j in range(k)])
     err = grads.mean(axis=0) - prob.grad_y_g(X, Y)[0]
     se = grads.std(axis=0, ddof=1) / np.sqrt(k)
     # Each coordinate's sample-mean error over its own standard error is
@@ -407,9 +423,9 @@ def test_quadratic_stochastic_noise_is_zero_mean(quad):
     Y = rows(noisy, rng.standard_normal(noisy.dim_y))
     acc = np.zeros(noisy.dim_y)
     k = 20000
-    for _ in range(k):
-        zeta = noisy.draw_g_sample(rng)
-        acc += noisy.sgrad_y_g(X, Y, zeta)[0]
+    _, zeta = noisy.draw_block(rng, k)
+    for j in range(k):
+        acc += noisy.sgrad_y_g(X, Y, tuple(a[j] for a in zeta))[0]
     assert np.linalg.norm(acc / k - noisy.grad_y_g(X, Y)[0]) < 0.05
 
 
@@ -432,7 +448,7 @@ def test_quadratic_coupling_is_the_explicit_truncated_identity(d, p):
             M[rng.random(M.shape) < 0.3] = -0.0
         assert _coordinates(X, p).tobytes() == _mv(J, X).tobytes()
         assert _coordinates(Y, d).tobytes() == _mtv(J, Y).tobytes()
-        e_y, e_x, s, s2 = zeta = prob.draw_g_sample(rng)
+        e_y, e_x, s, s2 = zeta = one_step(prob, rng)[1]
         want_gy = prob.grad_y_g(X, Y) + sigma * (
             a1 * e_y / np.sqrt(p) + a2 * s[..., None] * Y + a3 * s2[..., None] * _mv(J, X)
         )
@@ -460,6 +476,17 @@ def test_make_quadratic_validates_args():
         make_quadratic(0, 2, 0, 3)
     with pytest.raises(ValueError):
         make_quadratic(0, 2, 2, 3, conditioning=0.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_nodes", 0), ("d", 0), ("p", 0), ("lam", -2.0), ("lam", np.nan), ("lam", np.inf),
+    ("coupling", np.inf), ("coupling", -np.inf), ("coupling", np.nan),
+])
+def test_make_logcosh_validates_args(name, value):
+    # A negative lam makes the lower level concave where |y| is small, and
+    # lower_solve would return a local maximum there.
+    with pytest.raises(ValueError, match=name):
+        make_logcosh(3, **{"n_nodes": 4, "d": 2, "p": 3, name: value})
 
 
 def test_lower_solve_diverged_propagates(quad, ridge, logcosh):
