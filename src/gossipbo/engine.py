@@ -23,7 +23,9 @@ own run gives, bit for bit; a single cell is the case C = 1.
 
 ``run`` draws the samples of up to ``BLOCK_STEPS`` steps at a time
 (``BilevelProblem.draw_block``), which leaves every generator where the
-same number of single steps would, and hands each step its slice. Cells
+same number of single steps would. The pending block holds each
+generator's draws once, (k, G, n, .) for G seeds however many cells share
+them, and each step takes its cells' rows from its own slice. Cells
 that gossip with the same weights under the same estimator and seed have
 the same trajectory bit for bit (a fully connected so cell and the
 centralized cell of its trial, for instance): ``run`` advances one of them
@@ -53,8 +55,8 @@ from .topology import MixingMatrix
 DIVERGENCE_LIMIT = 1e12
 # A float sum of squares at most this puts every entry inside the limit.
 _SMALL_SUM_SQ = (DIVERGENCE_LIMIT / 2) ** 2
-# Steps whose samples ``run`` draws at once. Small: the pending block stays
-# in memory until its steps have run.
+# Steps whose samples ``run`` draws at once. Small: the pending block, k x
+# seeds x n rows per variate, stays in memory until its steps have run.
 BLOCK_STEPS = 16
 # Node rows (probed cells times nodes) that ``run`` evaluates in one probe
 # call at most; a probe with more is evaluated alone. In node rows, not
@@ -237,24 +239,25 @@ def init(
 
 
 def _draw_block(problem, state: SwarmState, k: int):
-    """The next k steps' (xi, zeta), every cell with its own rows: cell c takes
-    its seed's generator's, as (k, C, n, .) variates, or (k, n, .) for an (n, .) state."""
+    """The next k steps' (xi, zeta) of every generator, as (k, G, n, .) variates:
+    row g is ``state.rngs[g]``'s, held once however many cells draw from it."""
     blocks = [problem.draw_block(rng, k) for rng in state.rngs]
     return tuple(
-        None if parts[0] is None
-        else tuple(np.take(np.stack(v, axis=1), state.stream, axis=1) for v in zip(*parts))
+        None if parts[0] is None else tuple(np.stack(v, axis=1) for v in zip(*parts))
         for parts in zip(*blocks)
     )
+
+
+def _rows_of(block, j, stream):
+    """Step j's (xi, zeta) of ``block``, every cell with its own seed's rows:
+    (C, n, .) variates, or (n, .) for the 0-d ``stream`` of an (n, .) state."""
+    return tuple(None if part is None else tuple(v[j].take(stream, axis=0) for v in part)
+                 for part in block)
 
 
 def _take(sample, index):
     """``sample`` with every variate indexed by ``index``; None stays None."""
     return None if sample is None else tuple(a[index] for a in sample)
-
-
-def _index(block, index):
-    """``block`` with every variate of its samples indexed by ``index``."""
-    return tuple(_take(part, index) for part in block)
 
 
 def _hvp(problem, hyper, state, zeta):
@@ -305,9 +308,9 @@ def step(
     the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
     ``hyper`` sets the step sizes and the finite-difference delta of every
     cell; ``state.fo`` picks each cell's Hessian-vector estimator.
-    ``sample`` is the step's (xi, zeta), one slice of a block ``run`` drew;
-    without it each generator in ``state.rngs`` draws a one-step block,
-    advancing in place.
+    ``sample`` is the step's (xi, zeta), every cell's rows of a block ``run``
+    drew; without it each generator in ``state.rngs`` draws a one-step block,
+    advancing in place, and each cell takes its seed's rows.
 
     The divergence guard gives one verdict per cell: ``NumericalDivergence``
     names every cell that left the finite range, with its own message, and
@@ -319,7 +322,7 @@ def step(
 
     Wm = W if isinstance(W, np.ndarray) else _weights(W, hyper)
     if sample is None:
-        sample = _index(_draw_block(problem, state, 1), 0)
+        sample = _rows_of(_draw_block(problem, state, 1), 0, state.stream)
     Gy, Dz, Omega = _node_terms(problem, hyper, state, sample)
     Xn = Wm @ (state.X - hyper.tau * alpha * state.H)
     Yn = Wm @ (state.Y - beta * Gy)
@@ -371,8 +374,8 @@ def run(
     bit for bit. Cells alike in gossip weights, estimator and seed are
     advanced as one, and each gets that one's probes in its own record.
     Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T, and
-    every cell takes its own seed's rows, whether the call has one seed or
-    many; ``step`` runs once per iteration on its slice.
+    held once per seed; each step, every cell takes its own seed's rows,
+    whether the call has one seed or many, and ``step`` runs on them.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
     each over the live cells. They are evaluated in batches: the pending
@@ -387,10 +390,10 @@ def run(
     leaves with the probes taken before the blow-up as ``record``. With a
     list, it returns a list aligned with ``W`` whose slots hold each cell's
     RunRecord or its ``NumericalDivergence``: a diverged cell leaves the
-    batch, and its columns the pending block, while the others go on; its
-    pending probes still reach its record. The wall-clock limit (0: none),
-    which bounds the whole call, or an error from a probe ends the call for
-    every cell, and an earlier probe's error wins.
+    batch while the others go on; its pending probes still reach its
+    record. The wall-clock limit (0: none), which bounds the whole call, or
+    an error from a probe ends the call for every cell, and an earlier
+    probe's error wins.
     """
     for name, value in (("T", T), ("probe_every", probe_every)):
         if not hasattr(value, "__index__") or operator.index(value) < 1:  # floats fail, NaN too
@@ -414,6 +417,7 @@ def run(
     state = init(problem, [Ws[c] for c in first], [hypers[c] for c in first],
                  [seeds[c] for c in first], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
     weights = np.stack([gossip[c] for c in first])
+    del alike, gossip  # no byte key or matrix of a cell outlives its grouping
     records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
     # Probes not yet evaluated, as (state, live) at their probe time. A state
@@ -457,9 +461,11 @@ def run(
     try:
         for t in range(T):
             if t % BLOCK_STEPS == 0:
+                block = None  # the spent block goes before the next is drawn
                 block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
             try:
-                state = step(problem, weights, shared, state, _index(block, t % BLOCK_STEPS))
+                state = step(problem, weights, shared, state,
+                             _rows_of(block, t % BLOCK_STEPS, state.stream))
             except NumericalDivergence as exc:
                 for k, message in exc.cells.items():
                     for c in live[k]:
@@ -469,7 +475,6 @@ def run(
                 live = [live[k] for k in keep]
                 if not live:
                     break
-                block = _index(block, (slice(None), keep))
                 weights, state = weights[keep], replace(
                     exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
                     H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],

@@ -13,7 +13,7 @@ The verification helpers (``lower_solve``, ``z_star``, ``hypergradient_exact``,
 ``phi_value``) take one point x (d,) or a stack (..., d), repeat each point
 on every node's row and average over the node axis, so a probe of many
 cells is one call of each; ``z_star`` and ``hypergradient_exact`` accept
-y*(x) from a caller that has already solved for it.
+y*(x), one row per point, from a caller that has already solved for it.
 
 Derivative oracles are matrix-free: Hessian/Jacobian information is exposed
 only through vector products. Dense matrices appear only inside the
@@ -270,15 +270,25 @@ def lower_solve(
     return y
 
 
+def _lower_at(problem: BilevelProblem, x: np.ndarray, y) -> np.ndarray:
+    """y*(x) at each point x: the caller's ``y``, one row per point, or solved for."""
+    if y is None:
+        return lower_solve(problem, x)
+    if np.shape(y) != x.shape[:-1] + (problem.dim_y,):
+        raise ValueError(f"y has shape {np.shape(y)} but x has shape {x.shape}: "
+                         f"y needs one {problem.dim_y}-vector per point of x")
+    return y
+
+
 def z_star(problem: BilevelProblem, x: np.ndarray, *, y=None) -> np.ndarray:
     """Solve (mean lower Hessian at y*(x)) z = mean grad_y f(x, y*(x)) at each point x.
 
-    ``y`` is y*(x) when the caller has already solved for it. One stacked
-    solve treats each point alone; residual and finiteness are checked at each.
+    ``y`` is y*(x) when the caller has already solved for it, with x's shape
+    but dim_y last. One stacked solve treats each point alone; residual and
+    finiteness are checked at each.
     """
     x = np.asarray(x, dtype=float)
-    if y is None:
-        y = lower_solve(problem, x)
+    y = _lower_at(problem, x, y)
     H = dense_lower_hessian(problem, x, y)
     rhs = _mean_over_nodes(problem.grad_y_f(_rows(problem, x), _rows(problem, y)))
     try:
@@ -297,11 +307,10 @@ def hypergradient_exact(problem: BilevelProblem, x: np.ndarray, *, y=None) -> np
 
     grad Phi(x) = mean grad_x f(x, y*) - (mean d^2 g / dx dy) z*(x). The
     lower problem is solved once, for y* and z* alike; ``y`` is y*(x) when
-    the caller has already solved for it.
+    the caller has already solved for it, with x's shape but dim_y last.
     """
     x = np.asarray(x, dtype=float)
-    if y is None:
-        y = lower_solve(problem, x)
+    y = _lower_at(problem, x, y)
     X, Y = _rows(problem, x), _rows(problem, y)
     Z = _rows(problem, z_star(problem, x, y=y))
     return _mean_over_nodes(problem.grad_x_f(X, Y)) - _mean_over_nodes(problem.cross_xy_g(X, Y, Z))

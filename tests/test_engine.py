@@ -569,9 +569,27 @@ def test_block_edges_match_step_by_step(family, seeds, T):
         assert outcome_of(out) == stepwise(prob, W, hp, T, seed, 7, X0=X0)
 
 
+@pytest.mark.parametrize("family", ["quadratic", "ridge"])
+def test_pending_block_holds_one_row_per_seed(family):
+    # Six cells on two seeds: the pending block holds each generator's draws
+    # once, row g being what rngs[g] draws alone; each step takes its cells'
+    # rows from it.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    Ws = [topo.ring(n, 0.2, 0.4), topo.fully_connected(n), topo.ring(n)] * 2
+    st = init(prob, Ws, hyper(), seed=[3, 3, 3, 8, 8, 8])
+    block = engine._draw_block(prob, st, 5)
+    alone = [prob.draw_block(np.random.default_rng(s), 5) for s in (3, 8)]
+    for part, *own in zip(block, *alone):
+        for v, *rows in zip(part, *own):
+            assert v.shape[:3] == (5, 2, n)
+            for g, row in enumerate(rows):
+                assert v[:, g].tobytes() == np.ascontiguousarray(row).tobytes()
+
+
 def test_cell_diverging_mid_block_matches_step_by_step():
-    # The lazier ring diverges at iteration 82, inside a block: its columns
-    # leave the pending block and every other cell goes on as if alone.
+    # The lazier ring diverges at iteration 82, inside a block: it leaves the
+    # batch mid-block and every other cell goes on as if alone.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
     lazier, ring, full = topo.ring(4, 0.9, 0.05), topo.ring(4), topo.fully_connected(4)

@@ -1,5 +1,7 @@
 """Problem families: oracle consistency, closed forms, and solvers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,22 @@ def test_z_star_solves_linear_system(quad):
     z = z_star(quad, x)
     H = dense_lower_hessian(quad, x, y)
     assert np.allclose(H @ z, quad.grad_y_f(rows(quad, x), rows(quad, y)).mean(axis=0), atol=1e-9)
+
+
+@pytest.mark.parametrize("helper", [z_star, hypergradient_exact])
+def test_exact_helpers_reject_a_y_that_does_not_match_x(helper):
+    # A y whose points do not match x's would broadcast to wrong values
+    # (one y* row for three points, three rows for one point): each such
+    # call raises, naming both shapes.
+    prob = make_quadratic(1, n_nodes=8, d=2, p=4, conditioning=5.0, heterogeneity=0.3,
+                          noise_scale=0.2)
+    x = np.array([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.3]])
+    y = lower_solve(prob, x)
+    assert helper(prob, x, y=y).tobytes() == helper(prob, x).tobytes()
+    for xs, ys in ((x, y[0]), (x[0], y), (x, y[:, :3]), (x, y[None])):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(ys.shape))}.*"
+                                             rf"shape {re.escape(str(xs.shape))}"):
+            helper(prob, xs, y=ys)
 
 
 def test_lower_solve_newton_on_nonquadratic(logcosh):
