@@ -23,6 +23,7 @@ from gossipbo.problem import (
     trivial_quadratic,
 )
 from gossipbo import topology as topo
+from reference_stepper import gossip, gossip_weights, local_step, reference_samples
 
 
 @pytest.fixture(scope="module")
@@ -845,3 +846,80 @@ def test_guard_filter_gives_the_exact_verdict(quad, value):
     assert cells == expected
     assert (1 in cells) == (not abs(value) <= 1e12)
     assert set(cells) <= {1}
+
+
+
+# A schedule that reaches every hyper field the recursion reads: a decaying
+# step, tau != 1, and c1 != c2.
+RECURSION_HYPER = dict(alpha0=0.05, c1=1.5, c2=0.8, tau=0.5, decay_factor=0.8,
+                       decay_period=20, fixed_theta=0.2)
+
+
+def iterates(state, *cell):
+    """The state's (x, y, z, h), or those of one cell of a (C, n, .) state."""
+    return tuple(a[cell] for a in (state.X, state.Y, state.Z, state.H))
+
+
+def assert_step_follows_recursion(prob, weights, hp, t, before, after, sample):
+    """``after`` is step t of the per-node recursion from ``before``, to the gossip sum's rounding.
+
+    Both sides apply every operation to the same operands in the same order
+    but one, the gossip sum. The engine's matmul and the node-by-node sum
+    each lie within gamma_n = n u / (1 - n u) of the exact sum, times
+    sum_j |w_ij| |a_j| <= max |a|, as a row of W holds convex weights. So x,
+    y and z agree to 2 gamma_n max |a| for the local values a they gossip,
+    and h, which is not gossiped, agrees exactly. Each step starts from the
+    engine's own state, so no difference carries over from one to the next:
+    the ridge recursion expands some directions (a sampled lower Hessian
+    reaches 2 |features|^2, about 35, against beta = 0.075), so a bound on
+    the whole trajectory would have to model that growth.
+    """
+    local = local_step(prob, hp, t, before, sample)
+    n = len(weights)
+    u = np.finfo(float).eps / 2
+    gamma_n = n * u / (1 - n * u)
+    for name, got, a in zip("xyz", after, local):
+        off = np.max(np.abs(got - gossip(gossip_weights(weights, hp.variant), a)))
+        assert off <= 2 * gamma_n * np.max(np.abs(a)), (name, t, off)
+    np.testing.assert_array_equal(after[3], local[3], err_msg=f"h at step {t}")
+
+
+def steps_of_run(monkeypatch, *args, **kw):
+    """Each (state before, state after) of ``run``'s steps, in order."""
+    steps = []
+    original = engine.step
+
+    def kept(problem, W, hyper, state, *rest):
+        steps.append((state, original(problem, W, hyper, state, *rest)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(engine, "step", kept)
+    run(*args, **kw)
+    monkeypatch.undo()
+    return steps
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_every_step_follows_the_recursion_node_by_node(family, variant, monkeypatch):
+    # Each of step's and run's T steps against one step of the recursion
+    # written out per node, from the same state, with the samples of one
+    # draw of all T steps.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    W = topo.ring(n, 0.2, 0.4)
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    hp = hyper(variant=variant, **RECURSION_HYPER)
+    T, seed = 60, 3
+    samples = reference_samples(prob, T, seed)
+    state = init(prob, W, hp, seed, X0=X0)
+    for t in range(T):
+        new = step(prob, W, hp, state)
+        assert_step_follows_recursion(prob, W.weights, hp, t, iterates(state), iterates(new),
+                                      samples[t])
+        state = new
+    steps = steps_of_run(monkeypatch, prob, W, hp, T=T, seed=seed, X0=X0)
+    assert len(steps) == T
+    for t, (before, after) in enumerate(steps):
+        assert_step_follows_recursion(prob, W.weights, hp, t, iterates(before, 0),
+                                      iterates(after, 0), samples[t])
