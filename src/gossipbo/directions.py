@@ -36,16 +36,18 @@ def hvp_so(problem: BilevelProblem, X, Y, Z, sample) -> HvpPair:
     )
 
 
-def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float, sample) -> HvpPair:
+def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float | np.ndarray, sample) -> HvpPair:
     """Central-difference products from first-order gradients only.
 
     Both perturbed evaluations reuse the same sample, and each oracle
     evaluates them as one call on the stacked pair (Y + delta Z, Y - delta Z);
     leading axes are batch axes, so each half is what its own call gives.
-    The squared bias is bounded by (1/3) L^2 delta^2 |z|^4 with L the
-    Hessian-Lipschitz constant of the lower loss.
+    ``delta`` is a float, or one per cell, such as (C, 1, 1). The squared
+    bias is bounded by (1/3) L^2 delta^2 |z|^4 with L the Hessian-Lipschitz
+    constant of the lower loss.
     """
-    if not 0 < delta < np.inf:  # NaN too
+    low, high = (delta.min(), delta.max()) if isinstance(delta, np.ndarray) else (delta, delta)
+    if not 0 < low <= high < np.inf:  # NaN too
         raise DegenerateDelta(f"delta must be finite and positive, got {delta}")
     dZ = delta * Z
     Y_pm = np.stack([Y + dZ, Y - dZ])

@@ -12,10 +12,10 @@ locally and is not gossiped. The centralized variant runs the same
 recursion with exact uniform averaging in place of the gossip matrix,
 which keeps a single shared iterate and averages the per-node directions.
 
-A cell is one (mixing matrix, variant, seed). One engine call advances C
-cells that share step sizes, for instance every cell of a sweep, as
-(C, n, .) arrays with the gossip matrices stacked as (C, n, n): each step,
-every cell takes the sample rows of its own seed's generator. The cells
+A cell is one (mixing matrix, HyperParams, seed). One engine call advances
+C cells, for instance every cell of a sweep, as (C, n, .) arrays with the
+gossip matrices stacked as (C, n, n): each step, every cell takes the
+sample rows of its own seed's generator and its own step sizes. The cells
 are held second-order first, so the second-order estimator serves the
 leading block of the cell axis and the first-order one the tail. Every
 operation acts on each cell alone, so a cell's trajectory is the one its
@@ -26,8 +26,8 @@ own run gives, bit for bit; a single cell is the case C = 1.
 same number of single steps would. The pending block holds each
 generator's draws once, (k, G, n, .) for G seeds however many cells share
 them, and each step takes its cells' rows from its own slice. Cells
-that gossip with the same weights under the same estimator and seed have
-the same trajectory bit for bit (a fully connected so cell and the
+that gossip with the same weights under the same estimator, schedule and
+seed have the same trajectory bit for bit (a fully connected so cell and the
 centralized cell of its trial, for instance): ``run`` advances one of them
 and gives every member its probes.
 
@@ -119,6 +119,7 @@ class HyperParams:
     variant: Variant = Variant.SECOND_ORDER
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))  # a name, "fo", is its member
         # Negated comparisons, so that NaN fails them too.
         if not 0 <= self.alpha0 < np.inf:
             raise ValueError("alpha0 must be finite and >= 0")
@@ -148,6 +149,11 @@ class HyperParams:
         if self.fixed_theta is not None:
             return self.fixed_theta
         return self.c3 * self.alpha(t)
+
+    def rates(self, t: int) -> tuple[float, ...]:
+        """A step's (tau alpha_t, beta_t, gamma_t, theta_t, delta), as Python floats."""
+        alpha = self.alpha(t)
+        return self.tau * alpha, self.c1 * alpha, self.c2 * alpha, self.theta(t), self.delta
 
 
 @dataclass
@@ -179,7 +185,10 @@ def _cells(W, hyper, seed) -> tuple[list, list, list]:
     """The call's matrices, hypers and seeds as aligned lists; a single one serves every cell."""
     Ws = [W] if isinstance(W, MixingMatrix) else list(W)
     hypers = [hyper] * len(Ws) if isinstance(hyper, HyperParams) else list(hyper)
-    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(Ws)
+    try:  # one integer seeds every cell, and anything else holds one integer per cell
+        seeds = [operator.index(s) for s in ([seed] * len(Ws) if np.ndim(seed) == 0 else seed)]
+    except (TypeError, ValueError):
+        raise ConfigMismatch(f"seed must be one integer or one per cell, got {seed!r}") from None
     if not Ws or len(hypers) != len(Ws) or len(seeds) != len(Ws):
         raise ConfigMismatch(f"{len(Ws)} cells but {len(hypers)} hypers and {len(seeds)} seeds: "
                              "a call needs one or more cells and one hyper and seed each")
@@ -260,24 +269,25 @@ def _take(sample, index):
     return None if sample is None else tuple(a[index] for a in sample)
 
 
-def _hvp(problem, hyper, state, zeta):
+def _hvp(problem, delta, state, zeta):
     """Each cell's products under its estimator: so on the leading cells, fo on the tail."""
     X, Y, Z = state.X, state.Y, state.Z
     k = state.fo.size - np.count_nonzero(state.fo)  # the second-order cells
     if k == state.fo.size:
         return hvp_so(problem, X, Y, Z, zeta)
     if k == 0:
-        return hvp_fo(problem, X, Y, Z, hyper.delta, zeta)
+        return hvp_fo(problem, X, Y, Z, delta, zeta)
     so = hvp_so(problem, X[:k], Y[:k], Z[:k], _take(zeta, slice(k)))
-    fo = hvp_fo(problem, X[k:], Y[k:], Z[k:], hyper.delta, _take(zeta, slice(k, None)))
+    tail = delta[k:] if isinstance(delta, np.ndarray) else delta  # each fo cell's own delta
+    fo = hvp_fo(problem, X[k:], Y[k:], Z[k:], tail, _take(zeta, slice(k, None)))
     return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
 
 
-def _node_terms(problem, hyper, state, sample):
+def _node_terms(problem, delta, state, sample):
     """Sampled directions of every node of every cell from the iteration-t snapshot."""
     X, Y = state.X, state.Y
     xi, zeta = sample
-    pair = _hvp(problem, hyper, state, zeta)
+    pair = _hvp(problem, delta, state, zeta)
     Gy = problem.sgrad_y_g(X, Y, zeta)
     Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
     Omega = problem.sgrad_x_f(X, Y, xi) - pair.p_j
@@ -298,7 +308,7 @@ def _weights(W: MixingMatrix, hyper: HyperParams) -> np.ndarray:
 def step(
     problem: BilevelProblem,
     W: "MixingMatrix | np.ndarray",
-    hyper: HyperParams,
+    hyper: "HyperParams | list[HyperParams]",
     state: SwarmState,
     sample=None,
 ) -> SwarmState:
@@ -306,8 +316,10 @@ def step(
 
     ``W`` is the mixing matrix of an (n, .) state, or the (C, n, n) stack of
     the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
-    ``hyper`` sets the step sizes and the finite-difference delta of every
-    cell; ``state.fo`` picks each cell's Hessian-vector estimator.
+    ``hyper`` sets the step sizes and the finite-difference delta: one for
+    every cell, as Python floats, or for a (C, n, .) state one per cell, as
+    (C, 1, 1) arrays of each cell's floats, which round as its floats would.
+    ``state.fo`` picks each cell's Hessian-vector estimator.
     ``sample`` is the step's (xi, zeta), every cell's rows of a block ``run``
     drew; without it each generator in ``state.rngs`` draws a one-step block,
     advancing in place, and each cell takes its seed's rows.
@@ -317,14 +329,14 @@ def step(
     carries the new state, whose other cells are sound.
     """
     t = state.t
-    alpha, beta = hyper.alpha(t), hyper.beta(t)
-    gamma, theta = hyper.gamma(t), hyper.theta(t)
-
+    rates = hyper.rates(t) if isinstance(hyper, HyperParams) else (
+        np.array([h.rates(t) for h in hyper]).T[..., None, None])  # (5, C, 1, 1)
+    tau_alpha, beta, gamma, theta, delta = rates
     Wm = W if isinstance(W, np.ndarray) else _weights(W, hyper)
     if sample is None:
         sample = _rows_of(_draw_block(problem, state, 1), 0, state.stream)
-    Gy, Dz, Omega = _node_terms(problem, hyper, state, sample)
-    Xn = Wm @ (state.X - hyper.tau * alpha * state.H)
+    Gy, Dz, Omega = _node_terms(problem, delta, state, sample)
+    Xn = Wm @ (state.X - tau_alpha * state.H)
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
     Hn = (1.0 - theta) * state.H + theta * Omega
@@ -366,13 +378,14 @@ def run(
 
     ``W`` is one mixing matrix, or a list of C advanced together as one
     (C, n, .) swarm: for a sweep, every cell of every trial. ``hyper`` and
-    ``seed`` are one for every cell or lists aligned with ``W``; the cells
-    may mix variants but must agree on every other ``HyperParams`` field.
-    The swarm holds the cells second-order first, and the outcomes come
-    back in the order of ``W``. The draws depend on neither topology nor
-    variant, so a cell's record is the one its own one-matrix run gives,
-    bit for bit. Cells alike in gossip weights, estimator and seed are
-    advanced as one, and each gets that one's probes in its own record.
+    ``seed`` are one for every cell or lists aligned with ``W``. The swarm
+    holds the cells second-order first, and the outcomes come back in the
+    order of ``W``. The draws depend on neither topology nor hyper, so a
+    cell's record is the one its own one-matrix run gives, bit for bit.
+    Cells that share one schedule (every hyper field but the variant) step
+    with Python floats, as one cell does. Cells alike in gossip weights,
+    estimator, schedule and seed are advanced as one, and each gets that
+    one's probes in its own record.
     Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T, and
     held once per seed; each step, every cell takes its own seed's rows,
     whether the call has one seed or many, and ``step`` runs on them.
@@ -401,15 +414,13 @@ def run(
     if not wall_limit_s >= 0:  # NaN too
         raise ValueError(f"wall_limit_s must be >= 0, got {wall_limit_s!r}")
     Ws, hypers, seeds = _cells(W, hyper, seed)
-    shared = hypers[0]
-    if any(replace(h, variant=shared.variant) != shared for h in hypers):
-        raise ConfigMismatch("cells of one run must agree on every hyper but the variant")
-    # One computation per (gossip weights, estimator, seed): the other
-    # fields of a hyper are shared, so such cells agree bit for bit.
+    # One computation per (gossip weights, estimator, schedule, seed): such
+    # cells agree bit for bit.
     gossip = [_weights(w, h) for w, h in zip(Ws, hypers)]
+    schedules = [replace(h, variant=Variant.SECOND_ORDER) for h in hypers]
     alike: dict[tuple, list[int]] = {}
-    for c, (wm, h, s) in enumerate(zip(gossip, hypers, seeds)):
-        alike.setdefault((wm.tobytes(), h.variant is Variant.FIRST_ORDER, s), []).append(c)
+    for c, (wm, h, sch, s) in enumerate(zip(gossip, hypers, schedules, seeds)):
+        alike.setdefault((wm.tobytes(), h.variant is Variant.FIRST_ORDER, sch, s), []).append(c)
     # The cells behind each position of the state's cell axis: second-order first.
     live = sorted(alike.values(), key=lambda cs: hypers[cs[0]].variant is Variant.FIRST_ORDER)
     first = [cs[0] for cs in live]  # the cell computed for each position
@@ -418,6 +429,7 @@ def run(
                  [seeds[c] for c in first], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
     weights = np.stack([gossip[c] for c in first])
     del alike, gossip  # no byte key or matrix of a cell outlives its grouping
+    rates = hypers[0] if len(set(schedules)) == 1 else [hypers[c] for c in first]
     records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
     # Probes not yet evaluated, as (state, live) at their probe time. A state
@@ -439,13 +451,13 @@ def run(
             X=np.concatenate([s.X for s in snaps]), Y=np.concatenate([s.Y for s in snaps]),
             Z=np.concatenate([s.Z for s in snaps]),
         )
-        alphas = np.repeat([shared.alpha(s.t) for s in snaps], counts)
+        alphas = [[hypers[cs[0]].alpha(s.t) for cs in cells] for s, cells in batch]
         try:
-            rows = metrics_mod.probe(problem, stacked, alpha=alphas)
+            rows = metrics_mod.probe(problem, stacked, alpha=np.concatenate(alphas))
         except Exception:
             # Raise what the first failing probe raises at its own time.
-            for s in snaps:
-                metrics_mod.probe(problem, s, alpha=shared.alpha(s.t))
+            for s, alpha in zip(snaps, alphas):
+                metrics_mod.probe(problem, s, alpha=np.array(alpha))
             raise
         evaluated.append((stacked.t, rows))
         owners.extend(cs for _, cells in batch for cs in cells)
@@ -464,7 +476,7 @@ def run(
                 block = None  # the spent block goes before the next is drawn
                 block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
             try:
-                state = step(problem, weights, shared, state,
+                state = step(problem, weights, rates, state,
                              _rows_of(block, t % BLOCK_STEPS, state.stream))
             except NumericalDivergence as exc:
                 for k, message in exc.cells.items():
@@ -475,6 +487,7 @@ def run(
                 live = [live[k] for k in keep]
                 if not live:
                     break
+                rates = [rates[k] for k in keep] if isinstance(rates, list) else rates
                 weights, state = weights[keep], replace(
                     exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
                     H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],

@@ -35,9 +35,8 @@ def gossip_weights(weights, variant):
 
 
 def gossip(W, A):
-    """Row i is sum_j w_ij a_j, summed node by node."""
-    n = len(A)
-    return np.array([sum(W[i, j] * A[j] for j in range(n)) for i in range(n)])
+    """Row i is sum_j w_ij a_j, summed over the nodes j in turn, not as a matrix product."""
+    return sum(W[:, j, None] * A[j] for j in range(len(A)))
 
 
 def local_step(problem, hyper, t, iterates, sample):

@@ -129,10 +129,9 @@ def test_criterion_3_fo_so_trajectory_agreement():
     prob = make_quadratic(55, n_nodes=4, d=2, p=3, conditioning=4.0, noise_scale=0.5)
     W = topo.ring(4, 0.2, 0.4)
     common = dict(alpha0=0.02, fixed_theta=0.2)
-    so = run(prob, W, HyperParams(variant=Variant.SECOND_ORDER, **common),
-             T=2000, seed=77, probe_every=100)
-    fo = run(prob, W, HyperParams(variant=Variant.FIRST_ORDER, delta=1e-6, **common),
-             T=2000, seed=77, probe_every=100)
+    so, fo = run(prob, [W, W], [HyperParams(variant=Variant.SECOND_ORDER, **common),
+                                HyperParams(variant=Variant.FIRST_ORDER, delta=1e-6, **common)],
+                 T=2000, seed=77, probe_every=100)
     for name in ("grad_sq_norm", "upper_loss", "consensus_error", "phi_gap"):
         a, b = so.column(name), fo.column(name)
         assert np.max(np.abs(a - b)) < 1e-6 * max(1.0, np.max(np.abs(a)))
@@ -395,15 +394,15 @@ def test_criterion_7c_heterogeneity_ordering(quadratic_heterogeneity_sweep):
 def test_criterion_8_consensus_error_scaling():
     prob = make_ridge_tuning(42, n_nodes=9, dim_p=10, sigma_omega=2.0)
     W = topo.ring(9, 0.2, 0.4)
-    wins = 0
-    for trial in range(10):
-        seed = 1000 + trial
-        averages = {}
-        for alpha in (0.1, 0.01):
-            hp = HyperParams(alpha0=alpha, fixed_theta=0.2, variant=Variant.SECOND_ORDER)
-            rec = run(prob, W, hp, T=2000, seed=seed, probe_every=100)
-            averages[alpha] = float(np.mean(rec.column("consensus_error")))
-        wins += averages[0.01] < averages[0.1]
+    # Both step sizes of all ten trials in one call.
+    cells = [(1000 + trial, alpha) for trial in range(10) for alpha in (0.1, 0.01)]
+    hps = [HyperParams(alpha0=alpha, fixed_theta=0.2, variant=Variant.SECOND_ORDER)
+           for _, alpha in cells]
+    recs = run(prob, [W] * len(cells), hps, T=2000, seed=[seed for seed, _ in cells],
+               probe_every=100)
+    averages = {cell: float(np.mean(rec.column("consensus_error")))
+                for cell, rec in zip(cells, recs)}
+    wins = sum(averages[seed, 0.01] < averages[seed, 0.1] for seed, _ in cells[::2])
     assert wins >= 8, f"smaller step won only {wins}/10"
 
     # Zero step size: pure gossip, geometric consensus decay at rate rho^2.

@@ -146,6 +146,10 @@ def test_degenerate_delta_rejected(quad):
     for delta in (0.0, -1e-3, np.nan, np.inf, -np.inf):
         with pytest.raises(DegenerateDelta):
             hvp_fo(quad, X, Y, Z, delta, None)
+        # One delta per cell: a single bad cell is rejected too.
+        with pytest.raises(DegenerateDelta):
+            hvp_fo(quad, *(np.stack([a, a]) for a in (X, Y, Z)),
+                   np.array([1e-3, delta]).reshape(2, 1, 1), None)
 
 
 @pytest.mark.parametrize("per_cell", [True, False], ids=["per-cell-sample", "shared-sample"])

@@ -1,5 +1,7 @@
 """Iteration engine: updates, variants, determinism, and failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def test_hyperparams_validation():
         HyperParams(alpha0=0.1, tau=0.0)
     with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, c2=-1.0)
+
+
+def test_hyperparams_take_the_variant_by_value(quad):
+    # A variant given by its name is that variant: "centralized" averages
+    # exactly and "fo" takes central differences, as their enum members do.
+    W = topo.ring(4)
+    for variant in Variant:
+        hp = hyper(variant=variant.value)
+        assert hp.variant is variant
+        assert run(quad, W, hp, T=5, seed=0).to_csv() == \
+            run(quad, W, hyper(variant=variant), T=5, seed=0).to_csv()
+    with pytest.raises(ValueError, match="bogus"):
+        hyper(variant="bogus")
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-3])
@@ -325,6 +340,21 @@ def test_run_needs_one_seed_per_cell(quad):
         init(quad, Ws, hyper(), seed=[1, 2, 3, 4])
 
 
+def test_run_reads_seeds_strictly(quad):
+    # One integer seeds every cell; a range or an array holds one seed per
+    # cell; anything else is a ConfigMismatch that names it.
+    Ws = [topo.ring(4), topo.ring(4, 0.2, 0.4), topo.ring(4)]
+    solo = [run(quad, W, hyper(), T=5, seed=c).to_csv() for c, W in enumerate(Ws)]
+    for seeds in (range(3), np.arange(3), [np.int64(0), 1, 2]):
+        assert [rec.to_csv() for rec in run(quad, Ws, hyper(), T=5, seed=seeds)] == solo
+    assert run(quad, Ws[:2], hyper(), T=5, seed=np.int64(1))[1].to_csv() == solo[1]
+    for bad in (None, 1.5, "7", [0, 1.0, 2], [[0, 1, 2]]):
+        with pytest.raises(ConfigMismatch, match=re.escape(repr(bad))):
+            run(quad, Ws, hyper(), T=5, seed=bad)
+        with pytest.raises(ConfigMismatch, match=re.escape(repr(bad))):
+            init(quad, Ws, hyper(), seed=bad)
+
+
 def test_run_checks_node_counts_before_it_stacks_the_matrices(quad):
     # A 5-node matrix among 4-node ones is a ConfigMismatch from init, not
     # a ValueError from stacking matrices of two sizes.
@@ -333,16 +363,16 @@ def test_run_checks_node_counts_before_it_stacks_the_matrices(quad):
         run(quad, Ws, hyper(), T=5, seed=0)
 
 
-def test_group_needs_one_schedule_and_mixes_estimators(quad):
+def test_group_mixes_schedules_and_estimators(quad):
+    # Cells that differ in estimator, in step size, or in estimator and delta
+    # share one call, and each gets the record of its one-matrix run.
     Ws = [topo.ring(4)] * 2
-    hps = [hyper(variant=Variant.FIRST_ORDER), hyper(variant=Variant.SECOND_ORDER)]
-    for W, hp, rec in zip(Ws, hps, run(quad, Ws, hps, T=5, seed=0)):
-        assert rec.to_csv() == run(quad, W, hp, T=5, seed=0).to_csv()
-    with pytest.raises(ConfigMismatch):
-        run(quad, Ws, [hyper(alpha0=0.05), hyper(alpha0=0.04)], T=5, seed=0)
-    with pytest.raises(ConfigMismatch):
-        run(quad, Ws, [hyper(variant=Variant.SECOND_ORDER, delta=1e-3),
-                       hyper(variant=Variant.FIRST_ORDER, delta=1e-4)], T=5, seed=0)
+    for hps in ([hyper(variant=Variant.FIRST_ORDER), hyper(variant=Variant.SECOND_ORDER)],
+                [hyper(alpha0=0.05), hyper(alpha0=0.04)],
+                [hyper(variant=Variant.SECOND_ORDER, delta=1e-3),
+                 hyper(variant=Variant.FIRST_ORDER, delta=1e-4)]):
+        for W, hp, rec in zip(Ws, hps, run(quad, Ws, hps, T=5, seed=0)):
+            assert rec.to_csv() == run(quad, W, hp, T=5, seed=0).to_csv(), hp
 
 
 # Handed to ``run`` interleaved, fo before so: (topology index, variant).
@@ -353,27 +383,42 @@ MIXED_ORDER = [
 ]
 
 
+# Schedules that differ from one another in every HyperParams field but
+# the variant; the first is the one the other engine tests run.
+SCHEDULES = [
+    dict(alpha0=0.05, fixed_theta=0.2, delta=1e-4),
+    dict(alpha0=0.03, c1=1.5, c2=0.7, c3=2.0, tau=0.5, decay_factor=0.8, decay_period=20,
+         delta=1e-3),
+    dict(alpha0=0.03, c1=0.6, c2=1.3, c3=0.8, tau=2.0, decay_factor=0.5, decay_period=25,
+         fixed_theta=0.5, delta=3e-4),
+    dict(alpha0=0.02, c1=1.2, c2=1.1, c3=0.5, tau=1.5, decay_factor=0.9, decay_period=7,
+         fixed_theta=0.05, delta=1e-2),
+]
+
+
+@pytest.mark.parametrize("schedules", [1, len(SCHEDULES)], ids=["one-schedule", "all-schedules"])
 @pytest.mark.parametrize("seeds", [[17], [17, 4, 99]], ids=["one-seed", "three-seeds"])
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
-def test_mixed_call_matches_solo_runs(family, seeds):
+def test_mixed_call_matches_solo_runs(family, seeds, schedules):
     # so, fo and centralized cells of every trial in one call, in no
     # particular order: each cell's record is that of its
     # one-matrix run, byte for byte. Every cell takes its own seed's sample
     # rows, so the sample has a cell axis that each estimator's block slices,
     # with one seed (eight cells, as many as the quadratic has nodes) as
-    # with three.
+    # with three. With every schedule, each cell also steps with its own
+    # step sizes and delta, and probes its own alpha.
     prob = family_instance(family)
     n = prob.n_nodes
     Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     kw = dict(T=60, probe_every=7, X0=X0)
-    cells = [(k, v, seed) for seed in seeds for k, v in MIXED_ORDER]
-    hps = [hyper(variant=v, fixed_theta=0.2, delta=1e-4) for _, v, _ in cells]
-    outcomes = run(prob, [Ws[k] for k, _, _ in cells], hps, seed=[s for _, _, s in cells], **kw)
+    cells = [(k, v, seed, j) for seed in seeds for k, v in MIXED_ORDER for j in range(schedules)]
+    hps = [hyper(variant=v, **SCHEDULES[j]) for _, v, _, j in cells]
+    outcomes = run(prob, [Ws[k] for k, *_ in cells], hps, seed=[s for _, _, s, _ in cells], **kw)
     assert len(outcomes) == len(cells)
-    for (k, v, seed), hp, rec in zip(cells, hps, outcomes):
+    for (k, v, seed, j), hp, rec in zip(cells, hps, outcomes):
         solo = run(prob, Ws[k], hp, seed=seed, **kw)
-        assert rec.to_csv() == solo.to_csv(), (family, v, k, seed)
+        assert rec.to_csv() == solo.to_csv(), (family, v, k, seed, j)
 
 
 @pytest.mark.parametrize("seeds", [(7, 8), (7, 7)], ids=["two-seeds", "one-seed"])
@@ -446,18 +491,19 @@ def test_group_cells_diverge_on_their_own():
     # at alpha0 = 0.3 it alone diverges, at 0.5 every cell does, at
     # different iterations. Each cell of the group diverges when and as its
     # solo run does and keeps the probes before it; the others go on as if
-    # alone.
+    # alone. So too when both step sizes share one call, the 0.5 cells
+    # first, so that the 0.3 cells move along the cell axis as cells drop.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
     Ws = [topo.ring(4, 0.9, 0.05), topo.ring(4), topo.fully_connected(4)]
     Ws.append(Ws[-1])
     variants = [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]
     seen = {}
-    for alpha0 in (0.3, 0.5):
-        hps = [hyper(alpha0=alpha0, variant=v) for v in variants]
+    for alphas in ((0.3,), (0.5,), (0.5, 0.3)):
+        hps = [hyper(alpha0=alpha0, variant=v) for alpha0 in alphas for v in variants]
         kw = dict(T=200, seed=7, probe_every=3)
-        outcomes = run(prob, Ws, hps, **kw)
-        for W, hp, out in zip(Ws, hps, outcomes):
+        outcomes = run(prob, Ws * len(alphas), hps, **kw)
+        for W, hp, out in zip(Ws * len(alphas), hps, outcomes):
             try:
                 solo = run(prob, W, hp, **kw)
             except NumericalDivergence as exc:
@@ -469,11 +515,12 @@ def test_group_cells_diverge_on_their_own():
                 assert list(out.record.ts) == list(range(0, out.iteration, 3))
             else:
                 assert out.to_csv() == solo.to_csv()
-        seen[alpha0] = [
+        seen[alphas] = [
             o.iteration if isinstance(o, NumericalDivergence) else None for o in outcomes
         ]
-    assert seen[0.3][0] is not None and seen[0.3][1:] == [None] * 3
-    assert None not in seen[0.5] and len(set(seen[0.5])) > 1
+    assert seen[(0.3,)][0] is not None and seen[(0.3,)][1:] == [None] * 3
+    assert None not in seen[(0.5,)] and len(set(seen[(0.5,)])) > 1
+    assert seen[(0.5, 0.3)] == seen[(0.5,)] + seen[(0.3,)]
 
 
 def test_step_gives_one_verdict_per_cell(quad):
@@ -849,12 +896,6 @@ def test_guard_filter_gives_the_exact_verdict(quad, value):
 
 
 
-# A schedule that reaches every hyper field the recursion reads: a decaying
-# step, tau != 1, and c1 != c2.
-RECURSION_HYPER = dict(alpha0=0.05, c1=1.5, c2=0.8, tau=0.5, decay_factor=0.8,
-                       decay_period=20, fixed_theta=0.2)
-
-
 def iterates(state, *cell):
     """The state's (x, y, z, h), or those of one cell of a (C, n, .) state."""
     return tuple(a[cell] for a in (state.X, state.Y, state.Z, state.H))
@@ -869,10 +910,10 @@ def assert_step_follows_recursion(prob, weights, hp, t, before, after, sample):
     sum_j |w_ij| |a_j| <= max |a|, as a row of W holds convex weights. So x,
     y and z agree to 2 gamma_n max |a| for the local values a they gossip,
     and h, which is not gossiped, agrees exactly. Each step starts from the
-    engine's own state, so no difference carries over from one to the next:
-    the ridge recursion expands some directions (a sampled lower Hessian
-    reaches 2 |features|^2, about 35, against beta = 0.075), so a bound on
-    the whole trajectory would have to model that growth.
+    engine's own state, so no difference carries over from one to the next.
+    A trajectory could not be bounded so: a sampled ridge lower Hessian
+    reaches 2 |features|^2, about 35, so a y-step with beta > 2/35 expands
+    a difference along it.
     """
     local = local_step(prob, hp, t, before, sample)
     n = len(weights)
@@ -909,7 +950,7 @@ def test_every_step_follows_the_recursion_node_by_node(family, variant, monkeypa
     n = prob.n_nodes
     W = topo.ring(n, 0.2, 0.4)
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
-    hp = hyper(variant=variant, **RECURSION_HYPER)
+    hp = hyper(variant=variant, **SCHEDULES[1])  # decaying, tau != 1, c1 != c2
     T, seed = 60, 3
     samples = reference_samples(prob, T, seed)
     state = init(prob, W, hp, seed, X0=X0)
@@ -923,3 +964,40 @@ def test_every_step_follows_the_recursion_node_by_node(family, variant, monkeypa
     for t, (before, after) in enumerate(steps):
         assert_step_follows_recursion(prob, W.weights, hp, t, iterates(before, 0),
                                       iterates(after, 0), samples[t])
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
+def test_every_step_of_a_mixed_call_follows_the_recursion(family, monkeypatch):
+    # One call whose cells differ in every HyperParams field, in topology
+    # and in seed, some seeds shared: every step of step and of run, cell by
+    # cell, against one step of the per-node recursion under that cell's
+    # own hyper. The cells come second-order first and no two are alike, so
+    # the state's cell axis follows the list.
+    prob = family_instance(family)
+    n = prob.n_nodes
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
+    X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
+    variants = (Variant.SECOND_ORDER, Variant.CENTRALIZED, Variant.FIRST_ORDER)
+    cells = [(Ws[j % 3], hyper(variant=v, **SCHEDULES[j]))
+             for v in variants for j in range(len(SCHEDULES))]
+    hps = [hp for _, hp in cells]
+    seeds = [3 + c % 5 for c in range(len(cells))]
+    T = 60
+    samples = {seed: reference_samples(prob, T, seed) for seed in set(seeds)}
+
+    def assert_cells_follow(t, before, after):
+        for c, ((W, hp), seed) in enumerate(zip(cells, seeds)):
+            assert_step_follows_recursion(prob, W.weights, hp, t, iterates(before, c),
+                                          iterates(after, c), samples[seed][t])
+
+    state = init(prob, [W for W, _ in cells], hps, seeds, X0=X0)
+    weights = np.stack([gossip_weights(W.weights, hp.variant) for W, hp in cells])
+    for t in range(T):
+        new = step(prob, weights, hps, state)
+        assert_cells_follow(t, state, new)
+        state = new
+    steps = steps_of_run(monkeypatch, prob, [W for W, _ in cells], hps, T=T, seed=seeds, X0=X0)
+    assert len(steps) == T
+    for t, (before, after) in enumerate(steps):
+        assert before.X.shape[0] == len(cells)
+        assert_cells_follow(t, before, after)
