@@ -4,12 +4,14 @@ Subcommands:
 
     gossipbo run <config.ini> [--out DIR] [--trials N]
     gossipbo validate <config.ini>
-    gossipbo transient <run.csv> <ref.csv> [--rel-tol R] [--window W]
+    gossipbo transient <run.csv> <ref.csv>
 
-Exit codes: 0 success, 1 config or usage error (or a malformed CSV given
-to ``transient``), 2 runtime divergence or a failed cell (partial results
-written; a diverged cell's probes up to the blow-up go to
-``<cell>_partial.csv``, named in its manifest entry), 3 I/O error.
+Exit codes: 0 success, 1 config or usage error (or, from ``transient``, a
+malformed CSV or manifest, or a reference not above its baseline), 2
+runtime divergence or a failed cell (partial results written; a diverged
+cell's probes up to the blow-up go to ``<cell>_partial.csv``, named in its
+manifest entry), 3 I/O error (``transient`` finds no ``manifest.json``
+beside ``<run.csv>``, for one).
 ``validate`` and ``run`` share one ``ExperimentConfig.build``, which ``run``
 makes before it creates the output directory; it checks the run-level
 ranges again, for fields set in code, and builds the problem, the
@@ -43,7 +45,6 @@ import time
 import numpy as np
 
 from . import engine, metrics
-# config_from_dict is not called here, but perfbench traces it as cli.config_from_dict.
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
 from .engine import HyperParams
 from .problem import BilevelProblem, ProblemError
@@ -117,6 +118,15 @@ def _cell_filename(topo_name: str, variant: str, trial: int) -> str:
     return f"{topo_name}_{variant}_trial{trial}.csv"
 
 
+def _transient_question(config: ExperimentConfig, problem: BilevelProblem) -> dict:
+    """``metrics.transient_cutoff``'s keywords for a run of ``config`` on ``problem``. A loss
+    is measured above Phi* when the family gives it, so the tolerance compares optimality gaps."""
+    run = config.run
+    phi_star = problem.phi_star() if run.transient_metric == "upper_loss" else None
+    return dict(metric=run.transient_metric, rel_tol=run.rel_tol, window=run.window,
+                baseline=0.0 if phi_star is None else phi_star)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
     """Build and run the full sweep; returns the process exit code. ``workers`` is ignored."""
     problem, mixing, hypers = config.build()
@@ -147,12 +157,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         with open(path, "w") as fh:
             fh.write(metrics.summarize(recs).to_csv())
 
-    # Transient estimates against the centralized reference, per trial.
-    # Loss-based metrics are measured above the known optimal value when
-    # the problem family provides one, so the relative tolerance compares
-    # optimality gaps rather than raw losses.
-    phi_star = problem.phi_star() if config.run.transient_metric == "upper_loss" else None
-    baseline = 0.0 if phi_star is None else phi_star
+    # Transient estimates against the centralized reference, per trial; one
+    # that cannot be made holds its error in place of a cutoff.
+    question = _transient_question(config, problem)
     transients = []
     for (topo_name, variant, trial), rec in records.items():
         if variant == "centralized":
@@ -160,12 +167,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         ref = records.get(("centralized", "centralized", trial))
         if ref is None:
             continue
-        est = metrics.transient_cutoff(
-            rec, ref, rel_tol=config.run.rel_tol, window=config.run.window,
-            metric=config.run.transient_metric, baseline=baseline,
-        )
-        transients.append(dict(topology=topo_name, variant=variant, trial=trial,
-                               cutoff_iteration=est.cutoff_iteration, matched=est.matched))
+        entry = dict(topology=topo_name, variant=variant, trial=trial)
+        try:
+            est = metrics.transient_cutoff(rec, ref, **question)
+            entry.update(cutoff_iteration=est.cutoff_iteration, matched=est.matched, error=None)
+        except metrics.MetricsError as exc:
+            entry.update(cutoff_iteration=None, matched=None, error=str(exc))
+        transients.append(entry)
 
     topologies = {
         name: {"rho": W.rho, "spectral_gap": 1.0 - W.rho} for name, W in mixing.items()
@@ -208,8 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     p_tr = sub.add_parser("transient", help="transient cutoff of run vs reference CSV")
     p_tr.add_argument("run_csv")
     p_tr.add_argument("ref_csv")
-    p_tr.add_argument("--rel-tol", type=float, default=0.2)
-    p_tr.add_argument("--window", type=int, default=5)
 
     try:
         args = parser.parse_args(argv)
@@ -240,34 +246,31 @@ def main(argv: list[str] | None = None) -> int:
             print("warning: some runs diverged; partial results written", file=sys.stderr)
         return code
 
-    # transient
-    records = []
-    for path in (args.run_csv, args.ref_csv):
+    # transient: the two CSVs, then the config in the run's manifest, which asks the question
+    manifest = os.path.join(os.path.dirname(args.run_csv), "manifest.json")
+    parsed = []
+    for path, parse in ((args.run_csv, metrics.RunRecord.from_csv),
+                        (args.ref_csv, metrics.RunRecord.from_csv),
+                        (manifest, lambda text: config_from_dict(json.loads(text)["config"]))):
         try:
             with open(path) as fh:
-                records.append(metrics.RunRecord.from_csv(fh.read()))
+                parsed.append(parse(fh.read()))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        except ValueError as exc:  # a malformed CSV, or one that is not text
+        # A malformed file, or one that is not text; a manifest without the config's keys.
+        except (ValueError, KeyError, TypeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    rec, ref = records
+    rec, ref, config = parsed
     try:
-        est = metrics.transient_cutoff(rec, ref, rel_tol=args.rel_tol, window=args.window)
-    except metrics.MetricsError as exc:
+        config.run.check()
+        question = _transient_question(config, config.problem.build())
+        est = metrics.transient_cutoff(rec, ref, **question)
+    except (ConfigError, metrics.MetricsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(
-        json.dumps(
-            {
-                "cutoff_iteration": est.cutoff_iteration,
-                "matched": est.matched,
-                "rel_tol": est.rel_tol,
-                "window": est.window,
-            }
-        )
-    )
+    print(json.dumps(dict(cutoff_iteration=est.cutoff_iteration, matched=est.matched, **question)))
     return EXIT_OK
 
 

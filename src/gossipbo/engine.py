@@ -317,8 +317,9 @@ def step(
     ``W`` is the mixing matrix of an (n, .) state, or the (C, n, n) stack of
     the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
     ``hyper`` sets the step sizes and the finite-difference delta: one for
-    every cell, as Python floats, or for a (C, n, .) state one per cell, as
-    (C, 1, 1) arrays of each cell's floats, which round as its floats would.
+    every cell (or a list of one), as Python floats, or for a (C, n, .) state
+    one per cell, as (C, 1, 1) arrays of each cell's floats, which round as
+    its floats would; a list of another length raises ``ConfigMismatch``.
     ``state.fo`` picks each cell's Hessian-vector estimator.
     ``sample`` is the step's (xi, zeta), every cell's rows of a block ``run``
     drew; without it each generator in ``state.rngs`` draws a one-step block,
@@ -329,6 +330,11 @@ def step(
     carries the new state, whose other cells are sound.
     """
     t = state.t
+    if not isinstance(hyper, HyperParams):
+        cells = 1 if state.X.ndim == 2 else len(state.X)
+        if len(hyper) not in (1, cells):
+            raise ConfigMismatch(f"{len(hyper)} hypers for {cells} cells: one, or one per cell")
+        hyper = hyper[0] if len(hyper) == 1 else hyper
     rates = hyper.rates(t) if isinstance(hyper, HyperParams) else (
         np.array([h.rates(t) for h in hyper]).T[..., None, None])  # (5, C, 1, 1)
     tau_alpha, beta, gamma, theta, delta = rates
@@ -404,9 +410,10 @@ def run(
     list, it returns a list aligned with ``W`` whose slots hold each cell's
     RunRecord or its ``NumericalDivergence``: a diverged cell leaves the
     batch while the others go on; its pending probes still reach its
-    record. The wall-clock limit (0: none), which bounds the whole call, or
-    an error from a probe ends the call for every cell, and an earlier
-    probe's error wins.
+    record. The wall-clock limit (0: none), which bounds the whole call and
+    is checked after each probe and every ``BLOCK_STEPS`` steps, or an error
+    from a probe ends the call for every cell, and an earlier probe's error
+    wins.
     """
     for name, value in (("T", T), ("probe_every", probe_every)):
         if not hasattr(value, "__index__") or operator.index(value) < 1:  # floats fail, NaN too
@@ -492,12 +499,13 @@ def run(
                     exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
                     H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],
                 )
-            if (t + 1) % probe_every == 0 or t + 1 == T:
+            probed = (t + 1) % probe_every == 0 or t + 1 == T
+            if probed:
                 probe_live()
-                if wall_limit_s > 0 and time.monotonic() - start > wall_limit_s:
-                    raise EngineError(
-                        f"wall-clock limit {wall_limit_s:.1f}s exceeded at iteration {t + 1}"
-                    )
+            # After each probe and before each block draw, so few probes do not defer the limit.
+            if wall_limit_s > 0 and (probed or (t + 1) % BLOCK_STEPS == 0) and (
+                    time.monotonic() - start > wall_limit_s):
+                raise EngineError(f"wall-clock limit {wall_limit_s}s exceeded at iteration {t + 1}")
     finally:
         flush()  # on an error too: a pending probe's error came first
     # Each cell's rows, in time order, go to its record as one slice.

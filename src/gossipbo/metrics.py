@@ -159,8 +159,6 @@ def probe(problem, state, alpha: float | np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TransientEstimate:
     cutoff_iteration: int
-    rel_tol: float
-    window: int
     matched: bool
 
 
@@ -206,7 +204,9 @@ def transient_cutoff(
 
     ``baseline`` is subtracted from both curves first; passing the known
     optimal value of a loss metric makes the relative comparison
-    scale-free near convergence.
+    scale-free near convergence. The smoothed reference must then be > 0 at
+    every probe, or no relative tolerance is meaningful: a MetricsError
+    names the metric and the first probe where it is not.
     """
     if not hasattr(window, "__index__") or operator.index(window) < 1:  # floats fail, NaN too
         raise MetricsError(f"window must be an integer >= 1, got {window!r}")
@@ -219,13 +219,16 @@ def transient_cutoff(
         raise EmptyInput("records contain no probes")
     dec = _trailing_median(decentralized.column(metric) - baseline, window)
     cen = _trailing_median(centralized.column(metric) - baseline, window)
+    low = np.flatnonzero(~(cen > 0))  # NaN too
+    if low.size:
+        raise MetricsError(f"the smoothed {metric} reference less the baseline {baseline!r} "
+                           f"is not > 0 at t={td[low[0]]}")
     ok = dec <= (1.0 + rel_tol) * cen
     # Smallest index from which every later probe satisfies the bound.
     failed = np.flatnonzero(~ok)
     idx = int(failed[-1]) + 1 if failed.size else 0
     matched = idx < len(ok)
-    return TransientEstimate(cutoff_iteration=int(td[idx if matched else -1]), rel_tol=rel_tol,
-                             window=window, matched=matched)
+    return TransientEstimate(cutoff_iteration=int(td[idx if matched else -1]), matched=matched)
 
 
 class SummaryTable(_Table):

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import math
 import os
 import re
 
@@ -416,23 +417,38 @@ def test_manifest_records_spectral_gaps_and_versions(tmp_path):
     assert all(cell["partial_csv"] is None for cell in manifest["cells"])
 
 
-def test_cli_transient_subcommand(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"]) == 0
-    code = cli.main(
-        [
-            "transient",
-            str(out / "ring_so_trial0.csv"),
-            str(out / "centralized_trial0.csv"),
-            "--rel-tol",
-            "0.5",
-            "--window",
-            "3",
-        ]
-    )
-    assert code == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert {"cutoff_iteration", "matched", "rel_tol", "window"} <= set(payload)
+MILD_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "ridge_heterogeneity_mild.ini")
+
+
+def ridge_mild_run(tmp_path):
+    """The mild ridge config's output directory, one trial, its horizon cut to 3000."""
+    with open(MILD_CONFIG) as fh:
+        text = re.sub(r"(?m)^t = \d+$", "t = 3000", fh.read())
+    out = tmp_path / "mild"
+    assert cli.main(["run", write_config(tmp_path, text), "--out", str(out), "--trials", "1"]) == 0
+    return out
+
+
+def test_cli_transient_answers_the_manifests_question(tmp_path, capsys):
+    # The manifest's upper_loss over Phi*, not grad_sq_norm over 0, which
+    # ridge holds at 0 and so answers cutoff 0, matched, for every cell.
+    out = ridge_mild_run(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = config_from_dict(manifest["config"])
+    question = dict(metric="upper_loss", rel_tol=config.run.rel_tol, window=config.run.window,
+                    baseline=config.problem.build().phi_star())
+    estimates = manifest["transient_estimates"]
+    assert {e["topology"]: e["cutoff_iteration"] for e in estimates} == \
+        {"full": 0, "ring": 2800, "torus": 2300}
+    capsys.readouterr()
+    for e in estimates:
+        assert e["error"] is None
+        code = cli.main(["transient", str(out / f"{e['topology']}_{e['variant']}_trial0.csv"),
+                         str(out / "centralized_trial0.csv")])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == dict(
+            cutoff_iteration=e["cutoff_iteration"], matched=e["matched"], **question)
 
 
 @pytest.mark.parametrize("window", ["0", "-3"])
@@ -596,9 +612,11 @@ def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
     (["run", "CONFIG", "--trials", "x"], cli.EXIT_CONFIG),
     (["run", "CONFIG", "--workers", "3"], cli.EXIT_CONFIG),
     (["transient", "a.csv"], cli.EXIT_CONFIG),
+    (["transient", "a.csv", "b.csv", "--rel-tol", "0.5"], cli.EXIT_CONFIG),
     ([], cli.EXIT_CONFIG),
     (["run", "--help"], cli.EXIT_OK),
-], ids=["unknown-flag", "bad-trials", "workers-flag", "missing-ref", "no-command", "help"])
+], ids=["unknown-flag", "bad-trials", "workers-flag", "missing-ref", "transient-rel-tol",
+        "no-command", "help"])
 def test_usage_errors_exit_as_config_errors(tmp_path, capsys, argv, code):
     # argparse would exit 2, the code of a diverged or failed cell.
     path = write_config(tmp_path)
@@ -607,25 +625,62 @@ def test_usage_errors_exit_as_config_errors(tmp_path, capsys, argv, code):
     assert "usage:" in (captured.out if code == cli.EXIT_OK else captured.err)
 
 
-def test_cli_transient_rejects_window_below_one(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("window", 0), ("rel_tol", -1.0), ("rel_tol", math.nan)])
+def test_cli_transient_rejects_a_manifest_question_out_of_range(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["run"][key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     code = cli.main(["transient", str(out / "ring_so_trial0.csv"),
-                     str(out / "centralized_trial0.csv"), "--window", "0"])
+                     str(out / "centralized_trial0.csv")])
     assert code == cli.EXIT_CONFIG
-    assert "window" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: [run] ") and key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("rel_tol", ["-1", "nan"])
-def test_cli_transient_rejects_negative_rel_tol(tmp_path, capsys, rel_tol):
+@pytest.mark.parametrize("manifest, code", [
+    (None, cli.EXIT_IO),
+    ("{not json", cli.EXIT_CONFIG),
+    ("{}", cli.EXIT_CONFIG),
+    ('{"config": {"problem": {"family": "ridge_tuning", "bogus": 1}}}', cli.EXIT_CONFIG),
+], ids=["missing", "not-json", "no-config", "unknown-key"])
+def test_cli_transient_needs_a_readable_manifest_beside_the_run_csv(tmp_path, capsys, manifest,
+                                                                    code):
     out = tmp_path / "out"
     assert cli.main(["run", write_config(tmp_path), "--out", str(out), "--trials", "1"]) == 0
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for name in ("ring_so_trial0.csv", "centralized_trial0.csv"):
+        (alone / name).write_bytes((out / name).read_bytes())
+    if manifest is not None:
+        (alone / "manifest.json").write_text(manifest)
+    capsys.readouterr()
+    assert cli.main(["transient", str(alone / "ring_so_trial0.csv"),
+                     str(alone / "centralized_trial0.csv")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "manifest.json" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_reference_at_its_baseline_gives_an_error_not_a_cutoff(tmp_path, capsys):
+    # Ridge's grad_sq_norm is 0 at every probe, so no relative tolerance applies.
+    text = GOOD_CONFIG.replace("transient_metric = upper_loss", "transient_metric = grad_sq_norm")
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, text), "--out", str(out), "--trials", "1"]) == 0
+    estimates = json.loads((out / "manifest.json").read_text())["transient_estimates"]
+    assert len(estimates) == 2
+    for e in estimates:
+        assert e["cutoff_iteration"] is None and e["matched"] is None
+        assert e["error"].startswith("the smoothed grad_sq_norm reference")
     capsys.readouterr()
     code = cli.main(["transient", str(out / "ring_so_trial0.csv"),
-                     str(out / "centralized_trial0.csv"), "--rel-tol", rel_tol])
+                     str(out / "centralized_trial0.csv")])
     assert code == cli.EXIT_CONFIG
-    assert "rel_tol" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {estimates[0]['error']}\n"
 
 
 def test_torus_size_mismatch_rejected_by_validate_and_run(tmp_path, capsys):

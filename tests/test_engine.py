@@ -120,6 +120,17 @@ def test_step_advances_counter_and_keeps_shapes(quad):
     assert st1.rngs[0] is st0.rngs[0]  # the generator advances in place
 
 
+def test_step_takes_a_list_of_one_hyper_as_run_does(quad):
+    W = topo.ring(4)
+    hp = hyper(variant=Variant.CENTRALIZED)
+    one = step(quad, W, hp, init(quad, W, hp, seed=1))
+    listed = step(quad, W, [hp], init(quad, W, hp, seed=1))
+    for a, b in zip(iterates(one), iterates(listed)):
+        assert np.array_equal(a, b)
+    with pytest.raises(ConfigMismatch, match="2 hypers"):
+        step(quad, W, [hp, hp], init(quad, W, hp, seed=1))
+
+
 def test_zero_steps_reduce_to_gossip(quad):
     # With all step sizes zero the update is one gossip round of X, Y, Z
     # while h stays fixed (it is a local moving average, not mixed).
@@ -244,6 +255,16 @@ def test_wall_limit_enforced(quad):
     W = topo.ring(4)
     with pytest.raises(EngineError):
         run(quad, W, hyper(), T=5000, seed=0, probe_every=10, wall_limit_s=1e-9)
+
+
+def test_wall_limit_bounds_a_call_with_no_probe_before_the_horizon(quad):
+    # 20000 steps take far longer than 0.05 s; the limit is checked every
+    # BLOCK_STEPS steps, not only at the probe at T, and named as given.
+    T = 20_000
+    with pytest.raises(EngineError, match=r"limit 0\.05s exceeded") as raised:
+        run(quad, topo.ring(4), hyper(), T=T, seed=0, probe_every=T, wall_limit_s=0.05)
+    iteration = int(re.search(r"iteration (\d+)", str(raised.value)).group(1))
+    assert iteration < T and iteration % BLOCK_STEPS == 0
 
 
 def test_ridge_end_to_end_smoke():

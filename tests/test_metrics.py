@@ -403,6 +403,20 @@ def test_transient_cutoff_rejects_negative_rel_tol(rel_tol):
         transient_cutoff(rec, rec, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("metric, values, baseline, first", [
+    ("grad_sq_norm", [0.0, 0.0, 0.0], 0.0, 0),
+    ("upper_loss", [3.0, 2.0, 1.0], 1.5, 200),
+    ("consensus_error", [1.0, math.nan, 1.0], 0.0, 100),
+], ids=["all-zero", "below-the-baseline", "nan"])
+def test_transient_cutoff_rejects_a_reference_not_above_its_baseline(metric, values, baseline,
+                                                                     first):
+    # A reference of 0 passes any decentralized value of 0, and a negative
+    # one turns "within (1 + rel_tol)" upside down: no cutoff is meaningful.
+    ref = make_record([0, 100, 200], values, metric)
+    with pytest.raises(MetricsError, match=rf"{metric} .* at t={first}$"):
+        transient_cutoff(ref, ref, rel_tol=0.2, window=1, metric=metric, baseline=baseline)
+
+
 def test_transient_cutoff_grid_mismatch():
     a = make_record([0, 100], [1.0, 1.0])
     b = make_record([0, 50], [1.0, 1.0])
