@@ -184,9 +184,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> 
         "config_hash": hashlib.sha256(config_json.encode()).hexdigest(),
         "cells": [{k: v for k, v in r.items() if k != "record"} for r in results],
         "transient_estimates": transients,
-        "transient_metric": config.run.transient_metric,
-        "rel_tol": config.run.rel_tol,
-        "window": config.run.window,
         "topologies": topologies,
         # The CSVs depend on NumPy's Generator streams.
         "python_version": platform.python_version(),

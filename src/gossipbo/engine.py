@@ -60,8 +60,8 @@ _SMALL_SUM_SQ = (DIVERGENCE_LIMIT / 2) ** 2
 BLOCK_STEPS = 16
 # Node rows (probed cells times nodes) that ``run`` evaluates in one probe
 # call at most; a probe with more is evaluated alone. In node rows, not
-# probes, because the exact helpers build the dense lower Hessian from a
-# stack of p such rows.
+# probes, because where the lower Hessian depends on the point (ridge,
+# log-cosh) the exact helpers build it from a stack of p such rows.
 PROBE_NODE_ROWS = 512
 
 
@@ -125,8 +125,8 @@ class HyperParams:
             raise ValueError("alpha0 must be finite and >= 0")
         if not (0 < self.decay_factor <= 1):
             raise ValueError("decay_factor must be in (0, 1]")
-        if not self.decay_period >= 1:
-            raise ValueError("decay_period must be >= 1")
+        if not hasattr(self.decay_period, "__index__") or operator.index(self.decay_period) < 1:
+            raise ValueError(f"decay_period must be an integer >= 1, got {self.decay_period!r}")
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be finite and > 0")
         if not all(0 < c < np.inf for c in (self.c1, self.c2, self.c3)):
@@ -139,21 +139,11 @@ class HyperParams:
     def alpha(self, t: int) -> float:
         return self.alpha0 * self.decay_factor ** (t // self.decay_period)
 
-    def beta(self, t: int) -> float:
-        return self.c1 * self.alpha(t)
-
-    def gamma(self, t: int) -> float:
-        return self.c2 * self.alpha(t)
-
-    def theta(self, t: int) -> float:
-        if self.fixed_theta is not None:
-            return self.fixed_theta
-        return self.c3 * self.alpha(t)
-
     def rates(self, t: int) -> tuple[float, ...]:
         """A step's (tau alpha_t, beta_t, gamma_t, theta_t, delta), as Python floats."""
         alpha = self.alpha(t)
-        return self.tau * alpha, self.c1 * alpha, self.c2 * alpha, self.theta(t), self.delta
+        theta = self.c3 * alpha if self.fixed_theta is None else self.fixed_theta
+        return self.tau * alpha, self.c1 * alpha, self.c2 * alpha, theta, self.delta
 
 
 @dataclass

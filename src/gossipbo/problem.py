@@ -18,7 +18,9 @@ y*(x), one row per point, from a caller that has already solved for it.
 Derivative oracles are matrix-free: Hessian/Jacobian information is exposed
 only through vector products. Dense matrices appear only inside the
 verification helpers, which assemble the p x p lower Hessian from one
-product call on a stack of basis vectors at desk scale.
+product call on a stack of basis vectors at desk scale, broadcast only as
+far as the family's product needs: over the points only where the Hessian
+depends on the point (ridge, log-cosh; not the quadratic).
 
 Each derivative is one oracle with an optional sample: with none it is the
 exact oracle the verification helpers use, with one the sampled oracle the
@@ -207,13 +209,15 @@ def _mean_grad_y_g(problem: BilevelProblem, x, y) -> np.ndarray:
 
 def dense_lower_hessian(problem: BilevelProblem, x, y) -> np.ndarray:
     """Network-mean lower Hessian (..., p, p) at each point: column k is the
-    node mean of the products with e_k, all p basis vectors in one call."""
+    node mean of the products with e_k, all p basis vectors in one call. The
+    basis broadcasts only as far as the product does, so a Hessian that
+    ignores the point is assembled once and then broadcast to every point."""
     p = problem.dim_y
     X, Y = _rows(problem, x), _rows(problem, y)
     basis = np.eye(p).reshape((p,) + (1,) * (Y.ndim - 1) + (p,))
-    E = np.broadcast_to(basis, (p,) + Y.shape)
-    columns = _mean_over_nodes(problem.hess_yy_g(X[None], Y[None], E))
-    return np.ascontiguousarray(np.moveaxis(columns, 0, -1))
+    columns = _mean_over_nodes(problem.hess_yy_g(X[None], Y[None], basis))
+    H = np.moveaxis(columns, 0, -1)
+    return np.ascontiguousarray(np.broadcast_to(H, Y.shape[:-2] + (p, p)))
 
 
 def _newton(problem: BilevelProblem, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:

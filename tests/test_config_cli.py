@@ -281,7 +281,7 @@ def test_cli_run_writes_outputs(tmp_path):
     assert "centralized_trial0.csv" in names
     assert "summary_ring_so.csv" in names
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["transient_metric"] == "upper_loss"
+    assert manifest["config"]["run"]["transient_metric"] == "upper_loss"
     cells = {(c["topology"], c["variant"], c["trial"]) for c in manifest["cells"]}
     assert ("ring", "so", 0) in cells and ("centralized", "centralized", 0) in cells
     estimates = {

@@ -44,11 +44,12 @@ def test_hyperparams_schedules():
     assert hp.alpha(9) == pytest.approx(0.1)
     assert hp.alpha(10) == pytest.approx(0.08)
     assert hp.alpha(25) == pytest.approx(0.1 * 0.8**2)
-    assert hp.beta(0) == pytest.approx(0.2)
-    assert hp.gamma(0) == pytest.approx(0.3)
-    assert hp.theta(0) == pytest.approx(0.05)
+    _, beta, gamma, theta, _ = hp.rates(0)
+    assert beta == pytest.approx(0.2)
+    assert gamma == pytest.approx(0.3)
+    assert theta == pytest.approx(0.05)
     pinned = HyperParams(alpha0=0.1, fixed_theta=0.2)
-    assert pinned.theta(12345) == pytest.approx(0.2)
+    assert pinned.rates(12345)[3] == pytest.approx(0.2)
 
 
 def test_hyperparams_validation():
@@ -60,6 +61,11 @@ def test_hyperparams_validation():
         HyperParams(alpha0=0.1, decay_period=0)
     with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, decay_factor=0.8, decay_period=np.nan)
+    # A stage is a whole number of steps: 2.5 would decay at t = 3, 5, 8,
+    # and inf never.
+    for period in (2.5, np.inf):
+        with pytest.raises(ValueError, match="decay_period"):
+            HyperParams(alpha0=0.1, decay_factor=0.5, decay_period=period)
     with pytest.raises(ValueError):
         HyperParams(alpha0=0.1, tau=0.0)
     with pytest.raises(ValueError):

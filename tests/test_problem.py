@@ -261,23 +261,27 @@ def test_dense_lower_hessian_matches_family_matrix(quad):
 def test_dense_lower_hessian_is_one_product_call(family, request, monkeypatch):
     # One hess_yy_g call on a stack of basis rows assembles the Hessian at
     # every point of a stack; each equals the column-by-column assembly from
-    # one product per basis vector at that point alone, bit for bit.
+    # one product per basis vector at that point alone, bit for bit. The
+    # product spans the points only where the Hessian depends on the point:
+    # the quadratic's is one (p, 1, n, p) product however many points.
     prob = request.getfixturevalue(family)
     rng = np.random.default_rng(8)
     x = 0.1 + np.abs(rng.standard_normal((3, prob.dim_x)))
     y = rng.standard_normal((3, prob.dim_y))
-    calls = []
+    shapes = []
     product = prob.hess_yy_g
 
     def counted(*args):
-        calls.append(1)
-        return product(*args)
+        out = product(*args)
+        shapes.append(out.shape)
+        return out
 
     monkeypatch.setattr(prob, "hess_yy_g", counted)
     H = dense_lower_hessian(prob, x, y)
-    assert len(calls) == 1 and H.shape == (3, prob.dim_y, prob.dim_y)
+    n, p = prob.n_nodes, prob.dim_y
+    assert shapes == [(p, 1 if family == "quad" else 3, n, p)]
+    assert H.shape == (3, p, p)
     monkeypatch.undo()
-    n = prob.n_nodes
     for k in range(3):
         X, Y = rows(prob, x[k]), rows(prob, y[k])
         columns = [
