@@ -1,7 +1,6 @@
 """Decentralized single-loop stochastic bilevel optimization over gossip topologies."""
 
-from .directions import HvpPair, hvp_fo, hvp_so
-from .engine import HyperParams, SwarmState, Variant, init, run, step
+from .engine import HvpPair, HyperParams, SwarmState, Variant, hvp_fo, hvp_so, init, run, step
 from .metrics import (
     RunRecord,
     TransientEstimate,

@@ -36,10 +36,6 @@ class ConfigError(ValueError):
     pass
 
 
-class ParseError(ConfigError):
-    pass
-
-
 class ValidationError(ConfigError):
     pass
 
@@ -268,7 +264,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ParseError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
     if "problem" not in cp:
         raise ValidationError("missing [problem] section")

@@ -21,6 +21,11 @@ leading block of the cell axis and the first-order one the tail. Every
 operation acts on each cell alone, so a cell's trajectory is the one its
 own run gives, bit for bit; a single cell is the case C = 1.
 
+Both estimators take the stacked (..., n, .) swarm. ``hvp_so`` applies the
+sampled Hessian and Jacobian to z; ``hvp_fo`` takes central differences of
+sampled first-order gradients at Y + delta Z and Y - delta Z on one sample,
+so on quadratic lower levels it matches ``hvp_so`` up to rounding.
+
 ``run`` draws the samples of up to ``BLOCK_STEPS`` steps at a time
 (``BilevelProblem.draw_block``), which leaves every generator where the
 same number of single steps would. The pending block holds each
@@ -48,7 +53,6 @@ from enum import Enum
 import numpy as np
 
 from . import metrics as metrics_mod
-from .directions import HvpPair, hvp_fo, hvp_so
 from .problem import BilevelProblem
 from .topology import MixingMatrix
 
@@ -259,6 +263,43 @@ def _take(sample, index):
     return None if sample is None else tuple(a[index] for a in sample)
 
 
+class DegenerateDelta(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class HvpPair:
+    p_h: np.ndarray  # (..., n, p): row i approximates (d^2 g_i / dy dy) z_i
+    p_j: np.ndarray  # (..., n, d): row i approximates (d^2 g_i / dx dy) z_i
+
+
+def hvp_so(problem: BilevelProblem, X, Y, Z, sample) -> HvpPair:
+    """Sampled second-order products."""
+    return HvpPair(
+        p_h=problem.shess_yy_g(X, Y, Z, sample), p_j=problem.scross_xy_g(X, Y, Z, sample)
+    )
+
+
+def hvp_fo(problem: BilevelProblem, X, Y, Z, delta: float | np.ndarray, sample) -> HvpPair:
+    """Central-difference products from first-order gradients only.
+
+    Both perturbed evaluations reuse the same sample, and each oracle
+    evaluates them as one call on the stacked pair (Y + delta Z, Y - delta Z);
+    leading axes are batch axes, so each half is what its own call gives.
+    ``delta`` is a float, or one per cell, such as (C, 1, 1). The squared
+    bias is bounded by (1/3) L^2 delta^2 |z|^4 with L the Hessian-Lipschitz
+    constant of the lower loss.
+    """
+    low, high = (delta.min(), delta.max()) if isinstance(delta, np.ndarray) else (delta, delta)
+    if not 0 < low <= high < np.inf:  # NaN too
+        raise DegenerateDelta(f"delta must be finite and positive, got {delta}")
+    dZ = delta * Z
+    Y_pm = np.stack([Y + dZ, Y - dZ])
+    gy = problem.sgrad_y_g(X[None], Y_pm, sample)
+    gx = problem.sgrad_x_g(X[None], Y_pm, sample)
+    return HvpPair(p_h=(gy[0] - gy[1]) / (2.0 * delta), p_j=(gx[0] - gx[1]) / (2.0 * delta))
+
+
 def _hvp(problem, delta, state, zeta):
     """Each cell's products under its estimator: so on the leading cells, fo on the tail."""
     X, Y, Z = state.X, state.Y, state.Z
@@ -271,17 +312,6 @@ def _hvp(problem, delta, state, zeta):
     tail = delta[k:] if isinstance(delta, np.ndarray) else delta  # each fo cell's own delta
     fo = hvp_fo(problem, X[k:], Y[k:], Z[k:], tail, _take(zeta, slice(k, None)))
     return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
-
-
-def _node_terms(problem, delta, state, sample):
-    """Sampled directions of every node of every cell from the iteration-t snapshot."""
-    X, Y = state.X, state.Y
-    xi, zeta = sample
-    pair = _hvp(problem, delta, state, zeta)
-    Gy = problem.sgrad_y_g(X, Y, zeta)
-    Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
-    Omega = problem.sgrad_x_f(X, Y, xi) - pair.p_j
-    return Gy, Dz, Omega
 
 
 def _weights(W: MixingMatrix, hyper: HyperParams) -> np.ndarray:
@@ -331,7 +361,13 @@ def step(
     Wm = W if isinstance(W, np.ndarray) else _weights(W, hyper)
     if sample is None:
         sample = _rows_of(_draw_block(problem, state, 1), 0, state.stream)
-    Gy, Dz, Omega = _node_terms(problem, delta, state, sample)
+    # Every node's sampled directions, from the iteration-t snapshot.
+    X, Y = state.X, state.Y
+    xi, zeta = sample
+    pair = _hvp(problem, delta, state, zeta)
+    Gy = problem.sgrad_y_g(X, Y, zeta)
+    Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
+    Omega = problem.sgrad_x_f(X, Y, xi) - pair.p_j
     Xn = Wm @ (state.X - tau_alpha * state.H)
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)

@@ -44,12 +44,13 @@ class EmptyInput(MetricsError):
 
 class _Table:
     """Rows of an integer t, strictly increasing, and a float under each later ``header`` name,
-    filed in blocks joined on the first read after a write; every array is read-only."""
+    held as one (t, values) pair of read-only arrays."""
 
     header: list[str]
 
     def __init__(self, ts=(), values=()) -> None:
-        self._blocks = [(np.empty(0, dtype=np.int64), np.empty((0, len(self.header) - 1)))]
+        self._ts = np.empty(0, dtype=np.int64)
+        self._values = np.empty((0, len(self.header) - 1))
         if len(ts):
             self.add_probe(ts, values)
 
@@ -59,33 +60,26 @@ class _Table:
         values = np.array(values, dtype=float, ndmin=2)
         if values.shape != (len(ts), len(self.header) - 1):
             raise MetricsError(f"{values.shape} values for {len(ts)} rows of {self.header}")
-        if (ts[:1] <= self._blocks[-1][0][-1:]).any() or (ts[1:] <= ts[:-1]).any():
+        if (ts[:1] <= self._ts[-1:]).any() or (ts[1:] <= ts[:-1]).any():
             raise MetricsError("probe iterations must be strictly increasing")
-        if len(ts):
-            ts.flags.writeable = values.flags.writeable = False
-            self._blocks.append((ts, values))
-
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        if len(self._blocks) > 1:
-            ts, values = (np.concatenate(parts) for parts in zip(*self._blocks))
-            ts.flags.writeable = values.flags.writeable = False
-            self._blocks = [(ts, values)]
-        return self._blocks[0]
+        self._ts = np.concatenate([self._ts, ts])
+        self._values = np.concatenate([self._values, values])
+        self._ts.flags.writeable = self._values.flags.writeable = False
 
     @property
     def ts(self) -> np.ndarray:
-        return self._table()[0].view()
+        return self._ts.view()
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.header[1:]:
             raise MetricsError(f"no column {name!r} in {self.header[1:]}")
-        return self._table()[1][:, self.header.index(name) - 1]
+        return self._values[:, self.header.index(name) - 1]
 
     def to_csv(self) -> str:
         """t as an int and every other cell as its float repr, which needs no quoting."""
-        ts, values = self._table()
         lines = [",".join(self.header)]
-        lines += [f"{t},{','.join(map(repr, v))}" for t, v in zip(ts.tolist(), values.tolist())]
+        lines += [f"{t},{','.join(map(repr, v))}"
+                  for t, v in zip(self._ts.tolist(), self._values.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -244,7 +238,7 @@ def summarize(records: list[RunRecord]) -> SummaryTable:
     ts = records[0].ts
     if any(not np.array_equal(rec.ts, ts) for rec in records[1:]):
         raise GridMismatch("records are not probed on a common grid")
-    stacked = np.stack([rec._table()[1][:, : len(PROBE_METRICS)] for rec in records])
+    stacked = np.stack([rec._values[:, : len(PROBE_METRICS)] for rec in records])
     mean, k = stacked.mean(axis=0), len(records)
     stderr = stacked.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros_like(mean)
     # Each metric's mean, then its standard error: SUMMARY_HEADER's order.

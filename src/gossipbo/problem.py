@@ -197,9 +197,14 @@ def _rows(problem: BilevelProblem, v) -> np.ndarray:
 def _mean_over_nodes(A: np.ndarray) -> np.ndarray:
     """Mean over the node axis (-2), summed node by node in node order.
 
-    A running sum rather than ``A.mean(axis=-2)``, which sums a single
-    column pairwise: this way the rounding does not depend on the width.
+    On a C-contiguous A wider than one column, ``np.add.reduce`` adds whole
+    node rows in order, from a start of -0.0 so that a column of -0.0 sums
+    to -0.0. Where the node axis is the innermost loop (one column, or
+    another layout), it would sum pairwise, as ``A.mean(axis=-2)`` does, so
+    there a running sum keeps the rounding independent of the layout.
     """
+    if A.shape[-1] > 1 and A.flags.c_contiguous:
+        return np.add.reduce(A, axis=-2, initial=-0.0) / A.shape[-2]
     return np.cumsum(A, axis=-2)[..., -1, :] / A.shape[-2]
 
 

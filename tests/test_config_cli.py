@@ -266,6 +266,23 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (GOOD_CONFIG.replace("seed = 42", "seed = 42\nseed = 43"), "option 'seed'"),
+    (GOOD_CONFIG + "\n[topology.ring]\nkind = ring\n", "section 'topology.ring'"),
+    ("family = ridge_tuning\n" + GOOD_CONFIG, "no section headers"),
+], ids=["duplicate-option", "duplicate-section", "key-before-any-section"])
+def test_ini_syntax_error_is_a_config_error(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    for argv in (["validate", path], ["run", path, "--out", str(out), "--trials", "1"]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_io_error(tmp_path):
     assert cli.main(["validate", str(tmp_path / "nope.ini")]) == cli.EXIT_IO
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipbo.directions import DegenerateDelta, hvp_fo, hvp_so
+from gossipbo.engine import DegenerateDelta, hvp_fo, hvp_so
 from gossipbo.problem import (
     make_logcosh,
     make_quadratic,

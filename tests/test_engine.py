@@ -117,6 +117,33 @@ def test_init_rejects_a_first_order_cell_before_a_second_order_one(quad):
     assert init(quad, Ws, [so, fo], seed=0).fo.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("variants, calls", [
+    (["so", "so", "fo"], dict(so=1, fo=1)),
+    (["so", "so"], dict(so=1, fo=0)),
+], ids=["mixed", "so-only"])
+def test_step_calls_each_estimator_once_by_its_engine_name(quad, monkeypatch, variants, calls):
+    # perfbench's tracer wraps engine.hvp_so and engine.hvp_fo by name, so a
+    # step must look both up as engine globals and call each at most once.
+    import gossipbo
+
+    assert (gossipbo.hvp_so, gossipbo.hvp_fo, gossipbo.HvpPair) == (
+        engine.hvp_so, engine.hvp_fo, engine.HvpPair)
+    counts = dict(so=0, fo=0)
+    for name in counts:
+        original = getattr(engine, f"hvp_{name}")
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, f"hvp_{name}", counted)
+    hps = [hyper(variant=v) for v in variants]
+    Ws = [topo.ring(4)] * len(hps)
+    weights = np.stack([engine._weights(W, hp) for W, hp in zip(Ws, hps)])
+    step(quad, weights, hps, init(quad, Ws, hps, seed=[1] * len(hps)))
+    assert counts == calls
+
+
 def test_step_advances_counter_and_keeps_shapes(quad):
     W = topo.ring(4)
     st0 = init(quad, W, hyper(), seed=1)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipbo.directions import hvp_fo, hvp_so
+from gossipbo.engine import hvp_fo, hvp_so
 from gossipbo.problem import (
     FEATURE_HALF_WIDTH,
     FEATURE_VAR,
     LowerSolveDiverged,
     SingularHessian,
     _dot,
+    _mean_over_nodes,
     dense_lower_hessian,
     hypergradient_exact,
     lower_solve,
@@ -290,6 +291,27 @@ def test_dense_lower_hessian_is_one_product_call(family, request, monkeypatch):
         ]
         assert np.column_stack(columns).tobytes() == H[k].tobytes(), k
         assert dense_lower_hessian(prob, x[k], y[k]).tobytes() == H[k].tobytes(), k
+
+
+@pytest.mark.parametrize("width", [1, 2, 10])
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 100])
+def test_mean_over_nodes_sums_node_by_node(n, width):
+    # Byte for byte, sign bit included, as a node-by-node loop sums: -0.0
+    # plus -0.0 is -0.0, so a column of -0.0 must not come back as +0.0.
+    rng = np.random.default_rng(1000 * n + width)
+    A = rng.choice([-1.0, 1.0], (5, n, width)) * 10.0 ** rng.uniform(-8, 8, (5, n, width))
+    A[rng.random(A.shape) < 0.2] = 0.0
+    A[rng.random(A.shape) < 0.2] = -0.0
+    A[1, :, 0] = -0.0
+    A[2] = -0.0
+    expected = A[:, 0].copy()
+    for i in range(1, n):
+        expected = expected + A[:, i]
+    expected = expected / n
+    assert np.signbit(expected[2]).all()
+    # A layout whose node axis is innermost in memory sums the same.
+    for layout in (A, np.ascontiguousarray(A.swapaxes(-1, -2)).swapaxes(-1, -2)):
+        assert _mean_over_nodes(layout).tobytes() == expected.tobytes()
 
 
 def test_z_star_solves_linear_system(quad):
