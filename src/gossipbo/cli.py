@@ -17,8 +17,9 @@ makes before it creates the output directory; it checks the run-level
 ranges again, for fields set in code, and builds the problem, the
 topologies and each variant's HyperParams once. ``base_seed`` must be
 >= 0, ``--trials`` >= 1, the step sizes finite, torus ``rows`` and
-``cols`` >= 1, and no variant may be listed twice. GOSSIPBO_OUT sets the
-default output directory.
+``cols`` >= 1, and no variant may be listed twice. A ``custom`` topology's
+relative ``path`` names a file in the config file's directory. GOSSIPBO_OUT
+sets the default output directory.
 
 The sweep runs in this process as one engine call: every trial's so and
 fo cells of every topology with its centralized cell, on one problem
@@ -223,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.config) as fh:
                 config = parse_config(fh.read())
+            for tc in config.topologies:  # a relative custom path is read beside the INI
+                if tc.kind == "custom":
+                    tc.path = os.path.join(os.path.dirname(args.config), tc.path)
             if args.command == "validate":
                 config.build()
                 print("config OK")

@@ -157,26 +157,23 @@ class TransientEstimate:
 
 
 def _trailing_median(values: np.ndarray, window: int) -> np.ndarray:
-    """Median of each value and up to ``window - 1`` before it (NaN for window < 1).
+    """Median of probe i's last ``min(i + 1, window)`` values (NaN for window < 1).
 
     Medians are order statistics: this equals a window-by-window loop bit for bit.
     """
     values = np.asarray(values, dtype=float)
-    out = np.full(len(values), math.nan)
-    m = min(window - 1, len(values))
-    if m > 0:
-        # Row i of the sorted prefixes holds the first i + 1 values, then +inf.
-        prefixes = np.sort(np.where(np.tri(m, dtype=bool), values[:m], math.inf), axis=1)
-        i = np.arange(m)
-        # np.median takes the mean of the middle value or pair, and that
-        # sum starts from +0.0 (so a -0.0 median reads +0.0).
-        head = 0.0 + prefixes[i, i // 2]
-        pair = i % 2 == 1
-        head[pair] = (head[pair] + prefixes[i[pair], i[pair] // 2 + 1]) / 2
-        head[np.logical_or.accumulate(np.isnan(values[:m]))] = math.nan
-        out[:m] = head
-    if 0 < window <= len(values):
-        out[window - 1 :] = np.median(sliding_window_view(values, window), axis=-1)
+    n, w = len(values), min(window, len(values))
+    if w < 1:
+        return np.full(n, math.nan)
+    # Row i is probe i's window, sorted; +inf pads the first w - 1 rows and sorts last but NaN.
+    rows = np.sort(sliding_window_view(np.concatenate([np.full(w - 1, math.inf), values]), w))
+    i, k = np.arange(n), np.minimum(np.arange(1, n + 1), w)
+    # NumPy's median is the mean of the middle value or pair, a sum that
+    # starts from +0.0 (so a -0.0 median reads +0.0); NaN sorts last.
+    out = 0.0 + rows[i, (k - 1) // 2]
+    pair = k % 2 == 0
+    out[pair] = (out[pair] + rows[i[pair], k[pair] // 2]) / 2
+    out[np.isnan(rows[:, -1])] = math.nan
     return out
 
 

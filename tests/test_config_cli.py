@@ -249,6 +249,28 @@ def test_custom_topology_via_file(tmp_path):
     assert abs(built.rho - W.rho) < 1e-10
 
 
+def test_cli_reads_a_relative_custom_path_beside_the_config(tmp_path, monkeypatch, capsys):
+    # mf/config.ini names its matrix as mix.txt, and both commands run from mf's parent.
+    W = topo.exponential(9)
+    (tmp_path / "mf").mkdir()
+    (tmp_path / "mf" / "mix.txt").write_text(
+        "9\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in W.weights)
+    )
+    write_config(tmp_path / "mf", GOOD_CONFIG.replace(
+        "kind = adjusted_ring", "kind = custom\npath = mix.txt"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["validate", os.path.join("mf", "config.ini")]) == cli.EXIT_OK
+    assert "config OK" in capsys.readouterr().out
+    code = cli.main(["run", os.path.join("mf", "config.ini"), "--out", "out", "--trials", "1"])
+    assert code == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["topologies"]["ring"]["rho"] == W.rho
+    # An absolute path is read as written.
+    write_config(tmp_path, GOOD_CONFIG.replace(
+        "kind = adjusted_ring", f"kind = custom\npath = {tmp_path / 'mf' / 'mix.txt'}"))
+    assert cli.main(["validate", "config.ini"]) == cli.EXIT_OK
+
+
 def write_config(tmp_path, text=GOOD_CONFIG):
     path = tmp_path / "config.ini"
     path.write_text(text)

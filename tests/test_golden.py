@@ -4,18 +4,21 @@
 
 - each config under ``configs/``, as ``gossipbo run`` writes it with one
   trial and the horizon capped at 1000 (both set on the parsed config, so
-  the INI files stay as shipped);
+  the INI files stay as shipped), and its manifest's
+  ``transient_estimates`` as ``transient_estimates.json``;
 - ``logcosh``: one log-cosh ``engine.run`` record each for so, fo and
   centralized, whose probes take the Newton branch of the lower solve.
 
 The test requires the same files, the same probe grids and every value
-within 1e-12 relative. A change that alters an instance on purpose
-regenerates the files of the sources it affects, and says why:
+within 1e-12 relative; the transient estimates must be equal. A change
+that alters an instance on purpose regenerates the files of the sources
+it affects, and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import glob
+import json
 import os
 import tempfile
 
@@ -36,10 +39,11 @@ SOURCES = sorted(
     for path in glob.glob(os.path.join(CONFIGS, "*.ini"))
 ) + ["logcosh"]
 RTOL = 1e-12
+TRANSIENTS = "transient_estimates.json"
 
 
 def outputs(source: str, work: str) -> dict[str, str]:
-    """The CSVs that ``source`` gives, by file name; ``work`` is an empty scratch directory."""
+    """The files that ``source`` gives, by name; ``work`` is an empty scratch directory."""
     if source == "logcosh":
         problem = make_logcosh(5, n_nodes=4, d=2, p=3, coupling=0.4, lam=1.2)
         W = topo.ring(4, 0.2, 0.4)
@@ -60,6 +64,9 @@ def outputs(source: str, work: str) -> dict[str, str]:
         if name.endswith(".csv"):
             with open(os.path.join(work, name)) as fh:
                 texts[name] = fh.read()
+    with open(os.path.join(work, "manifest.json")) as fh:
+        estimates = json.load(fh)["transient_estimates"]
+    texts[TRANSIENTS] = json.dumps(estimates, indent=2, sort_keys=True) + "\n"
     return texts
 
 
@@ -75,7 +82,11 @@ def test_outputs_match_the_golden_set(tmp_path, source):
     assert sorted(got) == pinned
     for name in pinned:
         with open(os.path.join(GOLDEN, source, name)) as fh:
-            want_header, want = _table(fh.read())
+            text = fh.read()
+        if name == TRANSIENTS:
+            assert json.loads(got[name]) == json.loads(text), name
+            continue
+        want_header, want = _table(text)
         got_header, values = _table(got[name])
         assert got_header == want_header, name
         np.testing.assert_array_equal(values[:, 0], want[:, 0], err_msg=f"{name}: probe grid")

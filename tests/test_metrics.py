@@ -231,19 +231,23 @@ def test_trailing_median_equals_the_loop(seed, length):
 
 def test_trailing_median_equals_the_loop_on_special_values():
     # NaN in a prefix makes its median NaN; a -0.0 median reads +0.0; a
-    # window holding both infinities has a NaN median.
+    # window holding both infinities has a NaN median. The second pool's
+    # extremes overflow a pair mean, and an odd count's median is no pair mean.
     from gossipbo.metrics import _trailing_median
 
     pool = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 3.0])
+    extremes = np.concatenate([pool, [1e308, -1e308, 5e-324]])
     rng = np.random.default_rng(2024)
-    with np.errstate(invalid="ignore"):  # the mean of -inf and +inf
-        for length in range(1, 31):
-            for _ in range(4):
-                values = rng.choice(pool, length)
-                for window in range(1, 10):
-                    got = _trailing_median(values, window)
-                    want = _trailing_median_loop(values, window)
-                    assert got.tobytes() == want.tobytes(), (values, window)
+    # The mean of -inf and +inf; a pair of extremes summed past the largest float.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for choices in (pool, extremes):
+            for length in range(1, 31):
+                for _ in range(4):
+                    values = rng.choice(choices, length)
+                    for window in range(1, 10):
+                        got = _trailing_median(values, window)
+                        want = _trailing_median_loop(values, window)
+                        assert got.tobytes() == want.tobytes(), (values, window)
 
 
 def _csv_reference(header, rows):
