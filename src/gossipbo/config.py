@@ -24,6 +24,7 @@ what ``gossipbo validate`` and ``gossipbo run`` share.
 from __future__ import annotations
 
 import configparser
+import operator
 from dataclasses import dataclass, field, fields
 
 from . import topology as topo
@@ -167,10 +168,12 @@ class RunConfig:
             ("n_trials", self.n_trials, 1), ("base_seed", self.base_seed, 0),
             ("probe_every", self.probe_every, 1), ("t", self.T, 1),
             ("workers", self.workers, 1), ("window", self.window, 1),
-            ("rel_tol", self.rel_tol, 0), ("wall_limit_s", self.wall_limit_s, 0),
-        ):
-            if not value >= low:  # NaN too
-                raise ValidationError(f"[run] {key} must be >= {low}")
+        ):  # a float fails, even a whole one, as in engine.run
+            if not hasattr(value, "__index__") or operator.index(value) < low:
+                raise ValidationError(f"[run] {key} must be an integer >= {low}, got {value!r}")
+        for key, value in (("rel_tol", self.rel_tol), ("wall_limit_s", self.wall_limit_s)):
+            if not value >= 0:  # NaN too
+                raise ValidationError(f"[run] {key} must be >= 0")
         if self.transient_metric not in PROBE_METRICS:
             raise ValidationError(f"[run] transient_metric must be one of {list(PROBE_METRICS)}")
 

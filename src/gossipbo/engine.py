@@ -12,9 +12,10 @@ locally and is not gossiped. The centralized variant runs the same
 recursion with exact uniform averaging in place of the gossip matrix,
 which keeps a single shared iterate and averages the per-node directions.
 
-A cell is one (mixing matrix, HyperParams, seed). One engine call advances
-C cells, for instance every cell of a sweep, as (C, n, .) arrays with the
-gossip matrices stacked as (C, n, n): each step, every cell takes the
+A cell is one (mixing matrix, HyperParams, seed), which ``init`` fixes on
+the state, so ``step`` takes only the state. One engine call advances C
+cells, for instance every cell of a sweep, as (C, n, .) arrays with the
+gossip weights stacked as (C, n, n): each step, every cell takes the
 sample rows of its own seed's generator and its own step sizes. The cells
 are held second-order first, so the second-order estimator serves the
 leading block of the cell axis and the first-order one the tail. Every
@@ -154,6 +155,9 @@ class HyperParams:
 class SwarmState:
     """Iterates of one cell as (n, .) arrays, or of C cells as (C, n, .) arrays.
 
+    ``weights`` holds each cell's gossip matrix. ``hyper`` sets the step
+    sizes and the finite-difference delta: one HyperParams when every cell
+    shares every field but the variant, else a tuple of one per cell.
     ``rngs`` holds one generator per distinct seed; cell c draws from
     ``rngs[stream[c]]``. ``fo[c]`` is whether cell c uses the first-order
     estimator; those cells follow every second-order one on the cell axis.
@@ -167,6 +171,8 @@ class SwarmState:
     rngs: tuple[np.random.Generator, ...] = field(repr=False)
     stream: np.ndarray = field(repr=False)
     fo: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)  # (..., n, n)
+    hyper: "HyperParams | tuple[HyperParams, ...]" = field(repr=False)
 
     def x_bar(self) -> np.ndarray:
         return self.X.mean(axis=-2)
@@ -189,6 +195,17 @@ def _cells(W, hyper, seed) -> tuple[list, list, list]:
     return Ws, hypers, seeds
 
 
+def _weights(W: MixingMatrix, hyper: HyperParams) -> np.ndarray:
+    """The matrix a cell gossips with."""
+    if hyper.variant is Variant.CENTRALIZED:
+        # Single-iterate recursion expressed as exact uniform averaging:
+        # every row is the shared iterate (enforced bitwise by the mixing
+        # step, since all rows of the product are the same sum), and the
+        # averaged local h equals the centralized moving average.
+        return np.full((W.n, W.n), 1.0 / W.n)
+    return W.weights
+
+
 def init(
     problem: BilevelProblem,
     W: "MixingMatrix | list[MixingMatrix]",
@@ -204,8 +221,9 @@ def init(
     One mixing matrix and one seed give an (n, .) state; a list of C
     matrices gives a (C, n, .) state whose cells all start from the same
     (n, .) overrides, with one hyper and one seed for every cell or a list
-    of C each. A hyper sets only whether its cell is first-order, and the
-    second-order cells must come first, as ``step`` serves them in that order.
+    of C each. The state keeps each cell's gossip weights (exact uniform
+    averaging for a centralized cell), hyper and estimator; the second-order
+    cells must come first, as ``step`` serves them in that order.
     """
     single = isinstance(W, MixingMatrix)
     Ws, hypers, seeds = _cells(W, hyper, seed)
@@ -218,6 +236,9 @@ def init(
             raise ConfigMismatch(
                 f"problem has {problem.n_nodes} nodes but mixing matrix has {w.n}"
             )
+    gossip = [_weights(w, h) for w, h in zip(Ws, hypers)]
+    shared = len(set(hypers)) == 1 or len(
+        {replace(h, variant=Variant.SECOND_ORDER) for h in hypers}) == 1
     lead = () if single else (len(Ws),)
     n, d, p = problem.n_nodes, problem.dim_x, problem.dim_y
 
@@ -238,6 +259,8 @@ def init(
         rngs=tuple(map(np.random.default_rng, distinct)),
         stream=np.array([distinct.index(s) for s in seeds]).reshape(lead),
         fo=np.array(fo).reshape(lead),
+        weights=gossip[0] if single else np.stack(gossip),
+        hyper=hypers[0] if shared else tuple(hypers),
     )
 
 
@@ -314,33 +337,16 @@ def _hvp(problem, delta, state, zeta):
     return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
 
 
-def _weights(W: MixingMatrix, hyper: HyperParams) -> np.ndarray:
-    """The matrix a cell gossips with."""
-    if hyper.variant is Variant.CENTRALIZED:
-        # Single-iterate recursion expressed as exact uniform averaging:
-        # every row is the shared iterate (enforced bitwise by the mixing
-        # step, since all rows of the product are the same sum), and the
-        # averaged local h equals the centralized moving average.
-        return np.full((W.n, W.n), 1.0 / W.n)
-    return W.weights
-
-
-def step(
-    problem: BilevelProblem,
-    W: "MixingMatrix | np.ndarray",
-    hyper: "HyperParams | list[HyperParams]",
-    state: SwarmState,
-    sample=None,
-) -> SwarmState:
+def step(problem: BilevelProblem, state: SwarmState, sample=None) -> SwarmState:
     """One synchronous iteration; returns a new state sharing the generators.
 
-    ``W`` is the mixing matrix of an (n, .) state, or the (C, n, n) stack of
-    the gossip weights of a (C, n, .) state's cells, as ``run`` builds it.
-    ``hyper`` sets the step sizes and the finite-difference delta: one for
-    every cell (or a list of one), as Python floats, or for a (C, n, .) state
-    one per cell, as (C, 1, 1) arrays of each cell's floats, which round as
-    its floats would; a list of another length raises ``ConfigMismatch``.
-    ``state.fo`` picks each cell's Hessian-vector estimator.
+    Each cell steps as ``init`` fixed it on the state: it gossips with
+    ``state.weights``, takes its step sizes and finite-difference delta from
+    ``state.hyper`` (as Python floats when that is one HyperParams, else as
+    (C, 1, 1) arrays of each cell's floats, which round as its floats
+    would), and ``state.fo`` picks its Hessian-vector estimator. Nothing
+    checks these against what ``init`` was given: a caller stepping by hand
+    may change them between steps with ``dataclasses.replace(state, ...)``.
     ``sample`` is the step's (xi, zeta), every cell's rows of a block ``run``
     drew; without it each generator in ``state.rngs`` draws a one-step block,
     advancing in place, and each cell takes its seed's rows.
@@ -349,16 +355,10 @@ def step(
     names every cell that left the finite range, with its own message, and
     carries the new state, whose other cells are sound.
     """
-    t = state.t
-    if not isinstance(hyper, HyperParams):
-        cells = 1 if state.X.ndim == 2 else len(state.X)
-        if len(hyper) not in (1, cells):
-            raise ConfigMismatch(f"{len(hyper)} hypers for {cells} cells: one, or one per cell")
-        hyper = hyper[0] if len(hyper) == 1 else hyper
+    t, hyper, Wm = state.t, state.hyper, state.weights
     rates = hyper.rates(t) if isinstance(hyper, HyperParams) else (
         np.array([h.rates(t) for h in hyper]).T[..., None, None])  # (5, C, 1, 1)
     tau_alpha, beta, gamma, theta, delta = rates
-    Wm = W if isinstance(W, np.ndarray) else _weights(W, hyper)
     if sample is None:
         sample = _rows_of(_draw_block(problem, state, 1), 0, state.stream)
     # Every node's sampled directions, from the iteration-t snapshot.
@@ -372,7 +372,7 @@ def step(
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
     Hn = (1.0 - theta) * state.H + theta * Omega
-    new = SwarmState(t + 1, Xn, Yn, Zn, Hn, state.rngs, state.stream, state.fo)
+    new = SwarmState(t + 1, Xn, Yn, Zn, Hn, state.rngs, state.stream, state.fo, Wm, hyper)
 
     # Iterates whose sum of squares is small pass at once. NaN, inf and
     # squares that overflow fail that test, so the per-cell verdicts run;
@@ -460,9 +460,7 @@ def run(
     # init checks every matrix against the problem's node count first.
     state = init(problem, [Ws[c] for c in first], [hypers[c] for c in first],
                  [seeds[c] for c in first], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
-    weights = np.stack([gossip[c] for c in first])
     del alike, gossip  # no byte key or matrix of a cell outlives its grouping
-    rates = hypers[0] if len(set(schedules)) == 1 else [hypers[c] for c in first]
     records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
     # Probes not yet evaluated, as (state, live) at their probe time. A state
@@ -509,8 +507,7 @@ def run(
                 block = None  # the spent block goes before the next is drawn
                 block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
             try:
-                state = step(problem, weights, rates, state,
-                             _rows_of(block, t % BLOCK_STEPS, state.stream))
+                state = step(problem, state, _rows_of(block, t % BLOCK_STEPS, state.stream))
             except NumericalDivergence as exc:
                 for k, message in exc.cells.items():
                     for c in live[k]:
@@ -520,11 +517,11 @@ def run(
                 live = [live[k] for k in keep]
                 if not live:
                     break
-                rates = [rates[k] for k in keep] if isinstance(rates, list) else rates
-                weights, state = weights[keep], replace(
-                    exc.state, X=exc.state.X[keep], Y=exc.state.Y[keep], Z=exc.state.Z[keep],
-                    H=exc.state.H[keep], stream=exc.state.stream[keep], fo=exc.state.fo[keep],
-                )
+                s = exc.state
+                state = replace(s, X=s.X[keep], Y=s.Y[keep], Z=s.Z[keep], H=s.H[keep],
+                                stream=s.stream[keep], fo=s.fo[keep], weights=s.weights[keep],
+                                hyper=s.hyper if isinstance(s.hyper, HyperParams)
+                                else tuple(s.hyper[k] for k in keep))
             probed = (t + 1) % probe_every == 0 or t + 1 == T
             if probed:
                 probe_live()

@@ -1,7 +1,7 @@
 """The single-loop recursion written out node by node, as a reference for the engine tests.
 
 It restates the recursion that the ``engine`` module docstring and the
-README describe, and imports neither ``engine`` nor ``directions``. With
+README describe, and does not import ``engine``. With
 alpha_t = alpha0 * decay_factor ** (t // decay_period), beta_t = c1 alpha_t,
 gamma_t = c2 alpha_t and theta_t = c3 alpha_t (or ``fixed_theta``), every
 node i of an iteration-t snapshot takes its directions from the samples of

@@ -188,8 +188,8 @@ def test_criterion_5_centralized_equivalence(variant):
     st_d = init(prob, W, hp_d, seed=5)
     st_c = init(prob, W, hp_c, seed=5)
     for _ in range(1000):
-        st_d = step(prob, W, hp_d, st_d)
-        st_c = step(prob, W, hp_c, st_c)
+        st_d = step(prob, st_d)
+        st_c = step(prob, st_c)
         for a, b in ((st_d.X, st_c.X), (st_d.Y, st_c.Y), (st_d.Z, st_c.Z)):
             assert np.max(np.abs(a - b)) < 1e-10
         assert g.consensus_error(st_d) < 1e-10

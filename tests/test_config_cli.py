@@ -522,6 +522,23 @@ def test_negative_tolerance_or_wall_limit_rejected_by_validate_and_run(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("attr, key, value", [
+    ("T", "t", 50.5), ("probe_every", "probe_every", 10.5), ("n_trials", "n_trials", 1.5),
+    ("base_seed", "base_seed", 3.5), ("window", "window", 2.5),
+])
+def test_non_integer_run_field_set_in_code_is_rejected_by_build(tmp_path, attr, key, value):
+    # INI parsing makes these keys ints; set on a parsed config, a float
+    # would otherwise pass build and fail later in run: in engine.run or
+    # range, on every cell, or in every transient estimate.
+    config = parse_config(GOOD_CONFIG)
+    setattr(config.run, attr, value)
+    with pytest.raises(ValidationError, match=re.escape(f"[run] {key} must be an integer")):
+        config.build()
+    with pytest.raises(ValidationError, match=re.escape(f"[run] {key}")):
+        cli.run_experiment(config, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_base_seed_rejected_by_validate_and_run(tmp_path, capsys):
     text = GOOD_CONFIG.replace("base_seed = 1000", "base_seed = -3")
     with pytest.raises(ValidationError, match="base_seed"):

@@ -139,29 +139,17 @@ def test_step_calls_each_estimator_once_by_its_engine_name(quad, monkeypatch, va
         monkeypatch.setattr(engine, f"hvp_{name}", counted)
     hps = [hyper(variant=v) for v in variants]
     Ws = [topo.ring(4)] * len(hps)
-    weights = np.stack([engine._weights(W, hp) for W, hp in zip(Ws, hps)])
-    step(quad, weights, hps, init(quad, Ws, hps, seed=[1] * len(hps)))
+    step(quad, init(quad, Ws, hps, seed=[1] * len(hps)))
     assert counts == calls
 
 
 def test_step_advances_counter_and_keeps_shapes(quad):
     W = topo.ring(4)
     st0 = init(quad, W, hyper(), seed=1)
-    st1 = step(quad, W, hyper(), st0)
+    st1 = step(quad, st0)
     assert st1.t == 1
     assert st1.X.shape == st0.X.shape
     assert st1.rngs[0] is st0.rngs[0]  # the generator advances in place
-
-
-def test_step_takes_a_list_of_one_hyper_as_run_does(quad):
-    W = topo.ring(4)
-    hp = hyper(variant=Variant.CENTRALIZED)
-    one = step(quad, W, hp, init(quad, W, hp, seed=1))
-    listed = step(quad, W, [hp], init(quad, W, hp, seed=1))
-    for a, b in zip(iterates(one), iterates(listed)):
-        assert np.array_equal(a, b)
-    with pytest.raises(ConfigMismatch, match="2 hypers"):
-        step(quad, W, [hp, hp], init(quad, W, hp, seed=1))
 
 
 def test_zero_steps_reduce_to_gossip(quad):
@@ -173,7 +161,7 @@ def test_zero_steps_reduce_to_gossip(quad):
     Z0, H0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
     hp = hyper(alpha0=0.0, fixed_theta=0.0)
     st0 = init(quad, W, hp, seed=2, X0=X0, Y0=Y0, Z0=Z0, H0=H0)
-    st1 = step(quad, W, hp, st0)
+    st1 = step(quad, st0)
     assert np.allclose(st1.X, W.weights @ X0, atol=1e-14)
     assert np.allclose(st1.Y, W.weights @ Y0, atol=1e-14)
     assert np.allclose(st1.Z, W.weights @ Z0, atol=1e-14)
@@ -189,7 +177,7 @@ def test_mean_iterate_preserved_by_mixing(quad):
     hp = hyper(alpha0=0.0, fixed_theta=0.0)
     st = init(quad, W, hp, seed=3, X0=X0)
     for _ in range(5):
-        st = step(quad, W, hp, st)
+        st = step(quad, st)
     assert np.allclose(st.x_bar(), X0.mean(axis=0), atol=1e-13)
 
 
@@ -224,7 +212,7 @@ def test_centralized_has_zero_consensus_error(quad):
     hp = hyper(variant=Variant.CENTRALIZED)
     st = init(quad, W, hp, seed=10)
     for _ in range(20):
-        st = step(quad, W, hp, st)
+        st = step(quad, st)
         assert consensus_error(st) < 1e-24
         assert np.allclose(st.X, st.X[0], atol=0)
 
@@ -240,8 +228,8 @@ def test_fully_connected_identical_data_matches_centralized():
     st_d = init(prob, W, hp_d, seed=11)
     st_c = init(prob, W, hp_c, seed=11)
     for _ in range(50):
-        st_d = step(prob, W, hp_d, st_d)
-        st_c = step(prob, W, hp_c, st_c)
+        st_d = step(prob, st_d)
+        st_c = step(prob, st_c)
         assert np.allclose(st_d.X, st_c.X, atol=1e-12)
         assert np.allclose(st_d.Y, st_c.Y, atol=1e-12)
         assert np.allclose(st_d.Z, st_c.Z, atol=1e-12)
@@ -254,7 +242,7 @@ def test_numerical_divergence_raised():
     st = init(prob, W, hp, seed=12, Y0=np.full((3, 2), 1e6))
     with pytest.raises(NumericalDivergence) as exc_info:
         for _ in range(100):
-            st = step(prob, W, hp, st)
+            st = step(prob, st)
     assert exc_info.value.iteration >= 1
 
 
@@ -587,7 +575,7 @@ def test_step_gives_one_verdict_per_cell(quad):
     st.Y[1, 2, 0] = np.nan
     st.H[2, 0, 1] = 1e14
     with pytest.raises(NumericalDivergence) as exc_info:
-        step(quad, np.stack([W.weights] * 3), hyper(), st)
+        step(quad, st)
     exc = exc_info.value
     assert exc.cells == {
         1: "y-iterates diverged at iteration 1",
@@ -609,7 +597,7 @@ def test_step_verdict_names_exactly_the_cell_out_of_range(quad, where, value):
     getattr(st, where)[1, 2, 0] = value
     # inf - inf in an infinite cell's noisy gradient is NaN, also caught.
     with pytest.raises(NumericalDivergence) as exc_info, np.errstate(invalid="ignore"):
-        step(quad, np.stack([W.weights] * 3), hyper(), st)
+        step(quad, st)
     exc = exc_info.value
     message = f"{where.lower()}-iterates diverged at iteration 1"
     assert exc.cells == {1: message} and str(exc) == message and exc.iteration == 1
@@ -635,7 +623,7 @@ def stepwise(prob, W, hp, T, seed, probe_every, X0=None):
     divergence = None
     for t in range(T):
         try:
-            st = step(prob, W, hp, st)
+            st = step(prob, st)
         except NumericalDivergence as exc:
             divergence = (exc.iteration, str(exc))
             break
@@ -727,9 +715,9 @@ def test_alike_cells_are_computed_once(monkeypatch):
     widths = []
     original = engine.step
 
-    def counted(problem, W, hyper, state, *args):
+    def counted(problem, state, *args):
         widths.append(state.X.shape[0])
-        return original(problem, W, hyper, state, *args)
+        return original(problem, state, *args)
 
     monkeypatch.setattr(engine, "step", counted)
     outcomes = run(prob, [W for W, _, _ in cells], hps, seed=[s for _, _, s in cells], **kw)
@@ -882,11 +870,10 @@ def probed_steps(prob, Ws, hp, T, seed, probe_every):
     """Every probe of a (C, n, .) state stepped by bare ``step`` calls, each
     probe evaluated at its own time."""
     st = init(prob, Ws, hp, seed=seed)
-    weights = np.stack([W.weights for W in Ws])
     states = [st]
     rows = [probe(prob, st, alpha=hp.alpha(0))]
     for t in range(T):
-        st = step(prob, weights, hp, st)
+        st = step(prob, st)
         if (t + 1) % probe_every == 0 or t + 1 == T:
             states.append(st)
             rows.append(probe(prob, st, alpha=hp.alpha(st.t)))
@@ -937,7 +924,7 @@ def test_guard_filter_gives_the_exact_verdict(quad, value):
     st.H[1, 2, 0] = value
     with np.errstate(invalid="ignore"):
         try:
-            new, cells = step(quad, np.stack([W.weights] * 3), hp, st), {}
+            new, cells = step(quad, st), {}
         except NumericalDivergence as exc:
             new, cells = exc.state, exc.cells
     expected: dict[int, str] = {}
@@ -984,8 +971,8 @@ def steps_of_run(monkeypatch, *args, **kw):
     steps = []
     original = engine.step
 
-    def kept(problem, W, hyper, state, *rest):
-        steps.append((state, original(problem, W, hyper, state, *rest)))
+    def kept(problem, state, *rest):
+        steps.append((state, original(problem, state, *rest)))
         return steps[-1][1]
 
     monkeypatch.setattr(engine, "step", kept)
@@ -1009,7 +996,7 @@ def test_every_step_follows_the_recursion_node_by_node(family, variant, monkeypa
     samples = reference_samples(prob, T, seed)
     state = init(prob, W, hp, seed, X0=X0)
     for t in range(T):
-        new = step(prob, W, hp, state)
+        new = step(prob, state)
         assert_step_follows_recursion(prob, W.weights, hp, t, iterates(state), iterates(new),
                                       samples[t])
         state = new
@@ -1045,9 +1032,8 @@ def test_every_step_of_a_mixed_call_follows_the_recursion(family, monkeypatch):
                                           iterates(after, c), samples[seed][t])
 
     state = init(prob, [W for W, _ in cells], hps, seeds, X0=X0)
-    weights = np.stack([gossip_weights(W.weights, hp.variant) for W, hp in cells])
     for t in range(T):
-        new = step(prob, weights, hps, state)
+        new = step(prob, state)
         assert_cells_follow(t, state, new)
         state = new
     steps = steps_of_run(monkeypatch, prob, [W for W, _ in cells], hps, T=T, seed=seeds, X0=X0)

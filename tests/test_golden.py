@@ -9,6 +9,10 @@
 - ``logcosh``: one log-cosh ``engine.run`` record each for so, fo and
   centralized, whose probes take the Newton branch of the lower solve.
 
+``tests/golden/ridge_transients_t3000.json`` holds the ``transient_estimates``
+of both ridge configs at one trial with the horizon capped at 3000, where
+most cutoffs fall strictly inside the horizon (at 1000 only one does).
+
 The test requires the same files, the same probe grids and every value
 within 1e-12 relative; the transient estimates must be equal. A change
 that alters an instance on purpose regenerates the files of the sources
@@ -40,6 +44,30 @@ SOURCES = sorted(
 ) + ["logcosh"]
 RTOL = 1e-12
 TRANSIENTS = "transient_estimates.json"
+RIDGE_CAP = 3000
+RIDGE_TRANSIENTS = os.path.join(GOLDEN, f"ridge_transients_t{RIDGE_CAP}.json")
+
+
+def experiment(source: str, work: str, cap: int) -> list[dict]:
+    """Run ``configs/<source>.ini`` as ``gossipbo run`` does, with one trial and
+    the horizon capped at ``cap``, into the empty ``work``; returns the
+    manifest's ``transient_estimates``."""
+    with open(os.path.join(CONFIGS, f"{source}.ini")) as fh:
+        config = parse_config(fh.read())
+    config.run.n_trials = 1
+    config.run.T = min(config.run.T, cap)
+    assert cli.run_experiment(config, work) == cli.EXIT_OK
+    with open(os.path.join(work, "manifest.json")) as fh:
+        return json.load(fh)["transient_estimates"]
+
+
+def ridge_transients(work: str) -> str:
+    """Both ridge configs' transient estimates at the horizon ``RIDGE_CAP``, as JSON."""
+    estimates = {}
+    for source in (s for s in SOURCES if s.startswith("ridge_")):
+        os.makedirs(os.path.join(work, source))
+        estimates[source] = experiment(source, os.path.join(work, source), RIDGE_CAP)
+    return json.dumps(estimates, indent=2, sort_keys=True) + "\n"
 
 
 def outputs(source: str, work: str) -> dict[str, str]:
@@ -54,18 +82,12 @@ def outputs(source: str, work: str) -> dict[str, str]:
             ).to_csv()
             for v in Variant
         }
-    with open(os.path.join(CONFIGS, f"{source}.ini")) as fh:
-        config = parse_config(fh.read())
-    config.run.n_trials = 1
-    config.run.T = min(config.run.T, 1000)
-    assert cli.run_experiment(config, work) == cli.EXIT_OK
+    estimates = experiment(source, work, 1000)
     texts = {}
     for name in sorted(os.listdir(work)):
         if name.endswith(".csv"):
             with open(os.path.join(work, name)) as fh:
                 texts[name] = fh.read()
-    with open(os.path.join(work, "manifest.json")) as fh:
-        estimates = json.load(fh)["transient_estimates"]
     texts[TRANSIENTS] = json.dumps(estimates, indent=2, sort_keys=True) + "\n"
     return texts
 
@@ -94,6 +116,11 @@ def test_outputs_match_the_golden_set(tmp_path, source):
                                    equal_nan=True, err_msg=name)
 
 
+def test_ridge_transients_at_a_longer_horizon_match_the_golden_set(tmp_path):
+    with open(RIDGE_TRANSIENTS) as fh:
+        assert json.loads(ridge_transients(str(tmp_path))) == json.load(fh)
+
+
 if __name__ == "__main__":
     for source in SOURCES:
         target = os.path.join(GOLDEN, source)
@@ -103,3 +130,6 @@ if __name__ == "__main__":
                 with open(os.path.join(target, name), "w") as fh:
                     fh.write(text)
         print(f"wrote {os.path.relpath(target)}")
+    with tempfile.TemporaryDirectory() as work, open(RIDGE_TRANSIENTS, "w") as fh:
+        fh.write(ridge_transients(work))
+    print(f"wrote {os.path.relpath(RIDGE_TRANSIENTS)}")

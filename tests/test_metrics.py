@@ -80,7 +80,7 @@ def test_consensus_error_gossip_contraction():
     e0 = consensus_error(st0)
     state = st0
     for k in range(1, 6):
-        state = step(prob, W, hp, state)
+        state = step(prob, state)
         assert consensus_error(state) <= W.rho ** (2 * k) * e0 * (1 + 1e-12)
 
 
