@@ -157,7 +157,9 @@ class SwarmState:
 
     ``weights`` holds each cell's gossip matrix. ``hyper`` sets the step
     sizes and the finite-difference delta: one HyperParams when every cell
-    shares every field but the variant, else a tuple of one per cell.
+    shares every field but the variant, else a tuple of one per cell. A
+    shared one is cell 0's, so its variant speaks for no other cell:
+    ``weights`` and ``fo`` decide how each cell gossips and estimates.
     ``rngs`` holds one generator per distinct seed; cell c draws from
     ``rngs[stream[c]]``. ``fo[c]`` is whether cell c uses the first-order
     estimator; those cells follow every second-order one on the cell axis.
@@ -198,10 +200,9 @@ def _cells(W, hyper, seed) -> tuple[list, list, list]:
 def _weights(W: MixingMatrix, hyper: HyperParams) -> np.ndarray:
     """The matrix a cell gossips with."""
     if hyper.variant is Variant.CENTRALIZED:
-        # Single-iterate recursion expressed as exact uniform averaging:
-        # every row is the shared iterate (enforced bitwise by the mixing
-        # step, since all rows of the product are the same sum), and the
-        # averaged local h equals the centralized moving average.
+        # Single-iterate recursion as exact uniform averaging: every row is the
+        # shared iterate (bitwise, as all rows of the product are the same sum),
+        # and the averaged local h equals the centralized moving average.
         return np.full((W.n, W.n), 1.0 / W.n)
     return W.weights
 
@@ -237,8 +238,7 @@ def init(
                 f"problem has {problem.n_nodes} nodes but mixing matrix has {w.n}"
             )
     gossip = [_weights(w, h) for w, h in zip(Ws, hypers)]
-    shared = len(set(hypers)) == 1 or len(
-        {replace(h, variant=Variant.SECOND_ORDER) for h in hypers}) == 1
+    shared = len({replace(h, variant=Variant.SECOND_ORDER) for h in hypers}) == 1
     lead = () if single else (len(Ws),)
     n, d, p = problem.n_nodes, problem.dim_x, problem.dim_y
 
@@ -414,10 +414,10 @@ def run(
     holds the cells second-order first, and the outcomes come back in the
     order of ``W``. The draws depend on neither topology nor hyper, so a
     cell's record is the one its own one-matrix run gives, bit for bit.
-    Cells that share one schedule (every hyper field but the variant) step
-    with Python floats, as one cell does. Cells alike in gossip weights,
-    estimator, schedule and seed are advanced as one, and each gets that
-    one's probes in its own record.
+    ``init`` fixes each cell's gossip weights and schedule on the state, and
+    cells sharing a schedule step with Python floats, as one cell does.
+    Cells alike in gossip weights, estimator, schedule and seed are
+    advanced as one, and each gets that one's probes in its own record.
     Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T, and
     held once per seed; each step, every cell takes its own seed's rows,
     whether the call has one seed or many, and ``step`` runs on them.
