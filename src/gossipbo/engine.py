@@ -27,11 +27,11 @@ sampled Hessian and Jacobian to z; ``hvp_fo`` takes central differences of
 sampled first-order gradients at Y + delta Z and Y - delta Z on one sample,
 so on quadratic lower levels it matches ``hvp_so`` up to rounding.
 
-``run`` draws the samples of up to ``BLOCK_STEPS`` steps at a time
-(``BilevelProblem.draw_block``), which leaves every generator where the
-same number of single steps would. The pending block holds each
-generator's draws once, (k, G, n, .) for G seeds however many cells share
-them, and each step takes its cells' rows from its own slice. Cells
+The state holds the pending samples of ``BLOCK_STEPS`` steps
+(``BilevelProblem.draw_block``), each generator's draws once however many
+cells share it, as (BLOCK_STEPS, G, n, .) variates for G seeds. Each step
+takes its cells' rows of one slice, and the step after the last draws the
+next block, which leaves every generator where as many single draws would. Cells
 that gossip with the same weights under the same estimator, schedule and
 seed have the same trajectory bit for bit (a fully connected so cell and the
 centralized cell of its trial, for instance): ``run`` advances one of them
@@ -60,8 +60,8 @@ from .topology import MixingMatrix
 DIVERGENCE_LIMIT = 1e12
 # A float sum of squares at most this puts every entry inside the limit.
 _SMALL_SUM_SQ = (DIVERGENCE_LIMIT / 2) ** 2
-# Steps whose samples ``run`` draws at once. Small: the pending block, k x
-# seeds x n rows per variate, stays in memory until its steps have run.
+# Steps whose samples ``step`` draws at once. Small: the pending block,
+# BLOCK_STEPS x seeds x n rows per variate, stays in memory until its steps have run.
 BLOCK_STEPS = 16
 # Node rows (probed cells times nodes) that ``run`` evaluates in one probe
 # call at most; a probe with more is evaluated alone. In node rows, not
@@ -163,6 +163,7 @@ class SwarmState:
     ``rngs`` holds one generator per distinct seed; cell c draws from
     ``rngs[stream[c]]``. ``fo[c]`` is whether cell c uses the first-order
     estimator; those cells follow every second-order one on the cell axis.
+    ``block`` holds the pending samples, and ``row`` the next step's row of them.
     """
 
     t: int
@@ -175,6 +176,8 @@ class SwarmState:
     fo: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # (..., n, n)
     hyper: "HyperParams | tuple[HyperParams, ...]" = field(repr=False)
+    block: tuple = field(default=(None, None), repr=False)  # (xi, zeta), (BLOCK_STEPS, G, n, .)
+    row: int = field(default=BLOCK_STEPS, repr=False)  # BLOCK_STEPS: the next step draws
 
     def x_bar(self) -> np.ndarray:
         return self.X.mean(axis=-2)
@@ -190,7 +193,9 @@ def _cells(W, hyper, seed) -> tuple[list, list, list]:
     try:  # one integer seeds every cell, and anything else holds one integer per cell
         seeds = [operator.index(s) for s in ([seed] * len(Ws) if np.ndim(seed) == 0 else seed)]
     except (TypeError, ValueError):
-        raise ConfigMismatch(f"seed must be one integer or one per cell, got {seed!r}") from None
+        seeds = None
+    if seeds is None or min(seeds, default=0) < 0:  # default_rng's error would name no seed
+        raise ConfigMismatch(f"seed must be one non-negative integer or one per cell, got {seed!r}")
     if not Ws or len(hypers) != len(Ws) or len(seeds) != len(Ws):
         raise ConfigMismatch(f"{len(Ws)} cells but {len(hypers)} hypers and {len(seeds)} seeds: "
                              "a call needs one or more cells and one hyper and seed each")
@@ -274,13 +279,6 @@ def _draw_block(problem, state: SwarmState, k: int):
     )
 
 
-def _rows_of(block, j, stream):
-    """Step j's (xi, zeta) of ``block``, every cell with its own seed's rows:
-    (C, n, .) variates, or (n, .) for the 0-d ``stream`` of an (n, .) state."""
-    return tuple(None if part is None else tuple(v[j].take(stream, axis=0) for v in part)
-                 for part in block)
-
-
 def _take(sample, index):
     """``sample`` with every variate indexed by ``index``; None stays None."""
     return None if sample is None else tuple(a[index] for a in sample)
@@ -337,7 +335,7 @@ def _hvp(problem, delta, state, zeta):
     return HvpPair(p_h=np.concatenate([so.p_h, fo.p_h]), p_j=np.concatenate([so.p_j, fo.p_j]))
 
 
-def step(problem: BilevelProblem, state: SwarmState, sample=None) -> SwarmState:
+def step(problem: BilevelProblem, state: SwarmState) -> SwarmState:
     """One synchronous iteration; returns a new state sharing the generators.
 
     Each cell steps as ``init`` fixed it on the state: it gossips with
@@ -347,9 +345,9 @@ def step(problem: BilevelProblem, state: SwarmState, sample=None) -> SwarmState:
     would), and ``state.fo`` picks its Hessian-vector estimator. Nothing
     checks these against what ``init`` was given: a caller stepping by hand
     may change them between steps with ``dataclasses.replace(state, ...)``.
-    ``sample`` is the step's (xi, zeta), every cell's rows of a block ``run``
-    drew; without it each generator in ``state.rngs`` draws a one-step block,
-    advancing in place, and each cell takes its seed's rows.
+    Each cell takes its seed's rows of ``state.block``, row ``state.row``;
+    when the block is spent, the generators in ``state.rngs`` first draw the
+    next ``BLOCK_STEPS`` steps in place, and the new state carries block and row.
 
     The divergence guard gives one verdict per cell: ``NumericalDivergence``
     names every cell that left the finite range, with its own message, and
@@ -359,11 +357,14 @@ def step(problem: BilevelProblem, state: SwarmState, sample=None) -> SwarmState:
     rates = hyper.rates(t) if isinstance(hyper, HyperParams) else (
         np.array([h.rates(t) for h in hyper]).T[..., None, None])  # (5, C, 1, 1)
     tau_alpha, beta, gamma, theta, delta = rates
-    if sample is None:
-        sample = _rows_of(_draw_block(problem, state, 1), 0, state.stream)
+    block, row = state.block, state.row
+    if row == BLOCK_STEPS:
+        block, row = _draw_block(problem, state, BLOCK_STEPS), 0
+    # (C, n, .) variates, or (n, .) for the 0-d stream of an (n, .) state.
+    xi, zeta = (None if part is None else tuple(v[row].take(state.stream, axis=0) for v in part)
+                for part in block)
     # Every node's sampled directions, from the iteration-t snapshot.
     X, Y = state.X, state.Y
-    xi, zeta = sample
     pair = _hvp(problem, delta, state, zeta)
     Gy = problem.sgrad_y_g(X, Y, zeta)
     Dz = pair.p_h - problem.sgrad_y_f(X, Y, xi)
@@ -372,7 +373,8 @@ def step(problem: BilevelProblem, state: SwarmState, sample=None) -> SwarmState:
     Yn = Wm @ (state.Y - beta * Gy)
     Zn = Wm @ (state.Z - gamma * Dz)
     Hn = (1.0 - theta) * state.H + theta * Omega
-    new = SwarmState(t + 1, Xn, Yn, Zn, Hn, state.rngs, state.stream, state.fo, Wm, hyper)
+    new = SwarmState(t + 1, Xn, Yn, Zn, Hn, state.rngs, state.stream, state.fo, Wm, hyper,
+                     block, row + 1)
 
     # Iterates whose sum of squares is small pass at once. NaN, inf and
     # squares that overflow fail that test, so the per-cell verdicts run;
@@ -418,9 +420,9 @@ def run(
     cells sharing a schedule step with Python floats, as one cell does.
     Cells alike in gossip weights, estimator, schedule and seed are
     advanced as one, and each gets that one's probes in its own record.
-    Samples are drawn ``BLOCK_STEPS`` steps at a time, never past T, and
-    held once per seed; each step, every cell takes its own seed's rows,
-    whether the call has one seed or many, and ``step`` runs on them.
+    ``step`` draws the samples from the state's pending block, as it does
+    for a caller stepping by hand, so the generators stop at the first
+    multiple of ``BLOCK_STEPS`` at or past T.
 
     Probes happen at t = 0, every ``probe_every`` iterations, and at t = T,
     each over the live cells. They are evaluated in batches: the pending
@@ -503,11 +505,8 @@ def run(
     start = time.monotonic()
     try:
         for t in range(T):
-            if t % BLOCK_STEPS == 0:
-                block = None  # the spent block goes before the next is drawn
-                block = _draw_block(problem, state, min(BLOCK_STEPS, T - t))
             try:
-                state = step(problem, state, _rows_of(block, t % BLOCK_STEPS, state.stream))
+                state = step(problem, state)
             except NumericalDivergence as exc:
                 for k, message in exc.cells.items():
                     for c in live[k]:
@@ -517,7 +516,7 @@ def run(
                 live = [live[k] for k in keep]
                 if not live:
                     break
-                s = exc.state
+                s = exc.state  # the pending block and row are per generator and stay
                 state = replace(s, X=s.X[keep], Y=s.Y[keep], Z=s.Z[keep], H=s.H[keep],
                                 stream=s.stream[keep], fo=s.fo[keep], weights=s.weights[keep],
                                 hyper=s.hyper if isinstance(s.hyper, HyperParams)
@@ -525,7 +524,7 @@ def run(
             probed = (t + 1) % probe_every == 0 or t + 1 == T
             if probed:
                 probe_live()
-            # After each probe and before each block draw, so few probes do not defer the limit.
+            # After each probe and every block of steps, so few probes do not defer the limit.
             if wall_limit_s > 0 and (probed or (t + 1) % BLOCK_STEPS == 0) and (
                     time.monotonic() - start > wall_limit_s):
                 raise EngineError(f"wall-clock limit {wall_limit_s}s exceeded at iteration {t + 1}")

@@ -384,13 +384,13 @@ def test_run_needs_one_seed_per_cell(quad):
 
 def test_run_reads_seeds_strictly(quad):
     # One integer seeds every cell; a range or an array holds one seed per
-    # cell; anything else is a ConfigMismatch that names it.
+    # cell; a negative seed or anything else is a ConfigMismatch that names it.
     Ws = [topo.ring(4), topo.ring(4, 0.2, 0.4), topo.ring(4)]
     solo = [run(quad, W, hyper(), T=5, seed=c).to_csv() for c, W in enumerate(Ws)]
     for seeds in (range(3), np.arange(3), [np.int64(0), 1, 2]):
         assert [rec.to_csv() for rec in run(quad, Ws, hyper(), T=5, seed=seeds)] == solo
     assert run(quad, Ws[:2], hyper(), T=5, seed=np.int64(1))[1].to_csv() == solo[1]
-    for bad in (None, 1.5, "7", [0, 1.0, 2], [[0, 1, 2]]):
+    for bad in (None, 1.5, "7", [0, 1.0, 2], [[0, 1, 2]], -1, [0, -2, 1]):
         with pytest.raises(ConfigMismatch, match=re.escape(repr(bad))):
             run(quad, Ws, hyper(), T=5, seed=bad)
         with pytest.raises(ConfigMismatch, match=re.escape(repr(bad))):
@@ -607,9 +607,9 @@ def test_step_verdict_names_exactly_the_cell_out_of_range(quad, where, value):
 
 
 def stepwise(prob, W, hp, T, seed, probe_every, X0=None):
-    """A cell's CSV from bare ``step`` calls, each drawing its own one-step
-    sample, with the divergence (iteration, message) or None. The probes
-    filed one by one give the CSV of their rows filed as one block."""
+    """A cell's CSV from bare ``step`` calls on one cell's state, which draws
+    its own sample blocks, with the divergence (iteration, message) or None.
+    The probes filed one by one give the CSV of their rows filed as one block."""
     st = init(prob, W, hp, seed=seed, X0=X0)
     rec = RunRecord()
     ts, rows = [], []
@@ -644,8 +644,8 @@ def outcome_of(out):
 @pytest.mark.parametrize("seeds", [[5], [17, 4, 99]], ids=["one-seed", "three-seeds"])
 @pytest.mark.parametrize("family", ["quadratic", "ridge"])
 def test_block_edges_match_step_by_step(family, seeds, T):
-    # Samples drawn a block at a time, the last block cut at T, give every
-    # cell what stepping it alone, one draw per step, gives.
+    # A many-cell call, its blocks drawn once per seed, gives every cell what
+    # stepping that cell's own state by hand gives, wherever T falls in a block.
     prob = family_instance(family)
     n = prob.n_nodes
     Ws = [topo.ring(n, 0.2, 0.4), topo.fully_connected(n)]
@@ -675,6 +675,26 @@ def test_pending_block_holds_one_row_per_seed(family):
             assert v.shape[:3] == (5, 2, n)
             for g, row in enumerate(rows):
                 assert v[:, g].tobytes() == np.ascontiguousarray(row).tobytes()
+
+
+def test_hand_steps_draw_whole_blocks_once_per_seed(monkeypatch):
+    # 40 steps of a three-cell state on two seeds: each generator draws
+    # ceil(40 / BLOCK_STEPS) = 3 blocks of BLOCK_STEPS steps, held by the state.
+    prob = family_instance("ridge")
+    n = prob.n_nodes
+    st = init(prob, [topo.ring(n), topo.fully_connected(n), topo.ring(n, 0.2, 0.4)], hyper(),
+              seed=[5, 6, 5])
+    ks = []
+    original = prob.draw_block
+
+    def counted(rng, k):
+        ks.append(k)
+        return original(rng, k)
+
+    monkeypatch.setattr(prob, "draw_block", counted)
+    for _ in range(40):
+        st = step(prob, st)
+    assert ks == [BLOCK_STEPS] * 6
 
 
 def test_cell_diverging_mid_block_matches_step_by_step():
