@@ -24,8 +24,9 @@ sets the default output directory.
 The sweep runs in this process as one engine call: every trial's so and
 fo cells of every topology with its centralized cell, on one problem
 instance and one set of mixing matrices, which also give the ``upper_loss``
-baseline and the manifest's spectral gaps. The centralized cell runs on
-the fully connected matrix and writes ``centralized_trial<k>.csv``; every
+baseline and the manifest's spectral gaps. The centralized cell is a
+second-order cell on the fully connected matrix, the exact averaging of
+the centralized recursion, and writes ``centralized_trial<k>.csv``; every
 other cell, a topology named ``centralized`` too, writes
 ``<topology>_<variant>_trial<k>.csv``. A cell's CSV is the one its own
 run would give; its manifest entry holds its share of the call's wall
@@ -68,12 +69,13 @@ def _run_cell(
     """Execute every cell of the sweep as one engine call.
 
     A cell is (trial, topology name, variant); the centralized variant is
-    topology-independent, so it runs once per trial on the fully connected
-    matrix, under the pseudo-topology name "centralized", which a topology
-    may also take. Returns one result per cell. A diverged cell keeps its
-    probes and leaves the batch while the others go on; an error that ends
-    the engine call is recorded on every cell. Each cell's ``wall_time_s``
-    is its share of the call's wall time, so the cell times add up to busy time.
+    topology-independent, so it runs once per trial as a second-order cell
+    on the fully connected matrix, under the pseudo-topology name
+    "centralized", which a topology may also take. Returns one result per
+    cell. A diverged cell keeps its probes and leaves the batch while the
+    others go on; an error that ends the engine call is recorded on every
+    cell. Each cell's ``wall_time_s`` is its share of the call's wall time,
+    so the cell times add up to busy time.
     """
     central = fully_connected(problem.n_nodes)
     cells = []

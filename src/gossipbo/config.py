@@ -11,7 +11,7 @@ Layout:
     ... kind-specific keys ...
 
     [run]
-    variants = so, fo, centralized
+    variants = so, fo, centralized   # centralized: so on the fully connected matrix
     ... schedules, horizon, trials, output ...
 
 Unknown keys are errors, never warnings. Each family and kind is declared
@@ -156,7 +156,7 @@ class RunConfig:
 
     def check(self) -> None:
         """Raise a ValidationError for a variant or run-level value out of range."""
-        variants = [v.value for v in Variant]
+        variants = [v.value for v in Variant] + ["centralized"]
         for i, v in enumerate(self.variants):
             if v not in variants:
                 raise ValidationError(f"[run] unknown variant {v!r}; variants are {variants}")
@@ -178,9 +178,11 @@ class RunConfig:
             raise ValidationError(f"[run] transient_metric must be one of {list(PROBE_METRICS)}")
 
     def hyper(self, variant: str) -> HyperParams:
+        """The variant's HyperParams; the centralized cell is a second-order one."""
         try:
             return HyperParams(
-                **_taken(self, _SCHEDULE_KEYS), fixed_theta=self.theta, variant=Variant(variant)
+                **_taken(self, _SCHEDULE_KEYS), fixed_theta=self.theta,
+                variant=Variant.SECOND_ORDER if variant == "centralized" else variant,
             )
         except ValueError as exc:
             raise ValidationError(f"[run] {exc}") from exc

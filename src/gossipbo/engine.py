@@ -8,9 +8,10 @@ stacked (n, .) arrays and every oracle is called once per step for all
 nodes. Each seed owns one random generator, from which every step draws
 the f-sample and then the g-sample of every node, whatever the variant or
 the topology. The moving-average hypergradient estimate h is updated
-locally and is not gossiped. The centralized variant runs the same
-recursion with exact uniform averaging in place of the gossip matrix,
-which keeps a single shared iterate and averages the per-node directions.
+locally and is not gossiped. A second-order cell on the uniform matrix
+(``topology.fully_connected``) is the centralized recursion: every row of
+the product is the same sum, so it keeps a single shared iterate and
+averages the per-node directions.
 
 A cell is one (mixing matrix, HyperParams, seed), which ``init`` fixes on
 the state, so ``step`` takes only the state. One engine call advances C
@@ -33,11 +34,11 @@ cells share it, as (BLOCK_STEPS, G, n, .) variates for G seeds. Each step
 takes its cells' rows of one slice, and the step after the last draws the
 next block, which leaves every generator where as many single draws would. Cells
 that gossip with the same weights under the same estimator, schedule and
-seed have the same trajectory bit for bit (a fully connected so cell and the
-centralized cell of its trial, for instance): ``run`` advances one of them
+seed have the same trajectory bit for bit (a trial's fully connected so cell
+and its centralized reference, for instance): ``run`` advances one of them
 and gives every member its probes.
 
-``run`` keeps each probe's snapshot and evaluates the pending probes as one
+``run`` keeps what each probe reads and evaluates the pending probes as one
 batched call of at most ``PROBE_NODE_ROWS`` node rows when the next probe
 would not fit, and at the end of the call. Each row is what a probe at its
 own time gives, bit for bit, and an error is the one the first failing
@@ -97,7 +98,6 @@ class NumericalDivergence(EngineError):
 class Variant(str, Enum):
     SECOND_ORDER = "so"
     FIRST_ORDER = "fo"
-    CENTRALIZED = "centralized"
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ class SwarmState:
     ``weights`` holds each cell's gossip matrix. ``hyper`` sets the step
     sizes and the finite-difference delta: one HyperParams when every cell
     shares every field but the variant, else a tuple of one per cell. A
-    shared one is cell 0's, so its variant speaks for no other cell:
-    ``weights`` and ``fo`` decide how each cell gossips and estimates.
+    shared one's variant is cell 0's estimator only: ``fo`` decides each
+    cell's estimator.
     ``rngs`` holds one generator per distinct seed; cell c draws from
     ``rngs[stream[c]]``. ``fo[c]`` is whether cell c uses the first-order
     estimator; those cells follow every second-order one on the cell axis.
@@ -202,16 +202,6 @@ def _cells(W, hyper, seed) -> tuple[list, list, list]:
     return Ws, hypers, seeds
 
 
-def _weights(W: MixingMatrix, hyper: HyperParams) -> np.ndarray:
-    """The matrix a cell gossips with."""
-    if hyper.variant is Variant.CENTRALIZED:
-        # Single-iterate recursion as exact uniform averaging: every row is the
-        # shared iterate (bitwise, as all rows of the product are the same sum),
-        # and the averaged local h equals the centralized moving average.
-        return np.full((W.n, W.n), 1.0 / W.n)
-    return W.weights
-
-
 def init(
     problem: BilevelProblem,
     W: "MixingMatrix | list[MixingMatrix]",
@@ -227,9 +217,9 @@ def init(
     One mixing matrix and one seed give an (n, .) state; a list of C
     matrices gives a (C, n, .) state whose cells all start from the same
     (n, .) overrides, with one hyper and one seed for every cell or a list
-    of C each. The state keeps each cell's gossip weights (exact uniform
-    averaging for a centralized cell), hyper and estimator; the second-order
-    cells must come first, as ``step`` serves them in that order.
+    of C each. The state keeps each cell's gossip weights, hyper and
+    estimator; the second-order cells must come first, as ``step`` serves
+    them in that order.
     """
     single = isinstance(W, MixingMatrix)
     Ws, hypers, seeds = _cells(W, hyper, seed)
@@ -242,7 +232,6 @@ def init(
             raise ConfigMismatch(
                 f"problem has {problem.n_nodes} nodes but mixing matrix has {w.n}"
             )
-    gossip = [_weights(w, h) for w, h in zip(Ws, hypers)]
     shared = len({replace(h, variant=Variant.SECOND_ORDER) for h in hypers}) == 1
     lead = () if single else (len(Ws),)
     n, d, p = problem.n_nodes, problem.dim_x, problem.dim_y
@@ -264,7 +253,7 @@ def init(
         rngs=tuple(map(np.random.default_rng, distinct)),
         stream=np.array([distinct.index(s) for s in seeds]).reshape(lead),
         fo=np.array(fo).reshape(lead),
-        weights=gossip[0] if single else np.stack(gossip),
+        weights=Ws[0].weights if single else np.stack([w.weights for w in Ws]),
         hyper=hypers[0] if shared else tuple(hypers),
     )
 
@@ -451,23 +440,24 @@ def run(
     Ws, hypers, seeds = _cells(W, hyper, seed)
     # One computation per (gossip weights, estimator, schedule, seed): such
     # cells agree bit for bit.
-    gossip = [_weights(w, h) for w, h in zip(Ws, hypers)]
     schedules = [replace(h, variant=Variant.SECOND_ORDER) for h in hypers]
     alike: dict[tuple, list[int]] = {}
-    for c, (wm, h, sch, s) in enumerate(zip(gossip, hypers, schedules, seeds)):
-        alike.setdefault((wm.tobytes(), h.variant is Variant.FIRST_ORDER, sch, s), []).append(c)
+    for c, (w, h, sch, s) in enumerate(zip(Ws, hypers, schedules, seeds)):
+        key = (w.weights.tobytes(), h.variant is Variant.FIRST_ORDER, sch, s)
+        alike.setdefault(key, []).append(c)
     # The cells behind each position of the state's cell axis: second-order first.
     live = sorted(alike.values(), key=lambda cs: hypers[cs[0]].variant is Variant.FIRST_ORDER)
     first = [cs[0] for cs in live]  # the cell computed for each position
     # init checks every matrix against the problem's node count first.
     state = init(problem, [Ws[c] for c in first], [hypers[c] for c in first],
                  [seeds[c] for c in first], X0=X0, Y0=Y0, Z0=Z0, H0=H0)
-    del alike, gossip  # no byte key or matrix of a cell outlives its grouping
+    del alike  # no byte key of a cell outlives its grouping
     records = [metrics_mod.RunRecord() for _ in Ws]
     outcomes: list = list(records)
-    # Probes not yet evaluated, as (state, live) at their probe time. A state
-    # holds its arrays by reference, which is safe: ``step`` writes into none.
-    pending: list[tuple[SwarmState, list]] = []
+    # Probes not yet evaluated, as (t, X, Y, Z, live) at their probe time: what
+    # a probe reads, held by reference, which is safe as ``step`` writes into no
+    # array, and not the state, whose pending samples would stay alive too.
+    pending: list[tuple] = []
     evaluated, owners = [], []  # the evaluated (ts, rows) blocks; the cells of each row
 
     def flush():
@@ -476,30 +466,27 @@ def run(
         pending.clear()
         if not batch:
             return
-        snaps = [snap for snap, _ in batch]
-        counts = [len(cells) for _, cells in batch]
-        # A probe reads t, X, Y and Z; each stacked row carries its own t and alpha.
-        stacked = replace(
-            snaps[0], t=np.repeat([s.t for s in snaps], counts), H=None,
-            X=np.concatenate([s.X for s in snaps]), Y=np.concatenate([s.Y for s in snaps]),
-            Z=np.concatenate([s.Z for s in snaps]),
-        )
-        alphas = [[hypers[cs[0]].alpha(s.t) for cs in cells] for s, cells in batch]
+        ts, Xs, Ys, Zs, lives = zip(*batch)
+        # Each stacked row carries its own t and alpha.
+        stacked = replace(state, t=np.repeat(ts, list(map(len, lives))), H=None,
+                          X=np.concatenate(Xs), Y=np.concatenate(Ys), Z=np.concatenate(Zs))
+        alphas = [[hypers[cs[0]].alpha(t) for cs in cells] for t, cells in zip(ts, lives)]
         try:
             rows = metrics_mod.probe(problem, stacked, alpha=np.concatenate(alphas))
         except Exception:
             # Raise what the first failing probe raises at its own time.
-            for s, alpha in zip(snaps, alphas):
-                metrics_mod.probe(problem, s, alpha=np.array(alpha))
+            for t, X, Y, Z, alpha in zip(ts, Xs, Ys, Zs, alphas):
+                metrics_mod.probe(problem, replace(stacked, t=t, X=X, Y=Y, Z=Z),
+                                  alpha=np.array(alpha))
             raise
         evaluated.append((stacked.t, rows))
-        owners.extend(cs for _, cells in batch for cs in cells)
+        owners.extend(cs for cells in lives for cs in cells)
 
     def probe_live():
-        probes = len(live) + sum(len(cells) for _, cells in pending)
+        probes = len(live) + sum(len(entry[-1]) for entry in pending)
         if probes * problem.n_nodes > PROBE_NODE_ROWS:
             flush()
-        pending.append((state, live))
+        pending.append((state.t, state.X, state.Y, state.Z, live))
 
     probe_live()
     start = time.monotonic()

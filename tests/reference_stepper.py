@@ -14,9 +14,10 @@ step t and then
 
 where (p_h, p_j) are the sampled Hessian- and Jacobian-vector products
 with z (so), or central differences of the sampled lower gradients at
-y +- delta z (fo). h is not gossiped. The centralized variant gossips
-with w_ij = 1/n. The oracles are called on whole (n, .) stacks, since a
-one-row stack broadcasts against every node's data without error.
+y +- delta z (fo). h is not gossiped. The centralized reference is the
+so recursion with w_ij = 1/n. The oracles are called on whole (n, .)
+stacks, since a one-row stack broadcasts against every node's data
+without error.
 """
 
 import numpy as np
@@ -26,12 +27,6 @@ def reference_samples(problem, T, seed):
     """Step t's (xi, zeta) for t < T, from one ``draw_block(rng, T)`` of the seed's generator."""
     blocks = problem.draw_block(np.random.default_rng(seed), T)
     return [tuple(None if b is None else tuple(v[t] for v in b) for b in blocks) for t in range(T)]
-
-
-def gossip_weights(weights, variant):
-    """The (n, n) matrix a cell of ``variant`` gossips with."""
-    n = len(weights)
-    return np.full((n, n), 1.0 / n) if variant == "centralized" else np.asarray(weights)
 
 
 def gossip(W, A):
@@ -44,7 +39,7 @@ def local_step(problem, hyper, t, iterates, sample):
 
     ``iterates`` is the nodes' (x, y, z, h), each (n, .). ``hyper`` is read by
     attribute only: alpha0, c1, c2, c3, tau, decay_factor, decay_period,
-    fixed_theta, delta and variant ("so", "fo" or "centralized").
+    fixed_theta, delta and variant ("so" or "fo").
     """
     X, Y, Z, H = iterates
     xi, zeta = sample

@@ -184,7 +184,7 @@ def test_criterion_5_centralized_equivalence(variant):
     # its rounding noise, so a moderate value keeps the FO run tight.
     hp_d = HyperParams(alpha0=0.02, fixed_theta=0.2, delta=1e-2, variant=variant)
     hp_c = HyperParams(alpha0=0.02, fixed_theta=0.2, delta=1e-2,
-                       variant=Variant.CENTRALIZED)
+                       variant=Variant.SECOND_ORDER)
     st_d = init(prob, W, hp_d, seed=5)
     st_c = init(prob, W, hp_c, seed=5)
     for _ in range(1000):
@@ -252,11 +252,8 @@ def ridge_sweep():
         outcomes = run(
             prob,
             [topos["full" if name == "centralized" else name] for _, name in cells],
-            [
-                HyperParams(variant=Variant.CENTRALIZED if name == "centralized"
-                            else Variant.SECOND_ORDER, **schedule)
-                for _, name in cells
-            ],
+            # The centralized reference is so on the fully connected matrix.
+            [HyperParams(variant=Variant.SECOND_ORDER, **schedule) for _ in cells],
             T=10_000, seed=[1000 + trial for trial, _ in cells], probe_every=100,
         )
         recs = dict(zip(cells, outcomes))
@@ -344,11 +341,8 @@ def quadratic_heterogeneity_sweep():
         outcomes = run(
             prob,
             [full if name == "centralized" else topos[name] for _, name in cells],
-            [
-                HyperParams(variant=Variant.CENTRALIZED if name == "centralized"
-                            else Variant.SECOND_ORDER, **schedule)
-                for _, name in cells
-            ],
+            # The centralized reference is so on the fully connected matrix.
+            [HyperParams(variant=Variant.SECOND_ORDER, **schedule) for _ in cells],
             T=10_000, seed=[1000 + trial for trial, _ in cells], probe_every=100,
         )
         recs = dict(zip(cells, outcomes))
@@ -434,7 +428,7 @@ def test_criterion_9_csv_determinism():
          HyperParams(alpha0=0.1, fixed_theta=0.2, decay_factor=0.8,
                      decay_period=1000, variant=Variant.SECOND_ORDER)),
         (ridge, topo.fully_connected(9),
-         HyperParams(alpha0=0.1, fixed_theta=0.2, variant=Variant.CENTRALIZED)),
+         HyperParams(alpha0=0.1, fixed_theta=0.2, variant=Variant.SECOND_ORDER)),
     ]
     for prob, W, hp in cases:
         a = run(prob, W, hp, T=1000, seed=4242, probe_every=100).to_csv()

@@ -647,13 +647,13 @@ def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
 
     count(ProblemConfig, lambda pc: "problem")
     count(TopologyConfig, lambda tc: tc.name)
-    hyper_params = config_module.HyperParams
+    hyper = config_module.RunConfig.hyper
 
-    def counted_hyper_params(**kw):
-        builds[kw["variant"].value] += 1
-        return hyper_params(**kw)
+    def counted_hyper(self, variant):
+        builds[variant] += 1
+        return hyper(self, variant)
 
-    monkeypatch.setattr(config_module, "HyperParams", counted_hyper_params)
+    monkeypatch.setattr(config_module.RunConfig, "hyper", counted_hyper)
     once = {"problem": 1, "ring": 1, "expo": 1, "so": 1, "fo": 1, "centralized": 1}
     assert cli.main(["validate", SMOKE_CONFIG]) == cli.EXIT_OK
     assert builds == once

@@ -1,6 +1,8 @@
 """Iteration engine: updates, variants, determinism, and failure modes."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from gossipbo.problem import (
     trivial_quadratic,
 )
 from gossipbo import topology as topo
-from reference_stepper import gossip, gossip_weights, local_step, reference_samples
+from reference_stepper import gossip, local_step, reference_samples
 
 
 @pytest.fixture(scope="module")
@@ -73,16 +75,18 @@ def test_hyperparams_validation():
 
 
 def test_hyperparams_take_the_variant_by_value(quad):
-    # A variant given by its name is that variant: "centralized" averages
-    # exactly and "fo" takes central differences, as their enum members do.
+    # A variant given by its name is that variant: "fo" takes central
+    # differences, as its enum member does. "centralized" names no estimator:
+    # the centralized reference is a second-order cell on the uniform matrix.
     W = topo.ring(4)
     for variant in Variant:
         hp = hyper(variant=variant.value)
         assert hp.variant is variant
         assert run(quad, W, hp, T=5, seed=0).to_csv() == \
             run(quad, W, hyper(variant=variant), T=5, seed=0).to_csv()
-    with pytest.raises(ValueError, match="bogus"):
-        hyper(variant="bogus")
+    for name in ("bogus", "centralized"):
+        with pytest.raises(ValueError, match=name):
+            hyper(variant=name)
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-3])
@@ -200,7 +204,7 @@ def test_variants_run_and_differ(quad):
     W = topo.ring(4)
     so = run(quad, W, hyper(variant=Variant.SECOND_ORDER), T=100, seed=9)
     fo = run(quad, W, hyper(variant=Variant.FIRST_ORDER, delta=1e-6), T=100, seed=9)
-    cen = run(quad, W, hyper(variant=Variant.CENTRALIZED), T=100, seed=9)
+    cen = run(quad, topo.fully_connected(4), hyper(variant=Variant.SECOND_ORDER), T=100, seed=9)
     # FO approximates SO closely on quadratics under common samples.
     assert np.allclose(so.column("upper_loss"), fo.column("upper_loss"), rtol=1e-6)
     # The centralized trajectory genuinely differs from the gossip one.
@@ -208,8 +212,8 @@ def test_variants_run_and_differ(quad):
 
 
 def test_centralized_has_zero_consensus_error(quad):
-    W = topo.ring(4)
-    hp = hyper(variant=Variant.CENTRALIZED)
+    W = topo.fully_connected(4)
+    hp = hyper(variant=Variant.SECOND_ORDER)
     st = init(quad, W, hp, seed=10)
     for _ in range(20):
         st = step(quad, st)
@@ -224,7 +228,7 @@ def test_fully_connected_identical_data_matches_centralized():
     prob = make_quadratic(12, n_nodes=4, d=2, p=3, heterogeneity=0.0, noise_scale=0.3)
     W = topo.fully_connected(4)
     hp_d = hyper(variant=Variant.SECOND_ORDER)
-    hp_c = hyper(variant=Variant.CENTRALIZED)
+    hp_c = hyper(variant=Variant.SECOND_ORDER)
     st_d = init(prob, W, hp_d, seed=11)
     st_c = init(prob, W, hp_c, seed=11)
     for _ in range(50):
@@ -304,6 +308,7 @@ def test_logcosh_runs_every_variant():
     prob = make_logcosh(1, 4, 2, 3)
     W = topo.ring(4)
     recs = {v: run(prob, W, hyper(variant=v), T=5, seed=0) for v in Variant}
+    recs["centralized"] = run(prob, topo.fully_connected(4), hyper(), T=5, seed=0)
     for rec in recs.values():
         assert list(rec.ts) == [0, 5]
         for name in ("grad_sq_norm", "consensus_error", "upper_loss"):
@@ -329,14 +334,15 @@ def family_instance(family):
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
 def test_group_matches_solo_runs(family):
     # so, fo and centralized cells advanced as groups -- so with centralized,
-    # fo apart -- give each cell the record of its one-matrix run, byte for byte.
+    # the so cell on the fully connected matrix, fo apart -- give each cell
+    # the record of its one-matrix run, byte for byte.
     prob = family_instance(family)
     n = prob.n_nodes
     Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     kw = dict(T=60, seed=17, probe_every=7, X0=X0)
     groups = [
-        (Ws + Ws[-1:], [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]),
+        (Ws + Ws[-1:], [Variant.SECOND_ORDER] * 4),
         (Ws, [Variant.FIRST_ORDER] * 3),
     ]
     for group_Ws, variants in groups:
@@ -360,7 +366,7 @@ def test_trial_axis_matches_solo_runs(family):
     kw = dict(T=60, probe_every=7, X0=X0)
     seeds = [17, 4, 99]
     groups = [
-        (Ws + Ws[-1:], [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]),
+        (Ws + Ws[-1:], [Variant.SECOND_ORDER] * 4),
         (Ws, [Variant.FIRST_ORDER] * 3),
     ]
     for group_Ws, variants in groups:
@@ -418,10 +424,11 @@ def test_group_mixes_schedules_and_estimators(quad):
 
 
 # Handed to ``run`` interleaved, fo before so: (topology index, variant).
+# Index 2 is the fully connected matrix, on which so is the centralized cell.
 MIXED_ORDER = [
-    (0, Variant.FIRST_ORDER), (1, Variant.SECOND_ORDER), (2, Variant.CENTRALIZED),
+    (0, Variant.FIRST_ORDER), (1, Variant.SECOND_ORDER), (2, Variant.SECOND_ORDER),
     (1, Variant.FIRST_ORDER), (0, Variant.SECOND_ORDER), (2, Variant.FIRST_ORDER),
-    (2, Variant.SECOND_ORDER), (0, Variant.CENTRALIZED),
+    (2, Variant.SECOND_ORDER), (2, Variant.SECOND_ORDER),
 ]
 
 
@@ -471,9 +478,8 @@ def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, seeds, monkeypa
     # first). Here only the ``lazy`` estimator runs on them: those cells
     # leave the call one at a time while the other estimator's cells go on.
     # After each drop the second-order estimator gets exactly the live so
-    # and centralized cells and the first-order one the live fo cells, and
-    # every cell is its solo run, whether the cells draw from two
-    # generators or all from one.
+    # cells and the first-order one the live fo cells, and every cell is its
+    # solo run, whether the cells draw from two generators or all from one.
     prob = make_quadratic(1, n_nodes=4, d=2, p=3, conditioning=4.0, heterogeneity=2.0,
                           noise_scale=0.2)
     lazier, lazy_W, ring, full = (
@@ -482,7 +488,7 @@ def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, seeds, monkeypa
     other = Variant.SECOND_ORDER if lazy is Variant.FIRST_ORDER else Variant.FIRST_ORDER
     a, b = seeds
     cells = [(ring, other, a), (lazier, lazy, a), (full, other, b), (lazy_W, lazy, b),
-             (full, Variant.CENTRALIZED, a), (ring, lazy, b)]
+             (full, Variant.SECOND_ORDER, a), (ring, lazy, b)]
     hps = [hyper(alpha0=0.3, variant=v) for _, v, _ in cells]
     kw = dict(T=200, probe_every=3)
     sizes = {"so": [], "fo": []}
@@ -516,9 +522,8 @@ def test_mixed_cells_diverge_across_the_estimator_boundary(lazy, seeds, monkeypa
     assert ends[1] < ends[3]  # two drops
     # A cell takes part in every step before the iteration it diverged at.
     # Cells alike in weights, estimator and seed are computed as one: with
-    # one seed, the fully connected so cell and the centralized cell.
-    computed = [(engine._weights(W, hp).tobytes(), v is Variant.FIRST_ORDER, seed)
-                for (W, v, seed), hp in zip(cells, hps)]
+    # one seed and a first-order lazy estimator, the two fully connected so cells.
+    computed = [(W.weights.tobytes(), v is Variant.FIRST_ORDER, seed) for W, v, seed in cells]
     for name in sizes:
         fo = name == "fo"
         live = [
@@ -539,7 +544,7 @@ def test_group_cells_diverge_on_their_own():
                           noise_scale=0.2)
     Ws = [topo.ring(4, 0.9, 0.05), topo.ring(4), topo.fully_connected(4)]
     Ws.append(Ws[-1])
-    variants = [Variant.SECOND_ORDER] * 3 + [Variant.CENTRALIZED]
+    variants = [Variant.SECOND_ORDER] * 4
     seen = {}
     for alphas in ((0.3,), (0.5,), (0.5, 0.3)):
         hps = [hyper(alpha0=alpha0, variant=v) for alpha0 in alphas for v in variants]
@@ -704,7 +709,7 @@ def test_cell_diverging_mid_block_matches_step_by_step():
                           noise_scale=0.2)
     lazier, ring, full = topo.ring(4, 0.9, 0.05), topo.ring(4), topo.fully_connected(4)
     cells = [(ring, Variant.SECOND_ORDER, 8), (lazier, Variant.SECOND_ORDER, 7),
-             (full, Variant.CENTRALIZED, 8), (ring, Variant.FIRST_ORDER, 7),
+             (full, Variant.SECOND_ORDER, 8), (ring, Variant.FIRST_ORDER, 7),
              (lazier, Variant.FIRST_ORDER, 9)]
     hps = [hyper(alpha0=0.3, variant=v) for _, v, _ in cells]
     T = 120
@@ -720,15 +725,15 @@ def test_cell_diverging_mid_block_matches_step_by_step():
 
 
 def test_alike_cells_are_computed_once(monkeypatch):
-    # A fully connected so cell and a centralized cell of the same seed
-    # gossip with the same weights, as does an exact duplicate pair: the
-    # engine advances one cell per (weights, estimator, seed), and each
-    # member gets its solo record, as an object of its own.
+    # A fully connected so cell and the centralized cell of the same seed,
+    # itself so on the fully connected matrix, are alike, as is an exact
+    # duplicate pair: the engine advances one cell per (weights, estimator,
+    # seed), and each member gets its solo record, as an object of its own.
     prob = family_instance("ridge")
     n = prob.n_nodes
     full, ring = topo.fully_connected(n), topo.ring(n, 0.2, 0.4)
-    so, cen = Variant.SECOND_ORDER, Variant.CENTRALIZED
-    cells = [(full, so, 17), (ring, cen, 17), (full, so, 4), (full, cen, 4),
+    so = Variant.SECOND_ORDER
+    cells = [(full, so, 17), (full, so, 17), (full, so, 4), (full, so, 4),
              (ring, so, 4), (ring, so, 4)]
     hps = [hyper(variant=v, fixed_theta=0.2) for _, v, _ in cells]
     kw = dict(T=40, probe_every=7)
@@ -829,6 +834,34 @@ def test_pending_probes_stay_within_the_budget(monkeypatch):
     monkeypatch.undo()
     assert calls == [len(Ws) * n] * probe_times
     assert [rec.to_csv() for rec in alone] == [rec.to_csv() for rec in outcomes]
+
+
+def test_pending_probes_keep_no_sample_block_alive(monkeypatch):
+    # A pending probe holds what a probe reads, not its state: when a probe
+    # call runs, the only sample block alive is the current state's. Three
+    # cells of 9 nodes probed every block make 26 probes, so two calls.
+    prob = family_instance("ridge")
+    n = prob.n_nodes
+    Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
+    blocks, alive = [], []
+    draw, original = engine._draw_block, engine.metrics_mod.probe
+
+    def drawn(problem, state, k):
+        block = draw(problem, state, k)
+        blocks.append([weakref.ref(v) for part in block if part is not None for v in part])
+        return block
+
+    def counted(problem, state, alpha):
+        gc.collect()
+        alive.append(sum(any(ref() is not None for ref in refs) for refs in blocks))
+        return original(problem, state, alpha)
+
+    monkeypatch.setattr(engine, "_draw_block", drawn)
+    monkeypatch.setattr(engine.metrics_mod, "probe", counted)
+    run(prob, Ws, hyper(fixed_theta=0.2), T=400, seed=5, probe_every=BLOCK_STEPS)
+    monkeypatch.undo()
+    assert len(blocks) == 400 // BLOCK_STEPS
+    assert alive == [1, 1]
 
 
 def test_cell_diverging_with_probes_pending_matches_step_by_step(monkeypatch):
@@ -981,7 +1014,7 @@ def assert_step_follows_recursion(prob, weights, hp, t, before, after, sample):
     u = np.finfo(float).eps / 2
     gamma_n = n * u / (1 - n * u)
     for name, got, a in zip("xyz", after, local):
-        off = np.max(np.abs(got - gossip(gossip_weights(weights, hp.variant), a)))
+        off = np.max(np.abs(got - gossip(weights, a)))
         assert off <= 2 * gamma_n * np.max(np.abs(a)), (name, t, off)
     np.testing.assert_array_equal(after[3], local[3], err_msg=f"h at step {t}")
 
@@ -1001,15 +1034,18 @@ def steps_of_run(monkeypatch, *args, **kw):
     return steps
 
 
-@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("variant, topology", [
+    (Variant.SECOND_ORDER, "ring"), (Variant.FIRST_ORDER, "ring"),
+    (Variant.SECOND_ORDER, "full"),
+], ids=["so", "fo", "centralized"])
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logcosh"])
-def test_every_step_follows_the_recursion_node_by_node(family, variant, monkeypatch):
+def test_every_step_follows_the_recursion_node_by_node(family, variant, topology, monkeypatch):
     # Each of step's and run's T steps against one step of the recursion
     # written out per node, from the same state, with the samples of one
-    # draw of all T steps.
+    # draw of all T steps. The centralized cell is so on the fully connected matrix.
     prob = family_instance(family)
     n = prob.n_nodes
-    W = topo.ring(n, 0.2, 0.4)
+    W = topo.ring(n, 0.2, 0.4) if topology == "ring" else topo.fully_connected(n)
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
     hp = hyper(variant=variant, **SCHEDULES[1])  # decaying, tau != 1, c1 != c2
     T, seed = 60, 3
@@ -1038,9 +1074,10 @@ def test_every_step_of_a_mixed_call_follows_the_recursion(family, monkeypatch):
     n = prob.n_nodes
     Ws = [topo.ring(n, 0.2, 0.4), topo.ring(n), topo.fully_connected(n)]
     X0 = np.random.default_rng(0).uniform(-0.05, 0.05, (n, prob.dim_x))
-    variants = (Variant.SECOND_ORDER, Variant.CENTRALIZED, Variant.FIRST_ORDER)
-    cells = [(Ws[j % 3], hyper(variant=v, **SCHEDULES[j]))
-             for v in variants for j in range(len(SCHEDULES))]
+    # so cells, centralized ones (so on the fully connected matrix), fo cells.
+    groups = ((Variant.SECOND_ORDER, Ws), (Variant.SECOND_ORDER, Ws[2:]), (Variant.FIRST_ORDER, Ws))
+    cells = [(group[j % len(group)], hyper(variant=v, **SCHEDULES[j]))
+             for v, group in groups for j in range(len(SCHEDULES))]
     hps = [hp for _, hp in cells]
     seeds = [3 + c % 5 for c in range(len(cells))]
     T = 60

@@ -74,13 +74,15 @@ def outputs(source: str, work: str) -> dict[str, str]:
     """The files that ``source`` gives, by name; ``work`` is an empty scratch directory."""
     if source == "logcosh":
         problem = make_logcosh(5, n_nodes=4, d=2, p=3, coupling=0.4, lam=1.2)
-        W = topo.ring(4, 0.2, 0.4)
+        ring, full = topo.ring(4, 0.2, 0.4), topo.fully_connected(4)
+        cells = {"so": (ring, Variant.SECOND_ORDER), "fo": (ring, Variant.FIRST_ORDER),
+                 "centralized": (full, Variant.SECOND_ORDER)}
         return {
-            f"logcosh_{v.value}.csv": run(
+            f"logcosh_{name}.csv": run(
                 problem, W, HyperParams(alpha0=0.05, fixed_theta=0.2, variant=v),
                 T=200, seed=3, probe_every=20,
             ).to_csv()
-            for v in Variant
+            for name, (W, v) in cells.items()
         }
     estimates = experiment(source, work, 1000)
     texts = {}
