@@ -15,23 +15,25 @@ beside ``<run.csv>``, for one).
 ``validate`` and ``run`` share one ``ExperimentConfig.build``, which ``run``
 makes before it creates the output directory; it checks the run-level
 ranges again, for fields set in code, and builds the problem, the
-topologies and each variant's HyperParams once. ``base_seed`` must be
->= 0, ``--trials`` >= 1, the step sizes finite, torus ``rows`` and
-``cols`` >= 1, and no variant may be listed twice. A ``custom`` topology's
-relative ``path`` names a file in the config file's directory. GOSSIPBO_OUT
-sets the default output directory.
+topologies, the centralized reference's matrix and each variant's step
+sizes once, so ``validate`` builds every matrix ``run`` gossips with.
+``base_seed`` must be >= 0, ``--trials`` >= 1, the step sizes finite,
+torus ``rows`` and ``cols`` >= 1, and no variant may be listed twice. A
+``custom`` topology's relative ``path`` names a file in the config file's
+directory. GOSSIPBO_OUT sets the default output directory.
 
-The sweep runs in this process as one engine call: every trial's so and
-fo cells of every topology with its centralized cell, on one problem
-instance and one set of mixing matrices, which also give the ``upper_loss``
-baseline and the manifest's spectral gaps. The centralized cell is a
-second-order cell on the fully connected matrix, the exact averaging of
-the centralized recursion, and writes ``centralized_trial<k>.csv``; every
-other cell, a topology named ``centralized`` too, writes
-``<topology>_<variant>_trial<k>.csv``. A cell's CSV is the one its own
-run would give; its manifest entry holds its share of the call's wall
-time, and ``wall_limit_s`` bounds the whole sweep. The ``[run] workers``
-key is accepted and validated but changes nothing.
+The sweep runs in this process as one engine call: each trial's copy of
+the cells ``build`` returns, on one problem instance and one set of mixing
+matrices, which also give the ``upper_loss`` baseline and the manifest's
+spectral gaps. Only when ``centralized`` is listed does ``build`` add the
+reference, a second-order cell on the fully connected matrix (the exact
+averaging of the centralized recursion), which writes
+``centralized_trial<k>.csv``; without it no fully connected matrix is built
+and no transient estimate made. Every other cell, a topology named
+``centralized`` too, writes ``<topology>_<variant>_trial<k>.csv``. A cell's
+CSV is the one its own run would give; its manifest entry holds its share
+of the call's wall time, and ``wall_limit_s`` bounds the whole sweep. The
+``[run] workers`` key is accepted and validated but changes nothing.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ import numpy as np
 
 from . import engine, metrics
 from .config import ConfigError, ExperimentConfig, config_from_dict, emit_config, parse_config
-from .engine import HyperParams
 from .problem import BilevelProblem, ProblemError
-from .topology import MixingMatrix, fully_connected
 
 ENV_OUT_DIR = "GOSSIPBO_OUT"
 
@@ -60,48 +60,37 @@ EXIT_DIVERGED = 2
 EXIT_IO = 3
 
 
-def _run_cell(
-    config: ExperimentConfig,
-    problem: BilevelProblem,
-    mixing: dict[str, MixingMatrix],
-    hypers: dict[str, HyperParams],
-) -> list[dict]:
-    """Execute every cell of the sweep as one engine call.
+def _run_cell(config: ExperimentConfig, problem: BilevelProblem, cells: list[tuple]) -> list[dict]:
+    """Run every trial's copy of ``cells`` as one engine call.
 
-    A cell is (trial, topology name, variant); the centralized variant is
-    topology-independent, so it runs once per trial as a second-order cell
-    on the fully connected matrix, under the pseudo-topology name
-    "centralized", which a topology may also take. Returns one result per
-    cell. A diverged cell keeps its probes and leaves the batch while the
-    others go on; an error that ends the engine call is recorded on every
-    cell. Each cell's ``wall_time_s`` is its share of the call's wall time,
-    so the cell times add up to busy time.
+    ``cells`` are one trial's, as ``ExperimentConfig.build`` returns them,
+    the centralized reference among them only when the sweep lists it. A
+    cell of the sweep is (trial, topology name, variant); the reference is
+    named "centralized", which a topology may also take. Returns one result
+    per cell. A diverged cell keeps its probes and leaves the batch while
+    the others go on; an error that ends the engine call is recorded on
+    every cell. Each cell's ``wall_time_s`` is its share of the call's wall
+    time, so the cell times add up to busy time.
     """
-    central = fully_connected(problem.n_nodes)
-    cells = []
-    for trial in range(config.run.n_trials):
-        for tc in config.topologies:
-            cells += [(trial, tc.name, v) for v in config.run.variants if v != "centralized"]
-        if "centralized" in config.run.variants:
-            cells.append((trial, "centralized", "centralized"))
-    seeds = [config.run.base_seed + trial for trial, _, _ in cells]
+    sweep = [(trial, *cell) for trial in range(config.run.n_trials) for cell in cells]
+    seeds = [config.run.base_seed + trial for trial, *_ in sweep]
     error = None
     start = time.monotonic()
     try:
         outcomes = engine.run(
             problem,
-            [central if v == "centralized" else mixing[name] for _, name, v in cells],
-            [hypers[v] for _, _, v in cells],
+            [W for *_, W, _ in sweep],
+            [hyper for *_, hyper in sweep],
             T=config.run.T,
             seed=seeds,
             probe_every=config.run.probe_every,
             wall_limit_s=config.run.wall_limit_s,
         )
     except (engine.EngineError, ProblemError, metrics.MetricsError) as exc:
-        error, outcomes = str(exc), [None] * len(cells)
-    share = (time.monotonic() - start) / len(cells)
+        error, outcomes = str(exc), [None] * len(sweep)
+    share = (time.monotonic() - start) / len(sweep)
     results = []
-    for (trial, name, variant), seed, outcome in zip(cells, seeds, outcomes):
+    for (trial, name, variant, *_), seed, outcome in zip(sweep, seeds, outcomes):
         diverged = isinstance(outcome, engine.NumericalDivergence)
         partial = _cell_filename(name, variant, trial).removesuffix(".csv") + "_partial.csv"
         results.append(dict(
@@ -132,11 +121,11 @@ def _transient_question(config: ExperimentConfig, problem: BilevelProblem) -> di
 
 def run_experiment(config: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
     """Build and run the full sweep; returns the process exit code. ``workers`` is ignored."""
-    problem, mixing, hypers = config.build()
+    problem, mixing, cells = config.build()
     os.makedirs(out_dir, exist_ok=True)
     config_dict = emit_config(config)
     # Every output below follows this order of cell identity.
-    results = sorted(_run_cell(config, problem, mixing, hypers),
+    results = sorted(_run_cell(config, problem, cells),
                      key=lambda r: (r["topology"], r["variant"], r["trial"]))
 
     # A diverged cell's partial record is written but kept out of the

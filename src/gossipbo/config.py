@@ -11,14 +11,17 @@ Layout:
     ... kind-specific keys ...
 
     [run]
-    variants = so, fo, centralized   # centralized: so on the fully connected matrix
+    variants = so, fo, centralized   # centralized: the reference that build() adds,
+                                     # one so cell on the fully connected matrix
     ... schedules, horizon, trials, output ...
 
 Unknown keys are errors, never warnings. Each family and kind is declared
 once, with its constructor and the keys it takes (``_FAMILIES``, ``_KINDS``);
 parsing, building and ``emit_config`` read only that, so the manifest holds
 the keys each section takes and no others. ``ExperimentConfig.build`` builds
-what ``gossipbo validate`` and ``gossipbo run`` share.
+what ``gossipbo validate`` and ``gossipbo run`` share: the problem, the
+topologies and one trial's cells, the centralized reference's fully
+connected matrix included when ``centralized`` is listed.
 """
 
 from __future__ import annotations
@@ -218,23 +221,30 @@ class ExperimentConfig:
     topologies: list[TopologyConfig]
     run: RunConfig
 
-    def build(
-        self,
-    ) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix], dict[str, HyperParams]]:
-        """Build the problem, each topology at its node count and each variant's HyperParams, once.
+    def build(self) -> tuple[BilevelProblem, dict[str, topo.MixingMatrix], list[tuple]]:
+        """Build the problem, each topology, each variant's HyperParams and the reference, once.
 
         ``parse_config`` checks keys, types and the run's ranges; this checks
         the run's ranges again, for fields set after parsing, and raises what
         a run would otherwise hit inside a cell as a ValidationError that
         names its section: ``[problem]``, ``[topology.<name>]`` or ``[run]``.
-        Returns the problem, the mixing matrices by topology name and the
-        HyperParams by variant.
+        Returns the problem, the mixing matrices by topology name and one
+        trial's cells, each ``(topology name, variant, MixingMatrix,
+        HyperParams)``: every topology's listed variants in order, then, only
+        when ``centralized`` is listed, the reference, a second-order cell on
+        the fully connected matrix named ``centralized``.
         """
         self.run.check()
         _check_topology_names(self.topologies)
         problem = self.problem.build()
         mixing = {tc.name: tc.build(problem.n_nodes) for tc in self.topologies}
-        return problem, mixing, {v: self.run.hyper(v) for v in self.run.variants}
+        hypers = {v: self.run.hyper(v) for v in self.run.variants}
+        reference = hypers.pop("centralized", None)
+        cells = [(name, v, W, h) for name, W in mixing.items() for v, h in hypers.items()]
+        if reference is not None:
+            W = topo.fully_connected(problem.n_nodes)
+            cells.append(("centralized", "centralized", W, reference))
+        return problem, mixing, cells
 
 
 # The INI spelling of each RunConfig field: the horizon T is the key t.

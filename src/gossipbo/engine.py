@@ -438,13 +438,11 @@ def run(
     if not wall_limit_s >= 0:  # NaN too
         raise ValueError(f"wall_limit_s must be >= 0, got {wall_limit_s!r}")
     Ws, hypers, seeds = _cells(W, hyper, seed)
-    # One computation per (gossip weights, estimator, schedule, seed): such
-    # cells agree bit for bit.
-    schedules = [replace(h, variant=Variant.SECOND_ORDER) for h in hypers]
+    # One computation per (gossip weights, HyperParams, seed), the frozen
+    # HyperParams being the estimator and schedule: such cells agree bit for bit.
     alike: dict[tuple, list[int]] = {}
-    for c, (w, h, sch, s) in enumerate(zip(Ws, hypers, schedules, seeds)):
-        key = (w.weights.tobytes(), h.variant is Variant.FIRST_ORDER, sch, s)
-        alike.setdefault(key, []).append(c)
+    for c, (w, h, s) in enumerate(zip(Ws, hypers, seeds)):
+        alike.setdefault((w.weights.tobytes(), h, s), []).append(c)
     # The cells behind each position of the state's cell axis: second-order first.
     live = sorted(alike.values(), key=lambda cs: hypers[cs[0]].variant is Variant.FIRST_ORDER)
     first = [cs[0] for cs in live]  # the cell computed for each position

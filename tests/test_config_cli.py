@@ -632,8 +632,24 @@ def test_run_ranges_set_in_code_rejected_before_output(tmp_path, field, value):
 SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "quadratic_smoke.ini")
 
 
+RING_SO_CONFIG = """
+[problem]
+family = quadratic
+n_nodes = 8
+
+[topology.ring]
+kind = adjusted_ring
+
+[run]
+variants = so
+t = 40
+probe_every = 20
+"""
+
+
 def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
-    # The problem, each topology and each variant's HyperParams.
+    # The problem, each topology, each variant's HyperParams and every mixing
+    # matrix, since each matrix build goes through MixingMatrix.from_weights.
     builds = collections.Counter()
 
     def count(cls, key):
@@ -654,13 +670,31 @@ def test_validate_and_run_build_each_part_once(tmp_path, monkeypatch):
         return hyper(self, variant)
 
     monkeypatch.setattr(config_module.RunConfig, "hyper", counted_hyper)
-    once = {"problem": 1, "ring": 1, "expo": 1, "so": 1, "fo": 1, "centralized": 1}
+    from_weights = topo.MixingMatrix.from_weights
+
+    def counted_from_weights(*args, **kwargs):
+        builds["matrix"] += 1
+        return from_weights(*args, **kwargs)
+
+    monkeypatch.setattr(topo.MixingMatrix, "from_weights", staticmethod(counted_from_weights))
+    # ring, expo and the centralized reference's fully connected matrix
+    once = {"problem": 1, "ring": 1, "expo": 1, "so": 1, "fo": 1, "centralized": 1, "matrix": 3}
     assert cli.main(["validate", SMOKE_CONFIG]) == cli.EXIT_OK
     assert builds == once
     builds.clear()
     out = tmp_path / "out"
     assert cli.main(["run", SMOKE_CONFIG, "--out", str(out), "--trials", "1"]) == cli.EXIT_OK
     assert builds == once
+    # Without centralized no fully connected matrix is built, and no reference run.
+    path = write_config(tmp_path, RING_SO_CONFIG)
+    out = tmp_path / "ring_so"
+    for argv in (["validate", path], ["run", path, "--out", str(out)]):
+        builds.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert builds == {"problem": 1, "ring": 1, "so": 1, "matrix": 1}
+    assert (out / "ring_so_trial0.csv").exists()
+    assert not (out / "centralized_trial0.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["transient_estimates"] == []
 
 
 @pytest.mark.parametrize("argv, code", [
